@@ -77,6 +77,31 @@ def _checked_hermitian_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=m.dtype))
 
 
+def _screened_hermitian_inverse(gram: np.ndarray):
+    """Inverses of a stack of Hermitian matrices (B, n, n), with a screen.
+
+    Returns (inverse, failed (B,)); failed flags matrices whose 1-norm
+    condition number exceeds MAX_CONDITION or that cannot be solved at all.
+    """
+    n = gram.shape[1]
+    eye = np.broadcast_to(np.eye(n), gram.shape)
+    failed = np.zeros(gram.shape[0], dtype=bool)
+    try:
+        inv = np.linalg.solve(gram, eye)
+    except np.linalg.LinAlgError:
+        inv = np.empty_like(gram)
+        for i in range(gram.shape[0]):
+            try:
+                inv[i] = np.linalg.solve(gram[i], np.eye(n))
+            except np.linalg.LinAlgError:
+                inv[i] = np.nan
+                failed[i] = True
+    cond = (np.abs(gram).sum(axis=1).max(axis=1)
+            * np.abs(inv).sum(axis=1).max(axis=1))
+    failed |= ~np.isfinite(cond) | (cond > MAX_CONDITION)
+    return inv, failed
+
+
 def zf_precoder(h_active: np.ndarray) -> Precoder:
     """Zero-forcing precoder for the active-port channel."""
     n_r = h_active.shape[0]

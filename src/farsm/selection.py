@@ -3,7 +3,9 @@
 Three strategies pick N_a of the N fluid-antenna ports per channel draw:
 
 * ``optimal_select``: exhaustive capacity maximization over all C(N, N_a)
-  subsets. Exact but combinatorial; guarded to N <= 20.
+  subsets. Exact but combinatorial; guarded to N <= 20. Capacities come
+  from the elementary symmetric polynomials of each subset Gram, not from
+  a factorization per subset (see "exact subset capacities").
 * ``tmd_select``: greedy removal of N - N_a ports, each step discarding the
   port whose removal grows tr((H H^H)^(-1)) the least. The growth caused by
   removing column h from an active set with inverse Gram A is
@@ -16,7 +18,11 @@ Three strategies pick N_a of the N fluid-antenna ports per channel draw:
 
 All port indices at this interface are 1-based, matching the grid layout.
 Internal helpers prefixed with ``_batch`` operate on stacks of channels and
-exist for the Monte Carlo engine; they implement the same decisions.
+exist for the Monte Carlo engine; they implement the same decisions. The
+engine's exhaustive search (``_batch_optimal``) reads the polynomials off
+principal-minor tables of H^H H, a tile of trials per numpy call;
+``optimal_select`` still gets them from power sums of each subset Gram,
+which agrees at N_r = 4 but loses accuracy from N_r = 8 on.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from farsm.channel import restrict_to_ports
 from farsm.correlation import SortedPairArrays
 from farsm.errors import ConfigError, NumericalError, SingularChannelError
 from farsm.precoding import (MAX_CONDITION, NoiseModel,
-                             _checked_hermitian_inverse, mmse_precoder,
+                             _checked_hermitian_inverse,
+                             _screened_hermitian_inverse, mmse_precoder,
                              zf_precoder)
 
 # A removal denominator 1 - h^H A h at or below this marks the port as
@@ -40,6 +47,15 @@ from farsm.precoding import (MAX_CONDITION, NoiseModel,
 REMOVAL_EPS = 1e-12
 
 _EXHAUSTIVE_MAX_PORTS = 20
+
+# _batch_optimal scores trials in tiles: as many trials as keep the widest
+# level of their minor tables (C(N_r, k) C(N, k) complex entries per trial)
+# within this count, about 220 KiB. A level and its three working arrays
+# then stay well inside a 2 MiB L2 cache, and peak memory stays bounded for
+# every N_r <= 8. At N_r = 4, N = 16 a tile is 6 trials, the fastest under
+# ZF on a 2-core Xeon with numpy 2.4 (4 to 8 trials ran within 15% of each
+# other; 7 or more raised peak memory).
+_OPTIMAL_TILE_MINORS = 14_000
 
 
 @dataclass(frozen=True)
@@ -186,16 +202,6 @@ def smw_downdate(state: TraceState, port: int, h: np.ndarray) -> TraceState:
     return TraceState(inverse=inv, active=active)
 
 
-def _removal_costs(state: TraceState, h: np.ndarray) -> np.ndarray:
-    """Vector of trace-growth metrics over the active ports (inf where
-    removal is not allowed)."""
-    cols = h[:, [p - 1 for p in state.active]]
-    v = state.inverse @ cols
-    num = np.einsum("ij,ij->j", v.conj(), v).real
-    den = 1.0 - np.einsum("ij,ij->j", cols.conj(), v).real
-    return np.where(den > REMOVAL_EPS, num / np.maximum(den, REMOVAL_EPS), np.inf)
-
-
 def _greedy_trace_removal(inv: np.ndarray, active: list[int], h: np.ndarray,
                           stop: int) -> list[int]:
     """Shared greedy loop: peel ports until ``stop`` remain.
@@ -288,14 +294,33 @@ def mce_tmd_select(h: np.ndarray, pairs: SortedPairArrays, n_b: int,
 
 
 # ---------------------------------------------------------------------------
-# exact subset capacities without per-subset factorizations
+# exact subset capacities
 # ---------------------------------------------------------------------------
-# Scoring all C(N, N_a) subsets one factorization at a time dominates the
-# Monte Carlo budget, so capacities are evaluated from the characteristic
-# polynomial of each subset's N_r x N_r Gram: its elementary symmetric
-# coefficients give tr(W^-1) = e_{n-1} / e_n directly, and the regularized
-# quantities are polynomial shifts of the same coefficients. Algebraically
-# exact; agreement with capacity_of_set is pinned by tests.
+# Both capacities are functions of the elementary symmetric polynomials e_k
+# of a candidate's N_r x N_r Gram W = H_I H_I^H: ZF needs
+# tr(W^-1) = e_{N_r-1} / e_{N_r}, and the regularized MMSE quantities are
+# polynomial shifts of all of them. Scoring all C(N, N_a) candidates one
+# factorization at a time would dominate the Monte Carlo budget, so the e_k
+# come from tables shared by every candidate of a trial.
+#
+# The engine's kernel (_minor_capacities) uses principal minors. By
+# Cauchy-Binet, e_k(W) is the sum of the k x k principal minors of K = H^H H
+# over the candidate's columns, and each of those is
+# det K[J, J] = sum_R |det H[R, J]|^2 over the k-row subsets R. So every
+# k x k minor of H is tabulated once per trial, k = 1..N_r, each level by a
+# Laplace expansion along the last column from the level below; the squared
+# magnitudes are summed over R into P_k[J]; and a candidate's e_k is the sum
+# of its C(N_a, k) entries of P_k. Every term of these sums is >= 0, so they
+# never cancel: at N_r = 8 on a half-wavelength aperture the capacities
+# still agree with capacity_of_set to 1e-8 relative. Row and column subsets
+# are indexed in colexicographic order, where the 0-based subset
+# j_1 < ... < j_k has rank sum_t C(j_t, t), so dropping the largest element
+# only drops its own term.
+#
+# The scalar optimal_select still takes the e_k from power sums through
+# Newton's identities (_subset_capacities). That route cancels: it agrees at
+# N_r = 4, but at N_r = 8 on the same aperture it is off by several times
+# the true capacity and calls well-conditioned subsets singular.
 
 def _power_sums(g: np.ndarray, n: int) -> list[np.ndarray]:
     """tr(G^k), k = 1..n, for a stack of Hermitian matrices g (..., n, n)."""
@@ -356,12 +381,46 @@ def _charpoly_eval(es: list[np.ndarray], x: complex, n: int) -> np.ndarray:
     return acc
 
 
+def _zf_capacity(det, e_below, n0: float, n_r: int):
+    """ZF capacity from e_{N_r} (``det``) and e_{N_r-1} (``e_below``).
+
+    Returns (capacity, bad), bad marking a Gram that is not positive
+    definite. Call under np.errstate(divide/invalid="ignore").
+    """
+    tr_inv = e_below / det
+    cap = n_r * np.log2(1.0 + 1.0 / (tr_inv * n0))
+    return cap, ~(det > 0) | ~(tr_inv > 0)
+
+
+def _mmse_capacity(es: list[np.ndarray], n0: float, n_r: int):
+    """MMSE capacity from e_1..e_{N_r}; returns (capacity, bad). Call under
+    np.errstate(divide/invalid="ignore")."""
+    c = n_r * n0
+    fs = _shifted_elementary(es, c, n_r)
+    f_n = fs[-1]
+    tr_vinv = (fs[-2] if n_r > 1 else np.ones_like(f_n)) / f_n
+    if n_r > 2:
+        e2_inv = fs[-3] / f_n
+    elif n_r == 2:
+        e2_inv = 1.0 / f_n
+    else:
+        e2_inv = np.zeros_like(f_n)
+    tr_vinv2 = tr_vinv ** 2 - 2.0 * e2_inv
+    t = tr_vinv - c * tr_vinv2  # tr(W (W + cI)^-2)
+    beta2 = n_r / t
+    a = 1.0 + beta2 / (n_r * n0)
+    r = (-c + 1j * c * np.sqrt(a - 1.0)) / a
+    q = _charpoly_eval(es, r, n_r)
+    cap = n_r * np.log2(a) + 2.0 * np.log2(np.abs(q)) - 2.0 * np.log2(f_n)
+    return cap, ~(t > 0) | ~(f_n > 0)
+
+
 def _subset_capacities(h: np.ndarray, subsets: np.ndarray, kind: str,
                        n0: float) -> np.ndarray:
-    """Capacity of every candidate subset of ``h`` (N_r x N), vectorized.
+    """Capacity of every candidate subset of ``h`` (N_r x N), from power sums.
 
     Singular candidates score -inf. Matches capacity_of_set up to float
-    round-off.
+    round-off at N_r = 4; see the section comment for larger N_r.
     """
     n_r = h.shape[0]
     if subsets.shape[1] == n_r:
@@ -375,66 +434,149 @@ def _subset_capacities(h: np.ndarray, subsets: np.ndarray, kind: str,
     es = _elementary_symmetric(_power_sums(w, n_r))
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "zf":
-            det = es[-1]
-            tr_inv = es[-2] / det if n_r > 1 else 1.0 / det
-            cap = n_r * np.log2(1.0 + 1.0 / (tr_inv * n0))
-            bad = ~(det > 0) | ~(tr_inv > 0)
+            cap, bad = _zf_capacity(es[-1], es[-2] if n_r > 1 else 1.0,
+                                    n0, n_r)
         elif kind == "mmse":
-            c = n_r * n0
-            fs = _shifted_elementary(es, c, n_r)
-            f_n = fs[-1]
-            tr_vinv = (fs[-2] if n_r > 1 else np.ones_like(f_n)) / f_n
-            if n_r > 2:
-                e2_inv = fs[-3] / f_n
-            elif n_r == 2:
-                e2_inv = 1.0 / f_n
-            else:
-                e2_inv = np.zeros_like(f_n)
-            tr_vinv2 = tr_vinv ** 2 - 2.0 * e2_inv
-            t = tr_vinv - c * tr_vinv2  # tr(W (W + cI)^-2)
-            beta2 = n_r / t
-            a = 1.0 + beta2 / (n_r * n0)
-            r = (-c + 1j * c * np.sqrt(a - 1.0)) / a
-            q = _charpoly_eval(es, r, n_r)
-            cap = (n_r * np.log2(a) + 2.0 * np.log2(np.abs(q))
-                   - 2.0 * np.log2(f_n))
-            bad = ~(t > 0) | ~(f_n > 0)
+            cap, bad = _mmse_capacity(es, n0, n_r)
         else:
             raise ValueError(f"unknown precoder kind {kind!r}")
     cap = np.where(bad | ~np.isfinite(cap), -np.inf, cap)
     return cap
 
 
+def _colex_rank(subset) -> int:
+    """Rank of a sorted 0-based subset among those of its size, colex order."""
+    return sum(math.comb(j, t) for t, j in enumerate(subset, start=1))
+
+
+@lru_cache(maxsize=8)
+def _binomials(n: int) -> np.ndarray:
+    """(n, n + 1) table of C(v, t)."""
+    return np.array([[math.comb(v, t) for t in range(n + 1)]
+                     for v in range(n)], dtype=np.intp)
+
+
+@lru_cache(maxsize=32)
+def _laplace_plan(n_r: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather plan for the k x k minors of an N_r x N matrix, k >= 2.
+
+    A k x k minor table is stored flat as (row subset, column subset), both
+    in colex order. Returns (entry, minor), both (k, C(n_r, k) C(n, k)):
+    for row position p of each (R, J), the flat index into H of H[r_p, j_k]
+    and the index into the (k-1) x (k-1) table of the minor without row r_p
+    and column j_k.
+    """
+    row_sets = sorted(combinations(range(n_r), k), key=_colex_rank)
+    rows = np.array(row_sets, dtype=np.intp)
+    rest_r = np.array([[_colex_rank(s[:p] + s[p + 1:]) for p in range(k)]
+                       for s in row_sets], dtype=np.intp)
+    # the column subsets whose largest column is j hold the ranks from
+    # C(j, k) on, ordered as the colex ranks of the rest
+    binom = _binomials(n)
+    last = np.repeat(np.arange(n, dtype=np.intp), binom[:, k - 1])
+    rest_c = np.arange(last.size, dtype=np.intp) - binom[last, k]
+    entry = rows.T[:, :, None] * n + last
+    minor = rest_r.T[:, :, None] * math.comb(n, k - 1) + rest_c
+    # cached plans live as long as the process; int32 halves them
+    return (entry.reshape(k, -1).astype(np.int32),
+            minor.reshape(k, -1).astype(np.int32))
+
+
+def _principal_minors(hb: np.ndarray, levels: set[int]) -> dict[int, np.ndarray]:
+    """P_k[J, b] = det K[J, J] for K = H^H H and every k-column subset J.
+
+    ``hb`` is (B, N_r, N); returns {k: (C(N, k), B) real} for k in
+    ``levels`` (each <= N_r), J in colex order. Trials run along the last
+    axis so every gather moves a contiguous row of B values.
+    """
+    b, n_r, n = hb.shape
+    h = np.ascontiguousarray(hb.transpose(1, 2, 0)).reshape(n_r * n, b)
+    minors = h  # level 1: det H[{r}, {j}] at r * N + j
+    out = {}
+    for k in range(1, max(levels) + 1):
+        if k > 1:
+            entry, minor = _laplace_plan(n_r, n, k)
+            below = minors
+            # Laplace along the last column: sign (-1)^(p + k - 1) on row p
+            minors = np.take(h, entry[k - 1], axis=0)
+            term = np.empty_like(minors)
+            part = np.empty_like(minors)
+            minors *= np.take(below, minor[k - 1], axis=0, out=part)
+            for p in range(k - 2, -1, -1):
+                np.take(h, entry[p], axis=0, out=term)
+                term *= np.take(below, minor[p], axis=0, out=part)
+                if (k - 1 - p) % 2:
+                    minors -= term
+                else:
+                    minors += term
+            del below, term, part  # free before the next level allocates
+        if k in levels:
+            # |det H[R, J]|^2 summed over R, on a float view of re and im
+            parts = minors.view(np.float64).reshape(math.comb(n_r, k), -1, b, 2)
+            out[k] = np.einsum("rjbt,rjbt->jb", parts, parts)
+    return out
+
+
+@lru_cache(maxsize=32)
+def _subset_ranks(n: int, n_a: int, pos: tuple[int, ...]) -> np.ndarray:
+    """(S,) colex ranks, among the len(pos)-subsets of range(n), of the
+    entries at positions ``pos`` of each candidate in _subset_table(n, n_a)."""
+    subsets = _subset_table(n, n_a)
+    binom = _binomials(n)
+    rank = np.zeros(len(subsets), dtype=np.int32)
+    for t, q in enumerate(pos, start=1):
+        rank += binom[subsets[:, q], t]
+    return rank
+
+
+def _subset_sums(table: np.ndarray, n: int, n_a: int, k: int) -> np.ndarray:
+    """(S, B): each candidate's sum of ``table`` (C(n, k), B), colex rows,
+    over its k-subsets; candidates as in _subset_table(n, n_a)."""
+    acc = None
+    for pos in combinations(range(n_a), k):
+        part = np.take(table, _subset_ranks(n, n_a, pos), axis=0)
+        if acc is None:
+            acc = part
+        else:
+            acc += part
+    return acc
+
+
+def _minor_capacities(hb: np.ndarray, n_a: int, kind: str,
+                      n0: float) -> np.ndarray:
+    """(B, S) capacities of the candidates _subset_table(N, n_a) for a stack
+    of channels ``hb`` (B, N_r, N).
+
+    Candidates that cannot be precoded score -inf: under ZF those whose
+    Gram condition bound tr(W) tr(W^-1) exceeds MAX_CONDITION. Agrees
+    with capacity_of_set to 1e-8 relative up to N_r = 8.
+    """
+    n_r, n = hb.shape[1:]
+    if kind == "zf":
+        levels = {1, n_r - 1, n_r}
+    elif kind == "mmse":
+        levels = set(range(1, n_r + 1))
+    else:
+        raise ValueError(f"unknown precoder kind {kind!r}")
+    tables = _principal_minors(hb, levels)
+    es = {k: _subset_sums(tables[k], n, n_a, k) for k in sorted(levels)}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "zf":
+            det, e_below = es[n_r], es[n_r - 1]
+            cap, bad = _zf_capacity(det, e_below, n0, n_r)
+            # a sum of squares is never exactly 0, so det > 0 cannot flag
+            # a singular Gram; tr(W) tr(W^-1) overstates cond(W) by at most
+            # a factor N_r^2
+            bad |= ~(es[1] * e_below <= MAX_CONDITION * det)
+        else:
+            cap, bad = _mmse_capacity([es[k] for k in range(1, n_r + 1)],
+                                      n0, n_r)
+    return np.where(bad | ~np.isfinite(cap), -np.inf, cap).T
+
+
 # ---------------------------------------------------------------------------
 # batch variants for the Monte Carlo engine
 # ---------------------------------------------------------------------------
-
-def _batch_gram_inverse(hb: np.ndarray, active: np.ndarray):
-    """Masked Gram inverses for a stack of channels.
-
-    Returns (inverse (B, N_r, N_r), failed (B,)) where failed flags trials
-    whose 1-norm condition estimate exceeds the singularity threshold.
-    """
-    n_r = hb.shape[1]
-    gram = np.einsum("brn,bqn,bn->brq", hb, hb.conj(), active.astype(float))
-    eye = np.broadcast_to(np.eye(n_r), gram.shape)
-    failed = np.zeros(hb.shape[0], dtype=bool)
-    try:
-        inv = np.linalg.solve(gram, eye)
-    except np.linalg.LinAlgError:
-        inv = np.empty_like(gram)
-        for b in range(hb.shape[0]):
-            try:
-                inv[b] = np.linalg.solve(gram[b], np.eye(n_r))
-            except np.linalg.LinAlgError:
-                inv[b] = np.nan
-                failed[b] = True
-    norm1 = np.abs(gram).sum(axis=1).max(axis=1)
-    norm1_inv = np.abs(inv).sum(axis=1).max(axis=1)
-    cond = norm1 * norm1_inv
-    failed |= ~np.isfinite(cond) | (cond > MAX_CONDITION)
-    return inv, failed
-
 
 def _batch_tmd(hb: np.ndarray, n_a: int, active: np.ndarray | None = None):
     """Greedy trace-minimizing removal on a stack of channels.
@@ -446,7 +588,8 @@ def _batch_tmd(hb: np.ndarray, n_a: int, active: np.ndarray | None = None):
     b, n_r, n = hb.shape
     act = np.ones((b, n), dtype=bool) if active is None else active.copy()
     start = int(act[0].sum())
-    inv, failed = _batch_gram_inverse(hb, act)
+    inv, failed = _screened_hermitian_inverse(
+        np.einsum("brn,bqn,bn->brq", hb, hb.conj(), act.astype(float)))
     for _ in range(start - n_a):
         v = inv @ hb  # (B, N_r, N)
         num = np.einsum("brn,brn->bn", v.conj(), v).real
@@ -493,17 +636,24 @@ def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,
 
 
 def _batch_optimal(hb: np.ndarray, n_a: int, kind: str, n0_sel: float):
-    """Exhaustive selection per trial; returns (indices (B, n_a), failed)."""
-    b, _, n = hb.shape
+    """Exhaustive selection on a stack of channels.
+
+    Returns (indices (B, n_a) 0-based, failed (B,)). Trials are scored in
+    tiles sized by _OPTIMAL_TILE_MINORS; a trial with no finite candidate
+    is failed and gets the first subset.
+    """
+    b, n_r, n = hb.shape
     subsets = _subset_table(n, n_a)
+    widest = max(math.comb(n_r, k) * math.comb(n, k)
+                 for k in range(1, n_r + 1))
+    tile = max(1, _OPTIMAL_TILE_MINORS // widest)
     idx = np.empty((b, n_a), dtype=np.intp)
-    failed = np.zeros(b, dtype=bool)
-    for t in range(b):
-        scores = _subset_capacities(hb[t], subsets, kind, n0_sel)
-        best = int(np.argmax(scores))
-        if not np.isfinite(scores[best]):
-            failed[t] = True
-            idx[t] = subsets[0]
-        else:
-            idx[t] = subsets[best]
+    failed = np.empty(b, dtype=bool)
+    for lo in range(0, b, tile):
+        scores = _minor_capacities(hb[lo:lo + tile], n_a, kind, n0_sel)
+        # first max = lexicographically smallest
+        best = np.argmax(scores, axis=1)
+        bad = ~np.isfinite(np.take_along_axis(scores, best[:, None], 1)[:, 0])
+        failed[lo:lo + tile] = bad
+        idx[lo:lo + tile] = subsets[np.where(bad, 0, best)]
     return idx, failed

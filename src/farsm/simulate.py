@@ -32,7 +32,7 @@ from farsm.correlation import (SortedPairArrays, build_correlation_model,
                                port_coordinates, sorted_pair_correlations)
 from farsm.errors import ConfigError, NumericalError
 from farsm.modulation import build_qam
-from farsm.precoding import MAX_CONDITION, NoiseModel
+from farsm.precoding import NoiseModel, _screened_hermitian_inverse
 from farsm.selection import (_batch_mce_stage1, _batch_optimal, _batch_tmd,
                              mce_tmd_select, optimal_select, tmd_select)
 
@@ -134,6 +134,12 @@ class SimConfig:
         if not self.baseline and self.portsel == "optimal" and self.n_ports > 20:
             raise ConfigError(
                 "exhaustive selection is limited to N <= 20 ports; "
+                "use tmd or mce-tmd")
+        if not self.baseline and self.portsel == "optimal" and self.n_r > 8:
+            # the k x k minor tables behind exhaustive scoring hold
+            # C(N_r, k) C(N, k) entries per trial: gigabytes at N_r = 16
+            raise ConfigError(
+                "exhaustive selection is limited to N_r <= 8; "
                 "use tmd or mce-tmd")
         if (not self.baseline and self.portsel == "optimal"
                 and self.precoder == "mmse" and self.select_snr_db is None):
@@ -281,7 +287,7 @@ def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
     gram = h_sel @ h_sel.conj().transpose(0, 2, 1)
     eye = np.broadcast_to(np.eye(n_r), gram.shape)
     if cfg.precoder == "zf":
-        inv, failed = _batch_gram_inverse_from(gram)
+        inv, failed = _screened_hermitian_inverse(gram)
         tr_inv = np.trace(inv, axis1=1, axis2=2).real
         with np.errstate(invalid="ignore", divide="ignore"):
             beta = np.sqrt(n_r / tr_inv)
@@ -289,7 +295,7 @@ def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
         gain = None
     else:
         reg = gram + (n_r * n0) * eye
-        inv, failed = _batch_gram_inverse_from(reg)
+        inv, failed = _screened_hermitian_inverse(reg)
         gi = gram @ inv
         with np.errstate(invalid="ignore", divide="ignore"):
             beta = np.sqrt(n_r / np.einsum("bij,bji->b", gi, inv).real)
@@ -298,27 +304,6 @@ def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
     hp = h_sel @ p
     failed = failed | ~np.isfinite(beta)
     return beta, hp, gain, failed
-
-
-def _batch_gram_inverse_from(gram: np.ndarray):
-    """Inverse of a stack of Hermitian matrices with a 1-norm condition screen."""
-    n_r = gram.shape[1]
-    eye = np.broadcast_to(np.eye(n_r), gram.shape)
-    failed = np.zeros(gram.shape[0], dtype=bool)
-    try:
-        inv = np.linalg.solve(gram, eye)
-    except np.linalg.LinAlgError:
-        inv = np.empty_like(gram)
-        for i in range(gram.shape[0]):
-            try:
-                inv[i] = np.linalg.solve(gram[i], np.eye(n_r))
-            except np.linalg.LinAlgError:
-                inv[i] = np.nan
-                failed[i] = True
-    cond = (np.abs(gram).sum(axis=1).max(axis=1)
-            * np.abs(inv).sum(axis=1).max(axis=1))
-    failed |= ~np.isfinite(cond) | (cond > MAX_CONDITION)
-    return inv, failed
 
 
 def _receive_batch(hp: np.ndarray, k_idx: np.ndarray, s: np.ndarray,

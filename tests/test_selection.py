@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel
-from farsm.channel import restrict_to_ports
-from farsm.correlation import sorted_pair_correlations
+from farsm.channel import (SeededRng, restrict_to_ports,
+                           sample_correlated_channel)
+from farsm.correlation import (build_correlation_model, port_coordinates,
+                               sorted_pair_correlations)
 from farsm.errors import ConfigError, SingularChannelError
 from farsm.precoding import NoiseModel
-from farsm.selection import (PortSet, _batch_mce_stage1, _batch_optimal,
-                             _batch_tmd, _elementary_symmetric, _power_sums,
+from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
+                             _batch_optimal, _batch_tmd, _elementary_symmetric,
+                             _minor_capacities, _power_sums, _subset_table,
                              capacity_of_set, initial_trace_state,
                              mce_tmd_select, optimal_select, smw_downdate,
                              tmd_select, tmd_trace_metric)
@@ -203,12 +206,59 @@ def test_batch_tmd_equals_singleton(draw_channel):
 
 @pytest.mark.parametrize("kind,n0", [("zf", 1.0), ("mmse", 0.0316)])
 def test_batch_optimal_equals_singleton(kind, n0, draw_channel):
-    hb = np.stack([draw_channel(s + 500) for s in range(20)])
+    # pins the engine's minor-table kernel to the scalar power-sum route at
+    # N_r = 4, where both are exact
+    hb = np.stack([draw_channel(s + 500) for s in range(200)])
     idx, failed = _batch_optimal(hb, 4, kind, n0)
     assert not failed.any()
-    for b in range(20):
+    for b in range(200):
         ref = optimal_select(hb[b], 4, kind, NoiseModel(n0))
         assert [int(i) + 1 for i in idx[b]] == list(ref)
+
+
+@pytest.fixture(scope="module")
+def compact_model():
+    """3 x 4 ports on a half-by-half wavelength aperture: strongly
+    correlated, so subset Grams are ill conditioned."""
+    return build_correlation_model(port_coordinates(0.5, 0.5, 3, 4))
+
+
+@pytest.mark.parametrize("kind", ["zf", "mmse"])
+@pytest.mark.parametrize("n_r,n_a", [(8, 8), (4, 6)])
+def test_minor_capacities_match_capacity_of_set(kind, n_r, n_a,
+                                                compact_model):
+    noise = NoiseModel(0.01)
+    subsets = _subset_table(12, n_a)
+    for seed in range(3):
+        h = sample_correlated_channel(compact_model, n_r, SeededRng(seed))
+        got = _minor_capacities(h[None], n_a, kind, noise.n0)[0]
+        ref = np.array([capacity_of_set(h, PortSet(tuple(s + 1)), kind, noise)
+                        for s in subsets])
+        np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0)
+        idx, failed = _batch_optimal(h[None], n_a, kind, noise.n0)
+        assert not failed[0]
+        assert idx[0].tolist() == subsets[int(np.argmax(ref))].tolist()
+
+
+@pytest.mark.parametrize("kind,n0", [("zf", 1.0), ("mmse", 0.0316)])
+def test_batch_optimal_is_tiling_invariant(kind, n0, draw_channel):
+    hb = np.stack([draw_channel(s + 300) for s in range(41)])
+    singular = 17
+    hb[singular] = np.tile(hb[singular][:, :1], (1, 16))  # rank one
+    tile = _OPTIMAL_TILE_MINORS // (4 * 560)  # widest table: 3 x 3 minors
+    assert 2 * tile < len(hb)
+    idx, failed = _batch_optimal(hb, 4, kind, n0)
+    for step in (1, 9, tile + 1):
+        parts = [_batch_optimal(hb[lo:lo + step], 4, kind, n0)
+                 for lo in range(0, len(hb), step)]
+        assert np.array_equal(np.concatenate([p[0] for p in parts]), idx)
+        assert np.array_equal(np.concatenate([p[1] for p in parts]), failed)
+    if kind == "zf":
+        assert np.flatnonzero(failed).tolist() == [singular]
+        assert idx[singular].tolist() == [0, 1, 2, 3]  # the first subset
+    else:
+        # the regularized capacity of a rank-one channel is finite
+        assert not failed.any()
 
 
 def test_selection_prefers_low_correlation(default_model, draw_channel):

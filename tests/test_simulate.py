@@ -56,6 +56,8 @@ def test_config_validation_messages():
         SimConfig(n1=2, n2=2, n_a=5, n_r=4).validate()
     with pytest.raises(ConfigError, match="tmd or mce-tmd"):
         SimConfig(n1=5, n2=5, portsel="optimal").validate()
+    with pytest.raises(ConfigError, match="N_r <= 8"):
+        SimConfig(n1=4, n2=5, n_r=16, n_a=16, portsel="optimal").validate()
     with pytest.raises(ConfigError, match="select_snr_db is required"):
         SimConfig(precoder="mmse", portsel="optimal").validate()
     with pytest.raises(ConfigError, match="gamma"):
