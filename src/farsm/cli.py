@@ -24,7 +24,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from farsm import __version__
-from farsm.channel import SeededRng
+from farsm.channel import SeededRng, sample_correlated_channel
 from farsm.correlation import (build_correlation_model, dump_correlation_csv,
                                port_coordinates)
 from farsm.errors import ConfigError, NumericalError
@@ -353,13 +353,10 @@ def _cmd_ratio_hist(args: argparse.Namespace) -> int:
 def _theory_channels(cfg: SimConfig, draws: int) -> list[np.ndarray]:
     model = build_correlation_model(
         port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
-    out = []
-    for d in range(draws):
-        g = SeededRng(cfg.master_seed,
-                      stream_id(d, purpose=PURPOSE_THEORY)).generator()
-        z = g.standard_normal((2, cfg.n_r, cfg.n_ports))
-        out.append(((z[0] + 1j * z[1]) / math.sqrt(2.0)) @ model.root)
-    return out
+    return [sample_correlated_channel(
+                model, cfg.n_r,
+                SeededRng(cfg.master_seed, stream_id(d, purpose=PURPOSE_THEORY)))
+            for d in range(draws)]
 
 
 def _cmd_capacity_loss(args: argparse.Namespace) -> int:

@@ -482,12 +482,28 @@ def _laplace_plan(n_r: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
             minor.reshape(k, -1).astype(np.int32))
 
 
-def _principal_minors(hb: np.ndarray, levels: set[int]) -> dict[int, np.ndarray]:
+def _minor_workspace(n_r: int, n: int, b: int) -> tuple[np.ndarray, ...]:
+    """Four flat complex buffers, each holding the widest k x k minor table
+    (k >= 2) of an N_r x N matrix for b trials.
+
+    _principal_minors fills them level by level instead of allocating a
+    table per level. Tables of tens to hundreds of KB, freed and allocated
+    again on every tile, can each be mapped fresh by the allocator and
+    page-fault on first touch; one workspace per exhaustive search does not.
+    """
+    widest = max((math.comb(n_r, k) * math.comb(n, k)
+                  for k in range(2, n_r + 1)), default=0)
+    return tuple(np.empty(widest * b, dtype=complex) for _ in range(4))
+
+
+def _principal_minors(hb: np.ndarray, levels: set[int],
+                      work: tuple[np.ndarray, ...]) -> dict[int, np.ndarray]:
     """P_k[J, b] = det K[J, J] for K = H^H H and every k-column subset J.
 
     ``hb`` is (B, N_r, N); returns {k: (C(N, k), B) real} for k in
     ``levels`` (each <= N_r), J in colex order. Trials run along the last
-    axis so every gather moves a contiguous row of B values.
+    axis so every gather moves a contiguous row of B values. ``work`` is a
+    _minor_workspace for at least B trials.
     """
     b, n_r, n = hb.shape
     h = np.ascontiguousarray(hb.transpose(1, 2, 0)).reshape(n_r * n, b)
@@ -497,19 +513,24 @@ def _principal_minors(hb: np.ndarray, levels: set[int]) -> dict[int, np.ndarray]
         if k > 1:
             entry, minor = _laplace_plan(n_r, n, k)
             below = minors
+            # levels alternate between the first two buffers; the other two
+            # hold one Laplace term and its factor. Indices are in range, so
+            # mode="clip" only skips the copy take makes under "raise".
+            minors, term, part = (
+                buf[:entry.shape[1] * b].reshape(-1, b)
+                for buf in (work[k % 2], work[2], work[3]))
             # Laplace along the last column: sign (-1)^(p + k - 1) on row p
-            minors = np.take(h, entry[k - 1], axis=0)
-            term = np.empty_like(minors)
-            part = np.empty_like(minors)
-            minors *= np.take(below, minor[k - 1], axis=0, out=part)
+            np.take(h, entry[k - 1], axis=0, out=minors, mode="clip")
+            minors *= np.take(below, minor[k - 1], axis=0, out=part,
+                              mode="clip")
             for p in range(k - 2, -1, -1):
-                np.take(h, entry[p], axis=0, out=term)
-                term *= np.take(below, minor[p], axis=0, out=part)
+                np.take(h, entry[p], axis=0, out=term, mode="clip")
+                term *= np.take(below, minor[p], axis=0, out=part,
+                                mode="clip")
                 if (k - 1 - p) % 2:
                     minors -= term
                 else:
                     minors += term
-            del below, term, part  # free before the next level allocates
         if k in levels:
             # |det H[R, J]|^2 summed over R, on a float view of re and im
             parts = minors.view(np.float64).reshape(math.comb(n_r, k), -1, b, 2)
@@ -542,14 +563,16 @@ def _subset_sums(table: np.ndarray, n: int, n_a: int, k: int) -> np.ndarray:
     return acc
 
 
-def _minor_capacities(hb: np.ndarray, n_a: int, kind: str,
-                      n0: float) -> np.ndarray:
+def _minor_capacities(hb: np.ndarray, n_a: int, kind: str, n0: float,
+                      work: tuple[np.ndarray, ...] | None = None
+                      ) -> np.ndarray:
     """(B, S) capacities of the candidates _subset_table(N, n_a) for a stack
     of channels ``hb`` (B, N_r, N).
 
     Candidates that cannot be precoded score -inf: under ZF those whose
     Gram condition bound tr(W) tr(W^-1) exceeds MAX_CONDITION. Agrees
-    with capacity_of_set to 1e-8 relative up to N_r = 8.
+    with capacity_of_set to 1e-8 relative up to N_r = 8. ``work`` is a
+    _minor_workspace for at least B trials, allocated when omitted.
     """
     n_r, n = hb.shape[1:]
     if kind == "zf":
@@ -558,7 +581,9 @@ def _minor_capacities(hb: np.ndarray, n_a: int, kind: str,
         levels = set(range(1, n_r + 1))
     else:
         raise ValueError(f"unknown precoder kind {kind!r}")
-    tables = _principal_minors(hb, levels)
+    if work is None:
+        work = _minor_workspace(n_r, n, hb.shape[0])
+    tables = _principal_minors(hb, levels, work)
     es = {k: _subset_sums(tables[k], n, n_a, k) for k in sorted(levels)}
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "zf":
@@ -612,26 +637,29 @@ def _batch_tmd(hb: np.ndarray, n_a: int, active: np.ndarray | None = None):
 
 def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,
                       n_b: int) -> np.ndarray:
-    """Stage-one survivor masks (B, N) for a stack of channels."""
+    """Stage-one survivor masks (B, N) for a stack of channels.
+
+    Same walk as mce_tmd_select, all trials at once: each removal scores
+    the first n_b live entries of the ranked pair list and takes the first
+    maximum among them.
+    """
     b, _, n = hb.shape
     pf = pairs.first.astype(np.intp) - 1
     ps = pairs.second.astype(np.intp) - 1
-    inner = np.abs(np.einsum("brn,brm->bnm", hb.conj(), hb))
+    inner = np.abs(np.einsum("brn,brm->bnm", hb.conj(), hb))[:, pf, ps]
     norms2 = np.einsum("brn,brn->bn", hb.conj(), hb).real
-    masks = np.empty((b, n), dtype=bool)
-    for t in range(b):
-        alive = np.ones(pf.size, dtype=bool)
-        for _ in range(n - n_b):
-            window = np.flatnonzero(alive)[:n_b]
-            a, bb = pf[window], ps[window]
-            j = int(np.argmax(inner[t, a, bb]))
-            lo, hi = int(a[j]), int(bb[j])
-            removed = lo if norms2[t, hi] > norms2[t, lo] else hi
-            alive &= (pf != removed) & (ps != removed)
-        mask = np.zeros(n, dtype=bool)
-        mask[pf[alive]] = True
-        mask[ps[alive]] = True
-        masks[t] = mask
+    alive = np.ones((b, pf.size), dtype=bool)
+    rows = np.arange(b)
+    for _ in range(n - n_b):
+        window = alive & (np.cumsum(alive, axis=1) <= n_b)
+        j = np.argmax(np.where(window, inner, -np.inf), axis=1)
+        lo, hi = pf[j], ps[j]
+        removed = np.where(norms2[rows, hi] > norms2[rows, lo], lo, hi)
+        alive &= (pf != removed[:, None]) & (ps != removed[:, None])
+    masks = np.zeros((b, n), dtype=bool)
+    t, pos = np.nonzero(alive)
+    masks[t, pf[pos]] = True
+    masks[t, ps[pos]] = True
     return masks
 
 
@@ -647,10 +675,11 @@ def _batch_optimal(hb: np.ndarray, n_a: int, kind: str, n0_sel: float):
     widest = max(math.comb(n_r, k) * math.comb(n, k)
                  for k in range(1, n_r + 1))
     tile = max(1, _OPTIMAL_TILE_MINORS // widest)
+    work = _minor_workspace(n_r, n, min(tile, b))
     idx = np.empty((b, n_a), dtype=np.intp)
     failed = np.empty(b, dtype=bool)
     for lo in range(0, b, tile):
-        scores = _minor_capacities(hb[lo:lo + tile], n_a, kind, n0_sel)
+        scores = _minor_capacities(hb[lo:lo + tile], n_a, kind, n0_sel, work)
         # first max = lexicographically smallest
         best = np.argmax(scores, axis=1)
         bad = ~np.isfinite(np.take_along_axis(scores, best[:, None], 1)[:, 0])

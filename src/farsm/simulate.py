@@ -12,6 +12,13 @@ estimate, but curve shapes and curve-to-curve gaps are far less noisy.
 The public entry points accept a :class:`SimConfig`; trials are processed in
 fixed-size batches through vectorized selection / precoding / detection
 kernels that reproduce the single-trial functions decision for decision.
+A batch draws its trials through one Philox generator re-keyed to each
+trial's stream, which yields exactly the values of a fresh per-trial
+generator; keying streams by blocks of trials instead would vectorize the
+draws but change every seeded result. The ZF precoder does not depend on
+the noise level, so a batch builds it once, at the precodability screen,
+and rebuilds it only when failed trials were re-drawn; MMSE is precoded
+again at every SNR point.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
 (default 1); the reduction is a sum of per-batch integer counters, so the
 thread count never changes results.
@@ -27,7 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from farsm.channel import SeededRng
+from farsm.channel import (SeededRng, dump_channels_csv,
+                           sample_correlated_channel)
 from farsm.correlation import (SortedPairArrays, build_correlation_model,
                                port_coordinates, sorted_pair_correlations)
 from farsm.errors import ConfigError, NumericalError
@@ -244,21 +252,56 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 def _draw_trials(cfg: SimConfig, trials: np.ndarray, redraw: int = 0):
-    """Per-trial stream draws for a batch: channel factor, bits, unit noise."""
+    """Per-trial stream draws for a batch: channel factor, bits, unit noise.
+
+    Trial t reads the stream SeededRng(master_seed, stream_id(t, redraw)) in
+    fixed order: 2 N_r N normals for the channel, the payload bits as
+    ``integers(0, 2, dtype=uint8)`` would draw them, and 2 N_r normals for
+    the noise. One Philox serves the whole batch: before each trial it is
+    re-keyed to a state equal to that of a fresh ``Philox(key=...)``, so no
+    per-trial generator is built and every value matches SeededRng's.
+    """
     n_cols = cfg.n_a if cfg.baseline else cfg.n_ports
     b = trials.size
+    zh = np.empty((b, 2, cfg.n_r, n_cols))
+    zw = np.empty((b, 2, cfg.n_r))
+    words = -(-cfg.bits_per_use // 8)
+    raw = np.empty((b, words), dtype=np.uint64)
+    bitgen = np.random.Philox(key=0)
+    g = np.random.Generator(bitgen)
+    key = np.array([cfg.master_seed, 0], dtype=np.uint64)
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for i, t in enumerate(trials.tolist()):
+        key[1] = stream_id(t, redraw)
+        bitgen.state = fresh
+        g.standard_normal(out=zh[i])
+        raw[i] = bitgen.random_raw(words)
+        g.standard_normal(out=zw[i])
+    bits = _payload_bits(raw, cfg.bits_per_use)
+    zh *= 1.0 / math.sqrt(2.0)
+    zw *= 1.0 / math.sqrt(2.0)
     hw = np.empty((b, cfg.n_r, n_cols), dtype=complex)
-    bits = np.empty((b, cfg.bits_per_use), dtype=np.uint8)
+    hw.real, hw.imag = zh[:, 0], zh[:, 1]
     wu = np.empty((b, cfg.n_r), dtype=complex)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for i, t in enumerate(trials):
-        g = SeededRng(cfg.master_seed, stream_id(int(t), redraw)).generator()
-        z = g.standard_normal((2, cfg.n_r, n_cols))
-        hw[i] = (z[0] + 1j * z[1]) * inv_sqrt2
-        bits[i] = g.integers(0, 2, size=cfg.bits_per_use, dtype=np.uint8)
-        zw = g.standard_normal((2, cfg.n_r))
-        wu[i] = (zw[0] + 1j * zw[1]) * inv_sqrt2
+    wu.real, wu.imag = zw[:, 0], zw[:, 1]
     return hw, bits, wu
+
+
+def _payload_bits(raw: np.ndarray, n_bits: int) -> np.ndarray:
+    """(B, n_bits) uint8 bits from (B, ceil(n_bits / 8)) raw Philox words.
+
+    ``Generator.integers(0, 2, dtype=uint8)`` takes bit j from the top bit
+    of byte j of the 32-bit halves of the raw 64-bit outputs, low half
+    first (Lemire's bounded draw with range 2 never rejects). That is bit
+    8 (j % 8) + 7 of word j // 8. A half word it leaves buffered is never
+    read, since the noise normals that follow consume whole 64-bit words.
+    """
+    j = np.arange(n_bits)
+    shift = (8 * (j % 8) + 7).astype(np.uint64)
+    return ((raw[:, j // 8] >> shift) & np.uint64(1)).astype(np.uint8)
 
 
 def _select_indices(cfg: SimConfig, hb: np.ndarray,
@@ -321,16 +364,20 @@ def _detect_batch(det: str, cfg: SimConfig, y: np.ndarray, beta: np.ndarray,
     if det == "med":
         return _med_batch(y, beta, gain, points)
     if det == "rttd":
-        e = np.abs(y) ** 2
-        largest = e.max(axis=1)
-        second = np.partition(e, e.shape[1] - 2, axis=1)[:, -2]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(largest > 0, second / np.maximum(largest, 1e-300), 1.0)
-        coarse = ratio < cfg.gamma
+        coarse = _energy_ratio(y) < cfg.gamma
         k_med, m_med = _med_batch(y, beta, gain, points)
         k_mld, m_mld = _mld_batch(y, beta, gain, points)
         return np.where(coarse, k_med, k_mld), np.where(coarse, m_med, m_mld)
     raise ConfigError(f"detector must be one of {_DETECTORS}")
+
+
+def _energy_ratio(y: np.ndarray) -> np.ndarray:
+    """(B,) second-largest over largest receive energy; 1 for an all-zero y."""
+    e = np.abs(y) ** 2
+    largest = e.max(axis=1)
+    second = np.partition(e, e.shape[1] - 2, axis=1)[:, -2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(largest > 0, second / np.maximum(largest, 1e-300), 1.0)
 
 
 def _mld_batch(y, beta, gain, points):
@@ -414,29 +461,32 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
             pairs = sorted_pair_correlations(model)
     kb, mb = cfg.spatial_bits, cfg.symbol_bits
     n0s = [10.0 ** (-s / 10.0) for s in cfg.snr_db]
-    dump = open(cfg.dump_channels, "w", encoding="ascii") if cfg.dump_channels else None
+    if cfg.dump_channels:
+        open(cfg.dump_channels, "w", encoding="ascii").close()  # batches append
 
     def one_batch(lo: int, hi: int):
         trials = np.arange(lo, hi)
         hw, bits, wu = _draw_trials(cfg, trials)
         hb = hw if cfg.baseline else hw @ root
         idx, failed = _select_indices(cfg, hb, pairs)
-        # screen precodability once at the tightest noise level
+        # screen precodability once at the tightest noise level; the ZF
+        # precoder does not depend on the noise, so its screen serves every
+        # point, while MMSE is precoded again per point
         h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-        _, _, _, pf = _precode_batch(cfg, h_sel, min(n0s))
-        failed |= pf
+        zf = _precode_batch(cfg, h_sel, min(n0s))
+        failed |= zf[3]
+        if cfg.precoder != "zf":
+            zf = None
         redraws = 0
         if failed.any():
             redraws = _redraw_failed(cfg, pairs, trials, hw, bits, wu, idx,
                                      failed, root)
             hb = hw if cfg.baseline else hw @ root
             h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-        if dump is not None:
-            for i, t in enumerate(trials):
-                for r in range(cfg.n_r):
-                    for c in range(hb.shape[2]):
-                        v = hb[i, r, c]
-                        dump.write(f"{t},{r},{c},{v.real:.17g},{v.imag:.17g}\n")
+            if zf is not None:
+                zf = _precode_batch(cfg, h_sel, min(n0s))
+        if cfg.dump_channels:
+            dump_channels_csv(cfg.dump_channels, zip(trials.tolist(), hb))
         k_idx = bits[:, :kb].astype(np.intp) @ (1 << np.arange(kb)[::-1])
         m_idx = bits[:, kb:].astype(np.intp) @ (1 << np.arange(mb)[::-1])
         tx = (k_idx << mb) | m_idx
@@ -444,15 +494,11 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
         counts = {d: [] for d in detectors}
         ratios = []
         for n0 in n0s:
-            beta, hp, gain, _ = _precode_batch(cfg, h_sel, n0)
+            beta, hp, gain, _ = (zf if zf is not None
+                                 else _precode_batch(cfg, h_sel, n0))
             y = _receive_batch(hp, k_idx, s, wu, n0)
             if collect_ratios:
-                e = np.abs(y) ** 2
-                largest = e.max(axis=1)
-                second = np.partition(e, e.shape[1] - 2, axis=1)[:, -2]
-                ratios.append(np.where(largest > 0,
-                                       second / np.maximum(largest, 1e-300),
-                                       1.0))
+                ratios.append(_energy_ratio(y))
             for d in detectors:
                 k_hat, m_hat = _detect_batch(d, cfg, y, beta, gain, points)
                 rx = (k_hat.astype(np.intp) << mb) | m_hat.astype(np.intp)
@@ -464,13 +510,11 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
     edges = list(range(0, cfg.trials, _BATCH)) + [cfg.trials]
     jobs = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
     workers = worker_count()
-    if workers > 1 and len(jobs) > 1 and dump is None:
+    if workers > 1 and len(jobs) > 1 and not cfg.dump_channels:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(lambda j: one_batch(*j), jobs))
     else:
         results = [one_batch(*j) for j in jobs]
-    if dump is not None:
-        dump.close()
 
     n_pts = len(cfg.snr_db)
     totals = {d: [[0, 0] for _ in range(n_pts)] for d in detectors}
@@ -553,7 +597,8 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     idx, failed = _select_indices(cfg, hb, pairs)
     h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
     n0 = 10.0 ** (-snr_db / 10.0)
-    _, _, _, pf = _precode_batch(cfg, h_sel, n0)
+    # the screen runs at the trial's own noise level, so it is the precoder
+    beta, hp, gain, pf = _precode_batch(cfg, h_sel, n0)
     failed |= pf
     redraws = 0
     if failed[0]:
@@ -561,10 +606,10 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
                                  failed, root)
         hb = hw if cfg.baseline else hw @ root
         h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
+        beta, hp, gain, _ = _precode_batch(cfg, h_sel, n0)
     kb, mb = cfg.spatial_bits, cfg.symbol_bits
     k_idx = bits[:, :kb].astype(np.intp) @ (1 << np.arange(kb)[::-1])
     m_idx = bits[:, kb:].astype(np.intp) @ (1 << np.arange(mb)[::-1])
-    beta, hp, gain, _ = _precode_batch(cfg, h_sel, n0)
     y = _receive_batch(hp, k_idx, const.points[m_idx], wu, n0)
     k_hat, m_hat = _detect_batch(cfg.detector, cfg, y, beta, gain, const.points)
     rx_val = (int(k_hat[0]) << mb) | int(m_hat[0])
@@ -628,11 +673,10 @@ def portsel_benchmark(cfg: SimConfig, repeats: int = 25) -> list[BenchmarkRow]:
     pairs = sorted_pair_correlations(model)
     n = cfg.n_ports
     noise = NoiseModel(1.0)
-    channels = []
-    for i in range(repeats):
-        g = SeededRng(cfg.master_seed, stream_id(i, purpose=PURPOSE_BENCH)).generator()
-        z = g.standard_normal((2, cfg.n_r, n))
-        channels.append(((z[0] + 1j * z[1]) / math.sqrt(2.0)) @ model.root)
+    channels = [sample_correlated_channel(
+                    model, cfg.n_r,
+                    SeededRng(cfg.master_seed, stream_id(i, purpose=PURPOSE_BENCH)))
+                for i in range(repeats)]
 
     strategies = [
         ("optimal", lambda h: optimal_select(h, cfg.n_a, "zf", noise),

@@ -175,6 +175,34 @@ def test_mce_tmd_equals_batch_reference(default_model, draw_channel):
         assert list(sel) == [int(i) + 1 for i in idx[0]]
 
 
+def test_mce_tmd_batched_stack_equals_scalar(default_model, draw_channel):
+    # one call over the whole stack: every row's stage-one walk runs in
+    # the same array operations, so rows cannot leak into each other
+    pairs = sorted_pair_correlations(default_model)
+    # the norm-tie channel of the next test leads the stack
+    g = np.random.Generator(np.random.Philox(99))
+    tie = (g.standard_normal((4, 16)) + 1j * g.standard_normal((4, 16)))
+    tie[:, 0] *= 10.0 / np.abs(tie[:, 0] @ tie[:, 0].conj()) ** 0.5
+    tie[:, 1] = tie[:, 0]
+    # pairs (1, 2) and (1, 5), ranked first and second, tie exactly at the
+    # top score; the first wins and prunes port 2, then (1, 5) prunes
+    # port 1. Taking (1, 5) first would prune port 1 and kill (1, 2).
+    rank = draw_channel(699)
+    rank[:, 0] = [6.0, 8.0, 0.0, 0.0]
+    rank[:, 1] = 0.5 * rank[:, 0]
+    rank[:, 4] = [3.0, 4.0, 10.0, 10.0]
+    hb = np.stack([tie, rank] + [draw_channel(s + 700) for s in range(220)])
+    masks = _batch_mce_stage1(hb, pairs, 12)
+    assert (masks.sum(axis=1) == 12).all()
+    assert masks[0][0] and not masks[0][1]
+    assert not masks[1][0] and not masks[1][1] and masks[1][4]
+    idx, failed = _batch_tmd(hb, 4, active=masks)
+    assert not failed.any()
+    for b in range(len(hb)):
+        ref = mce_tmd_select(hb[b], pairs, 12, 4)
+        assert [int(i) + 1 for i in idx[b]] == list(ref)
+
+
 def test_mce_stage1_norm_tie_removes_larger_index(default_model):
     pairs = sorted_pair_correlations(default_model)
     g = np.random.Generator(np.random.Philox(99))

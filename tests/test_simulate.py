@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farsm.channel import SeededRng
 from farsm.errors import ConfigError
-from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig,
+from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _draw_trials,
                             portsel_benchmark, ratio_histogram,
                             ratio_histograms, run_ber_sweep,
                             run_ber_sweep_multi, run_trial, stream_id,
@@ -41,6 +42,39 @@ def test_stream_id_layout():
         stream_id(1 << 40)
     with pytest.raises(ValueError):
         stream_id(0, redraw=256)
+
+
+def _draw_reference(cfg, trials, redraw):
+    """Per-trial draws from fresh SeededRng generators, in stream order."""
+    n_cols = cfg.n_a if cfg.baseline else cfg.n_ports
+    hw, bits, wu = [], [], []
+    for t in trials:
+        g = SeededRng(cfg.master_seed, stream_id(int(t), redraw)).generator()
+        z = g.standard_normal((2, cfg.n_r, n_cols))
+        hw.append((z[0] + 1j * z[1]) * (1.0 / np.sqrt(2.0)))
+        bits.append(g.integers(0, 2, size=cfg.bits_per_use, dtype=np.uint8))
+        zw = g.standard_normal((2, cfg.n_r))
+        wu.append((zw[0] + 1j * zw[1]) * (1.0 / np.sqrt(2.0)))
+    return np.stack(hw), np.stack(bits), np.stack(wu)
+
+
+@pytest.mark.parametrize("shape", [
+    dict(baseline=True),                     # 4 payload bits: half a word
+    dict(n_a=6),
+    dict(n_r=8, n_a=8),
+    dict(n_r=8, n_a=8, mod_order=64),        # 9 payload bits: two words
+])
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+@pytest.mark.parametrize("redraw", [0, 3])
+@pytest.mark.parametrize("batch", [1, 7, 300])
+def test_draw_trials_matches_per_trial_streams(shape, seed, redraw, batch):
+    cfg = SimConfig(master_seed=seed, **shape)
+    trials = np.arange(batch) * 5 + 11
+    got = _draw_trials(cfg, trials, redraw)
+    ref = _draw_reference(cfg, trials, redraw)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()  # bit-identical, signed zeros too
 
 
 def test_config_validation_messages():
@@ -124,6 +158,25 @@ def test_run_trial_matches_sweep_counts():
         res = run_trial(cfg, 4.0, t)
         errors += int(np.sum(res.tx_bits != res.rx_bits))
     assert errors == sweep.points[0].bit_errors
+
+
+def test_run_trial_matches_sweep_counts_with_redraws():
+    # a tiny aperture with the first ports makes singular ZF Grams common,
+    # so the sweep recomputes its once-per-batch precoder after redraws.
+    # Every trial is ill conditioned here: only at 90 and 120 dB do the
+    # re-drawn trials decode differently from the channels they replaced
+    cfg = SimConfig(w1=0.05, w2=0.05, portsel="first", trials=600,
+                    snr_db=(0.0, 30.0, 90.0, 120.0), master_seed=5)
+    sweep = run_ber_sweep(cfg)
+    assert sweep.redraws > 0
+    for p, snr in enumerate(cfg.snr_db):
+        errors = redraws = 0
+        for t in range(cfg.trials):
+            res = run_trial(cfg, snr, t)
+            errors += int(np.sum(res.tx_bits != res.rx_bits))
+            redraws += res.redraws
+        assert errors == sweep.points[p].bit_errors
+        assert redraws == sweep.redraws  # the ZF screen ignores the SNR
 
 
 def test_run_trial_is_reproducible():
