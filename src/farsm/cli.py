@@ -313,15 +313,18 @@ def _cmd_ber(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     sweep = run_ber_sweep(cfg)
     elapsed = time.perf_counter() - t0
+    # RTTD: per-point count of decisions taken by the energy detector
+    med_rows = {} if sweep.med_rows is None else {
+        "med_rows": list(sweep.med_rows)}
     payload = {"variant": sweep.variant, "redraws": sweep.redraws,
-               "points": [asdict(p) for p in sweep.points]}
+               **med_rows, "points": [asdict(p) for p in sweep.points]}
     outputs = _emit(args, lambda fh: write_ber_csv(fh, [sweep]), payload)
     if args.dump_correlation:
         outputs.append(args.dump_correlation)
     if cfg.dump_channels:
         outputs.append(cfg.dump_channels)
     _write_manifest(args, "ber", _cfg_echo(cfg), outputs,
-                    {"redraws": sweep.redraws,
+                    {"redraws": sweep.redraws, **med_rows,
                      "elapsed_seconds": round(elapsed, 3)})
     return 0
 

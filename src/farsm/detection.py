@@ -13,7 +13,9 @@ Detectors recover (k, m):
 * ``rttd``: threshold switch between the two. The ratio of the second
   largest to the largest receive energy measures how concentrated y is;
   concentrated vectors (ratio below gamma) are safe for the cheap path,
-  the rest fall back to the joint search.
+  the rest fall back to the joint search. The batched RTTD of the sweep
+  engine (``farsm.simulate._detect_batch``) likewise runs the joint search
+  only on the rows with ratio >= gamma.
 
 Ties resolve to the smallest index pair (k, then m); all antenna indices at
 this interface are 1-based.

@@ -77,11 +77,12 @@ def _checked_hermitian_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=m.dtype))
 
 
-def _screened_hermitian_inverse(gram: np.ndarray):
+def _screened_hermitian_inverse(gram: np.ndarray, screen: bool = True):
     """Inverses of a stack of Hermitian matrices (B, n, n), with a screen.
 
-    Returns (inverse, failed (B,)); failed flags matrices whose 1-norm
-    condition number exceeds MAX_CONDITION or that cannot be solved at all.
+    Returns (inverse, failed (B,)); failed flags matrices that cannot be
+    solved at all and, unless ``screen`` is off, those whose 1-norm
+    condition number exceeds MAX_CONDITION.
     """
     n = gram.shape[1]
     eye = np.broadcast_to(np.eye(n), gram.shape)
@@ -96,6 +97,8 @@ def _screened_hermitian_inverse(gram: np.ndarray):
             except np.linalg.LinAlgError:
                 inv[i] = np.nan
                 failed[i] = True
+    if not screen:
+        return inv, failed
     cond = (np.abs(gram).sum(axis=1).max(axis=1)
             * np.abs(inv).sum(axis=1).max(axis=1))
     failed |= ~np.isfinite(cond) | (cond > MAX_CONDITION)

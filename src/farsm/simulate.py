@@ -17,8 +17,11 @@ trial's stream, which yields exactly the values of a fresh per-trial
 generator; keying streams by blocks of trials instead would vectorize the
 draws but change every seeded result. The ZF precoder does not depend on
 the noise level, so a batch builds it once, at the precodability screen,
-and rebuilds it only when failed trials were re-drawn; MMSE is precoded
-again at every SNR point.
+and rebuilds it only when failed trials were re-drawn. MMSE builds the
+noise-free Gram H H^H once per batch, after any redraws, and regularizes
+and inverts it at each SNR point without repeating the condition screen.
+RTTD runs the joint ML search only on the rows its ratio test sends there
+and reports, per point, how many rows the energy detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
 (default 1); the reduction is a sum of per-batch integer counters, so the
 thread count never changes results.
@@ -190,9 +193,14 @@ class BerPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Per-point counts of one detector; ``med_rows`` is RTTD's count of
+    decisions taken by the cheap energy detector at each point (None for
+    the other detectors)."""
+
     variant: str
     points: tuple[BerPoint, ...]
     redraws: int
+    med_rows: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -323,22 +331,33 @@ def _select_indices(cfg: SimConfig, hb: np.ndarray,
     return _batch_optimal(hb, cfg.n_a, cfg.precoder, n0_sel)
 
 
-def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
+def _gram(h_sel: np.ndarray) -> np.ndarray:
+    """(B, N_r, N_r) Grams H H^H of a stack of selected channels."""
+    return h_sel @ h_sel.conj().transpose(0, 2, 1)
+
+
+def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float,
+                   gram: np.ndarray | None = None, screen: bool = True):
     """Batched precoder quantities: (beta (B,), hp (B,N_r,N_r), gain or None,
-    failed)."""
-    b, n_r, _ = h_sel.shape
-    gram = h_sel @ h_sel.conj().transpose(0, 2, 1)
-    eye = np.broadcast_to(np.eye(n_r), gram.shape)
+    failed).
+
+    ``gram`` is ``_gram(h_sel)`` when the caller already holds it. With
+    ``screen`` off the condition screen is skipped, so ``failed`` flags only
+    unsolvable matrices and non-finite gains.
+    """
+    n_r = h_sel.shape[1]
+    if gram is None:
+        gram = _gram(h_sel)
     if cfg.precoder == "zf":
-        inv, failed = _screened_hermitian_inverse(gram)
+        inv, failed = _screened_hermitian_inverse(gram, screen)
         tr_inv = np.trace(inv, axis1=1, axis2=2).real
         with np.errstate(invalid="ignore", divide="ignore"):
             beta = np.sqrt(n_r / tr_inv)
         p = beta[:, None, None] * (inv @ h_sel).conj().transpose(0, 2, 1)
         gain = None
     else:
-        reg = gram + (n_r * n0) * eye
-        inv, failed = _screened_hermitian_inverse(reg)
+        reg = gram + (n_r * n0) * np.broadcast_to(np.eye(n_r), gram.shape)
+        inv, failed = _screened_hermitian_inverse(reg, screen)
         gi = gram @ inv
         with np.errstate(invalid="ignore", divide="ignore"):
             beta = np.sqrt(n_r / np.einsum("bij,bji->b", gi, inv).real)
@@ -358,16 +377,26 @@ def _receive_batch(hp: np.ndarray, k_idx: np.ndarray, s: np.ndarray,
 
 def _detect_batch(det: str, cfg: SimConfig, y: np.ndarray, beta: np.ndarray,
                   gain: np.ndarray | None, points: np.ndarray):
-    """Batched detection; returns (k_hat, m_hat) 0-based."""
+    """Batched detection; returns (k_hat, m_hat, coarse), k and m 0-based.
+
+    ``coarse`` is RTTD's (B,) mask of rows decided by the energy detector
+    (ratio below gamma) and None for the other detectors. RTTD runs each
+    branch only on its own rows.
+    """
     if det == "mld":
-        return _mld_batch(y, beta, gain, points)
+        return (*_mld_batch(y, beta, gain, points), None)
     if det == "med":
-        return _med_batch(y, beta, gain, points)
+        return (*_med_batch(y, beta, gain, points), None)
     if det == "rttd":
         coarse = _energy_ratio(y) < cfg.gamma
-        k_med, m_med = _med_batch(y, beta, gain, points)
-        k_mld, m_mld = _mld_batch(y, beta, gain, points)
-        return np.where(coarse, k_med, k_mld), np.where(coarse, m_med, m_mld)
+        k_hat = np.empty(y.shape[0], dtype=np.intp)
+        m_hat = np.empty(y.shape[0], dtype=np.intp)
+        for rows, branch in ((coarse, _med_batch), (~coarse, _mld_batch)):
+            if rows.any():
+                k_hat[rows], m_hat[rows] = branch(
+                    y[rows], beta[rows], None if gain is None else gain[rows],
+                    points)
+        return k_hat, m_hat, coarse
     raise ConfigError(f"detector must be one of {_DETECTORS}")
 
 
@@ -445,8 +474,9 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
     """Core sweep: per-detector, per-point error counts over all trials.
 
     Returns (counts, redraws, ratios) where counts[det][point] is
-    (bit_errors, symbol_errors) and ratios[point] is an array of energy
-    ratios (empty unless requested).
+    (bit_errors, symbol_errors, med_rows), med_rows counting the RTTD
+    decisions taken by the energy detector (0 for other detectors), and
+    ratios[point] is an array of energy ratios (empty unless requested).
     """
     cfg.validate()
     const = build_qam(cfg.mod_order)
@@ -471,7 +501,7 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
         idx, failed = _select_indices(cfg, hb, pairs)
         # screen precodability once at the tightest noise level; the ZF
         # precoder does not depend on the noise, so its screen serves every
-        # point, while MMSE is precoded again per point
+        # point, while MMSE regularizes one noise-free Gram per point
         h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
         zf = _precode_batch(cfg, h_sel, min(n0s))
         failed |= zf[3]
@@ -485,6 +515,7 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
             h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
             if zf is not None:
                 zf = _precode_batch(cfg, h_sel, min(n0s))
+        gram = _gram(h_sel) if zf is None else None
         if cfg.dump_channels:
             dump_channels_csv(cfg.dump_channels, zip(trials.tolist(), hb))
         k_idx = bits[:, :kb].astype(np.intp) @ (1 << np.arange(kb)[::-1])
@@ -494,17 +525,20 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
         counts = {d: [] for d in detectors}
         ratios = []
         for n0 in n0s:
-            beta, hp, gain, _ = (zf if zf is not None
-                                 else _precode_batch(cfg, h_sel, n0))
+            # the screen above already flagged every failure
+            beta, hp, gain, _ = (zf if zf is not None else _precode_batch(
+                cfg, h_sel, n0, gram, screen=False))
             y = _receive_batch(hp, k_idx, s, wu, n0)
             if collect_ratios:
                 ratios.append(_energy_ratio(y))
             for d in detectors:
-                k_hat, m_hat = _detect_batch(d, cfg, y, beta, gain, points)
+                k_hat, m_hat, coarse = _detect_batch(d, cfg, y, beta, gain,
+                                                     points)
                 rx = (k_hat.astype(np.intp) << mb) | m_hat.astype(np.intp)
                 diff = np.bitwise_xor(tx, rx)
-                counts[d].append((_popcount_sum(diff),
-                                  int(np.count_nonzero(diff))))
+                counts[d].append((
+                    _popcount_sum(diff), int(np.count_nonzero(diff)),
+                    0 if coarse is None else int(np.count_nonzero(coarse))))
         return counts, redraws, ratios
 
     edges = list(range(0, cfg.trials, _BATCH)) + [cfg.trials]
@@ -517,15 +551,15 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
         results = [one_batch(*j) for j in jobs]
 
     n_pts = len(cfg.snr_db)
-    totals = {d: [[0, 0] for _ in range(n_pts)] for d in detectors}
+    totals = {d: [[0, 0, 0] for _ in range(n_pts)] for d in detectors}
     redraws = 0
     ratio_arrays = [[] for _ in range(n_pts)]
     for counts, rd, ratios in results:
         redraws += rd
         for d in detectors:
             for p in range(n_pts):
-                totals[d][p][0] += counts[d][p][0]
-                totals[d][p][1] += counts[d][p][1]
+                for j in range(3):
+                    totals[d][p][j] += counts[d][p][j]
         for p, arr in enumerate(ratios):
             ratio_arrays[p].append(arr)
     merged = [np.concatenate(a) if a else np.empty(0) for a in ratio_arrays]
@@ -555,14 +589,16 @@ def run_ber_sweep_multi(cfg: SimConfig,
         pts = []
         bits_per_point = cfg.trials * cfg.bits_per_use
         for p, snr in enumerate(cfg.snr_db):
-            be, se = totals[d][p]
+            be, se, _ = totals[d][p]
             lo, hi = wilson_interval(be, bits_per_point)
             pts.append(BerPoint(snr_db=float(snr), trials=cfg.trials,
                                 bits=bits_per_point, bit_errors=be,
                                 symbol_errors=se, ber=be / bits_per_point,
                                 ci_low=lo, ci_high=hi))
+        med_rows = tuple(t[2] for t in totals[d]) if d == "rttd" else None
         out[d] = SweepResult(variant=replace(cfg, detector=d).variant,
-                             points=tuple(pts), redraws=redraws)
+                             points=tuple(pts), redraws=redraws,
+                             med_rows=med_rows)
     return out
 
 
@@ -611,7 +647,8 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     k_idx = bits[:, :kb].astype(np.intp) @ (1 << np.arange(kb)[::-1])
     m_idx = bits[:, kb:].astype(np.intp) @ (1 << np.arange(mb)[::-1])
     y = _receive_batch(hp, k_idx, const.points[m_idx], wu, n0)
-    k_hat, m_hat = _detect_batch(cfg.detector, cfg, y, beta, gain, const.points)
+    k_hat, m_hat, _ = _detect_batch(cfg.detector, cfg, y, beta, gain,
+                                    const.points)
     rx_val = (int(k_hat[0]) << mb) | int(m_hat[0])
     rx_bits = np.array([(rx_val >> (cfg.bits_per_use - 1 - i)) & 1
                         for i in range(cfg.bits_per_use)], dtype=np.uint8)

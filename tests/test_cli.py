@@ -141,6 +141,25 @@ def test_ber_json_payload(capsys):
     assert payload["points"][0]["trials"] == 30
 
 
+def test_ber_rttd_reports_energy_detector_rows(tmp_path, capsys):
+    out = tmp_path / "rttd.json"
+    code, _, _ = run_cli(
+        ["ber", "--trials", "50", "--snr", "0:10:20", "--portsel", "tmd",
+         "--precoder", "mmse", "--detector", "rttd", "--json",
+         "--out", str(out)], capsys)
+    assert code == 0
+    payload = json.loads(out.read_text())
+    manifest = json.loads((tmp_path / "rttd.manifest.json").read_text())
+    rows = payload["med_rows"]
+    assert len(rows) == 3 and all(0 <= r <= 50 for r in rows)
+    assert manifest["med_rows"] == rows
+    code, out, err = run_cli(
+        ["ber", "--trials", "5", "--snr", "5", "--portsel", "tmd", "--json"],
+        capsys)
+    assert "med_rows" not in json.loads(out)
+    assert "med_rows" not in json.loads(err)
+
+
 def test_ber_dump_correlation(tmp_path, capsys):
     dump = tmp_path / "corr.csv"
     out = tmp_path / "r.csv"

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from farsm.channel import SeededRng
 from farsm.errors import ConfigError
-from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _draw_trials,
-                            portsel_benchmark, ratio_histogram,
+from farsm.modulation import build_qam
+from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _detect_batch,
+                            _draw_trials, _energy_ratio, _med_batch,
+                            _mld_batch, _precode_batch, _receive_batch,
+                            _run_batches, portsel_benchmark, ratio_histogram,
                             ratio_histograms, run_ber_sweep,
                             run_ber_sweep_multi, run_trial, stream_id,
                             wilson_interval, worker_count, write_ber_csv)
@@ -177,6 +180,77 @@ def test_run_trial_matches_sweep_counts_with_redraws():
             redraws += res.redraws
         assert errors == sweep.points[p].bit_errors
         assert redraws == sweep.redraws  # the ZF screen ignores the SNR
+
+
+def test_mmse_run_trial_matches_sweep_counts_with_redraws():
+    # the MMSE twin of the test above: the sweep regularizes one Gram per
+    # batch for every point, so that Gram must be built after the redraws.
+    # run_trial screens at its own SNR and the sweep at the tightest point,
+    # so both redraw the same trials only at 120 dB; at 0 and 30 dB no
+    # trial fails the screen
+    cfg = SimConfig(w1=0.05, w2=0.05, precoder="mmse", detector="rttd",
+                    portsel="first", trials=600,
+                    snr_db=(0.0, 30.0, 90.0, 120.0), master_seed=5)
+    sweep = run_ber_sweep(cfg)
+    assert sweep.redraws > 0
+    errors = redraws = 0
+    for t in range(cfg.trials):
+        res = run_trial(cfg, cfg.snr_db[-1], t)
+        errors += int(np.sum(res.tx_bits != res.rx_bits))
+        redraws += res.redraws
+    assert errors == sweep.points[-1].bit_errors
+    assert redraws == sweep.redraws
+
+
+def _detector_batch(precoder, rows, seed=3):
+    """Precoded 16-QAM receive vectors at 5 dB over random 4 x 6 channels."""
+    g = np.random.Generator(np.random.Philox(seed))
+    h_sel = (g.standard_normal((rows, 4, 6))
+             + 1j * g.standard_normal((rows, 4, 6))) / np.sqrt(2.0)
+    wu = (g.standard_normal((rows, 4))
+          + 1j * g.standard_normal((rows, 4))) / np.sqrt(2.0)
+    points = build_qam(16).points
+    k_idx = g.integers(0, 4, rows)
+    s = points[g.integers(0, 16, rows)]
+    n0 = 10.0 ** -0.5
+    beta, hp, gain, failed = _precode_batch(SimConfig(precoder=precoder),
+                                            h_sel, n0)
+    assert not failed.any()
+    return _receive_batch(hp, k_idx, s, wu, n0), beta, gain, points
+
+
+@pytest.mark.parametrize("precoder", ["zf", "mmse"])
+@pytest.mark.parametrize("rows, gamma, branches", [
+    (300, 0.6, "both"),
+    (300, 1.0, "med"),       # empty joint-search subset
+    (300, 0.0, "mld"),       # empty energy-detector subset
+    (1, 0.6, "either"),
+])
+def test_gated_rttd_equals_both_branches_on_the_whole_batch(
+        precoder, rows, gamma, branches):
+    y, beta, gain, points = _detector_batch(precoder, rows)
+    cfg = SimConfig(precoder=precoder, detector="rttd", gamma=gamma)
+    coarse = _energy_ratio(y) < gamma
+    k_med, m_med = _med_batch(y, beta, gain, points)
+    k_mld, m_mld = _mld_batch(y, beta, gain, points)
+    k_hat, m_hat, mask = _detect_batch("rttd", cfg, y, beta, gain, points)
+    assert np.array_equal(mask, coarse)
+    assert np.array_equal(k_hat, np.where(coarse, k_med, k_mld))
+    assert np.array_equal(m_hat, np.where(coarse, m_med, m_mld))
+    taken = {"both": 0 < coarse.sum() < rows, "med": coarse.all(),
+             "mld": not coarse.any(), "either": True}
+    assert taken[branches]
+
+
+def test_rttd_reports_energy_detector_rows_per_point():
+    cfg = SimConfig(trials=2500, snr_db=(0.0, 10.0, 20.0), precoder="mmse",
+                    portsel="tmd", mod_order=16, master_seed=4)
+    multi = run_ber_sweep_multi(cfg, ("mld", "med", "rttd"))
+    _, _, ratios = _run_batches(cfg, (), collect_ratios=True)
+    want = tuple(int(np.count_nonzero(r < cfg.gamma)) for r in ratios)
+    assert multi["rttd"].med_rows == want
+    assert 0 < want[0] < want[-1] <= cfg.trials
+    assert multi["mld"].med_rows is None and multi["med"].med_rows is None
 
 
 def test_run_trial_is_reproducible():
