@@ -14,6 +14,12 @@ with beta chosen so the transmit power constraint tr(P P^H) = N_r holds:
 ZF turns the effective channel into beta * I; MMSE turns it into beta * G
 where G = H H^H (H H^H + N_r N_0 I)^(-1) is Hermitian with a dominant
 diagonal that approaches identity as the noise vanishes.
+
+With H H^H = U diag(lambda) U^H the noise enters only through lambda:
+G = U diag(lambda / (lambda + N_r N_0)) U^H and beta_MMSE =
+sqrt(N_r / sum lambda / (lambda + N_r N_0)^2). The engine builds G, beta
+and H P = beta G for every SNR point from one SVD of H per batch (lambda =
+sigma^2); the functions below solve per call and are its reference.
 """
 
 from __future__ import annotations
@@ -77,12 +83,12 @@ def _checked_hermitian_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=m.dtype))
 
 
-def _screened_hermitian_inverse(gram: np.ndarray, screen: bool = True):
+def _screened_hermitian_inverse(gram: np.ndarray):
     """Inverses of a stack of Hermitian matrices (B, n, n), with a screen.
 
     Returns (inverse, failed (B,)); failed flags matrices that cannot be
-    solved at all and, unless ``screen`` is off, those whose 1-norm
-    condition number exceeds MAX_CONDITION.
+    solved at all and those whose 1-norm condition number exceeds
+    MAX_CONDITION.
     """
     n = gram.shape[1]
     eye = np.broadcast_to(np.eye(n), gram.shape)
@@ -97,8 +103,6 @@ def _screened_hermitian_inverse(gram: np.ndarray, screen: bool = True):
             except np.linalg.LinAlgError:
                 inv[i] = np.nan
                 failed[i] = True
-    if not screen:
-        return inv, failed
     cond = (np.abs(gram).sum(axis=1).max(axis=1)
             * np.abs(inv).sum(axis=1).max(axis=1))
     failed |= ~np.isfinite(cond) | (cond > MAX_CONDITION)

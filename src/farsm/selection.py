@@ -649,17 +649,15 @@ def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,
     inner = np.abs(np.einsum("brn,brm->bnm", hb.conj(), hb))[:, pf, ps]
     norms2 = np.einsum("brn,brn->bn", hb.conj(), hb).real
     alive = np.ones((b, pf.size), dtype=bool)
+    masks = np.ones((b, n), dtype=bool)
     rows = np.arange(b)
     for _ in range(n - n_b):
         window = alive & (np.cumsum(alive, axis=1) <= n_b)
         j = np.argmax(np.where(window, inner, -np.inf), axis=1)
         lo, hi = pf[j], ps[j]
         removed = np.where(norms2[rows, hi] > norms2[rows, lo], lo, hi)
+        masks[rows, removed] = False
         alive &= (pf != removed[:, None]) & (ps != removed[:, None])
-    masks = np.zeros((b, n), dtype=bool)
-    t, pos = np.nonzero(alive)
-    masks[t, pf[pos]] = True
-    masks[t, ps[pos]] = True
     return masks
 
 

@@ -17,9 +17,9 @@ trial's stream, which yields exactly the values of a fresh per-trial
 generator; keying streams by blocks of trials instead would vectorize the
 draws but change every seeded result. The ZF precoder does not depend on
 the noise level, so a batch builds it once, at the precodability screen,
-and rebuilds it only when failed trials were re-drawn. MMSE builds the
-noise-free Gram H H^H once per batch, after any redraws, and regularizes
-and inverts it at each SNR point without repeating the condition screen.
+and rebuilds it only when failed trials were re-drawn. MMSE takes one SVD
+of the selected channels per batch, after any redraws, and builds G and
+beta at each SNR point by rescaling the eigenvalues sigma^2 of H H^H.
 RTTD runs the joint ML search only on the rows its ratio test sends there
 and reports, per point, how many rows the energy detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
@@ -312,6 +312,18 @@ def _payload_bits(raw: np.ndarray, n_bits: int) -> np.ndarray:
     return ((raw[:, j // 8] >> shift) & np.uint64(1)).astype(np.uint8)
 
 
+def _port_model(cfg: SimConfig):
+    """(root, pairs) for drawing and selecting: the correlation root that
+    colours a channel draw, and MCE-TMD's ranked port pairs (None where
+    unused; both None for the baseline)."""
+    if cfg.baseline:
+        return None, None
+    model = build_correlation_model(
+        port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
+    return model.root, (sorted_pair_correlations(model)
+                        if cfg.portsel == "mce-tmd" else None)
+
+
 def _select_indices(cfg: SimConfig, hb: np.ndarray,
                     pairs: SortedPairArrays | None):
     """(B, N_a) selected 0-based column indices plus a failure mask."""
@@ -331,41 +343,40 @@ def _select_indices(cfg: SimConfig, hb: np.ndarray,
     return _batch_optimal(hb, cfg.n_a, cfg.precoder, n0_sel)
 
 
-def _gram(h_sel: np.ndarray) -> np.ndarray:
-    """(B, N_r, N_r) Grams H H^H of a stack of selected channels."""
-    return h_sel @ h_sel.conj().transpose(0, 2, 1)
-
-
-def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float,
-                   gram: np.ndarray | None = None, screen: bool = True):
+def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float, svd=None):
     """Batched precoder quantities: (beta (B,), hp (B,N_r,N_r), gain or None,
     failed).
 
-    ``gram`` is ``_gram(h_sel)`` when the caller already holds it. With
-    ``screen`` off the condition screen is skipped, so ``failed`` flags only
-    unsolvable matrices and non-finite gains.
+    Without ``svd`` the (regularized) Gram is inverted and screened, so
+    ``failed`` flags unsolvable or ill-conditioned matrices. MMSE callers
+    may pass ``svd = np.linalg.svd(h_sel, full_matrices=False)[:2]``: with
+    H = U diag(sigma) V^H, G and beta come from the eigenvalues sigma^2 of
+    H H^H rescaled to this noise level, hp = beta G, and nothing is solved.
+    ``failed`` also flags non-finite gains.
     """
     n_r = h_sel.shape[1]
-    if gram is None:
-        gram = _gram(h_sel)
-    if cfg.precoder == "zf":
-        inv, failed = _screened_hermitian_inverse(gram, screen)
-        tr_inv = np.trace(inv, axis1=1, axis2=2).real
-        with np.errstate(invalid="ignore", divide="ignore"):
-            beta = np.sqrt(n_r / tr_inv)
-        p = beta[:, None, None] * (inv @ h_sel).conj().transpose(0, 2, 1)
-        gain = None
-    else:
-        reg = gram + (n_r * n0) * np.broadcast_to(np.eye(n_r), gram.shape)
-        inv, failed = _screened_hermitian_inverse(reg, screen)
-        gi = gram @ inv
-        with np.errstate(invalid="ignore", divide="ignore"):
-            beta = np.sqrt(n_r / np.einsum("bij,bji->b", gi, inv).real)
-        p = beta[:, None, None] * (inv @ h_sel).conj().transpose(0, 2, 1)
-        gain = gi
-    hp = h_sel @ p
-    failed = failed | ~np.isfinite(beta)
-    return beta, hp, gain, failed
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if svd is not None:
+            # sigma^2 keeps the small eigenvalues that set G at high SNR
+            # accurate; eigh of the formed Gram would lose them to rounding
+            u, lam = svd[0], svd[1] ** 2
+            d = lam + n_r * n0
+            gain = (u * (lam / d)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+            beta = np.sqrt(n_r / (lam / d ** 2).sum(axis=1))
+            return beta, beta[:, None, None] * gain, gain, ~np.isfinite(beta)
+        gram = h_sel @ h_sel.conj().transpose(0, 2, 1)
+        if cfg.precoder == "zf":
+            inv, failed = _screened_hermitian_inverse(gram)
+            beta = np.sqrt(n_r / np.trace(inv, axis1=1, axis2=2).real)
+            p = beta[:, None, None] * (inv @ h_sel).conj().transpose(0, 2, 1)
+            gain, hp = None, h_sel @ p
+        else:
+            inv, failed = _screened_hermitian_inverse(
+                gram + (n_r * n0) * np.eye(n_r))
+            gain = gram @ inv
+            beta = np.sqrt(n_r / np.einsum("bij,bji->b", gain, inv).real)
+            hp = beta[:, None, None] * gain
+    return beta, hp, gain, failed | ~np.isfinite(beta)
 
 
 def _receive_batch(hp: np.ndarray, k_idx: np.ndarray, s: np.ndarray,
@@ -469,6 +480,37 @@ def _redraw_failed(cfg: SimConfig, pairs, trials: np.ndarray,
     return total
 
 
+def _draw_precodable(cfg: SimConfig, root, pairs, trials: np.ndarray):
+    """Draw, select and screen a batch, re-drawing the trials that fail.
+
+    The screen runs at the tightest noise level of ``cfg.snr_db``, as the
+    redraws' does. Returns (hb, bits, wu, redraws, precode), where
+    precode(n0) gives (beta, hp, gain) of the final selections at noise
+    level n0. The ZF precoder does not depend on the noise, so its screen
+    result serves every level; MMSE rescales the eigenvalues of one SVD.
+    """
+    n0_screen = 10.0 ** (-max(cfg.snr_db) / 10.0)
+    hw, bits, wu = _draw_trials(cfg, trials)
+    hb = hw if cfg.baseline else hw @ root
+    idx, failed = _select_indices(cfg, hb, pairs)
+    h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
+    screen = _precode_batch(cfg, h_sel, n0_screen)
+    failed |= screen[3]
+    redraws = 0
+    if failed.any():
+        redraws = _redraw_failed(cfg, pairs, trials, hw, bits, wu, idx,
+                                 failed, root)
+        hb = hw if cfg.baseline else hw @ root
+        h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
+        if cfg.precoder == "zf":
+            screen = _precode_batch(cfg, h_sel, n0_screen)
+    if cfg.precoder == "zf":
+        return hb, bits, wu, redraws, lambda n0: screen[:3]
+    svd = np.linalg.svd(h_sel, full_matrices=False)[:2]
+    return (hb, bits, wu, redraws,
+            lambda n0: _precode_batch(cfg, h_sel, n0, svd)[:3])
+
+
 def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
                  collect_ratios: bool = False):
     """Core sweep: per-detector, per-point error counts over all trials.
@@ -479,16 +521,8 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
     ratios[point] is an array of energy ratios (empty unless requested).
     """
     cfg.validate()
-    const = build_qam(cfg.mod_order)
-    points = const.points
-    root = None
-    pairs = None
-    if not cfg.baseline:
-        model = build_correlation_model(
-            port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
-        root = model.root
-        if cfg.portsel == "mce-tmd":
-            pairs = sorted_pair_correlations(model)
+    points = build_qam(cfg.mod_order).points
+    root, pairs = _port_model(cfg)
     kb, mb = cfg.spatial_bits, cfg.symbol_bits
     n0s = [10.0 ** (-s / 10.0) for s in cfg.snr_db]
     if cfg.dump_channels:
@@ -496,26 +530,8 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
 
     def one_batch(lo: int, hi: int):
         trials = np.arange(lo, hi)
-        hw, bits, wu = _draw_trials(cfg, trials)
-        hb = hw if cfg.baseline else hw @ root
-        idx, failed = _select_indices(cfg, hb, pairs)
-        # screen precodability once at the tightest noise level; the ZF
-        # precoder does not depend on the noise, so its screen serves every
-        # point, while MMSE regularizes one noise-free Gram per point
-        h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-        zf = _precode_batch(cfg, h_sel, min(n0s))
-        failed |= zf[3]
-        if cfg.precoder != "zf":
-            zf = None
-        redraws = 0
-        if failed.any():
-            redraws = _redraw_failed(cfg, pairs, trials, hw, bits, wu, idx,
-                                     failed, root)
-            hb = hw if cfg.baseline else hw @ root
-            h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-            if zf is not None:
-                zf = _precode_batch(cfg, h_sel, min(n0s))
-        gram = _gram(h_sel) if zf is None else None
+        hb, bits, wu, redraws, precode = _draw_precodable(
+            cfg, root, pairs, trials)
         if cfg.dump_channels:
             dump_channels_csv(cfg.dump_channels, zip(trials.tolist(), hb))
         k_idx = bits[:, :kb].astype(np.intp) @ (1 << np.arange(kb)[::-1])
@@ -525,9 +541,7 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
         counts = {d: [] for d in detectors}
         ratios = []
         for n0 in n0s:
-            # the screen above already flagged every failure
-            beta, hp, gain, _ = (zf if zf is not None else _precode_batch(
-                cfg, h_sel, n0, gram, screen=False))
+            beta, hp, gain = precode(n0)
             y = _receive_batch(hp, k_idx, s, wu, n0)
             if collect_ratios:
                 ratios.append(_energy_ratio(y))
@@ -615,34 +629,18 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """Run a single trial of the configured link at one SNR point.
 
     Deterministic in (master seed, trial index); shares every numerical code
-    path with the batched sweep, so a sweep is exactly this repeated.
+    path with the batched sweep. A sweep is exactly this repeated, except
+    under MMSE with redraws: the sweep screens precodability at the
+    tightest SNR of its grid and this function at its own.
     """
     cfg = replace(cfg, snr_db=(float(snr_db),)).validate()
     const = build_qam(cfg.mod_order)
-    root = None
-    pairs = None
-    if not cfg.baseline:
-        model = build_correlation_model(
-            port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
-        root = model.root
-        if cfg.portsel == "mce-tmd":
-            pairs = sorted_pair_correlations(model)
-    trials = np.array([trial_index])
-    hw, bits, wu = _draw_trials(cfg, trials)
-    hb = hw if cfg.baseline else hw @ root
-    idx, failed = _select_indices(cfg, hb, pairs)
-    h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
+    root, pairs = _port_model(cfg)
     n0 = 10.0 ** (-snr_db / 10.0)
-    # the screen runs at the trial's own noise level, so it is the precoder
-    beta, hp, gain, pf = _precode_batch(cfg, h_sel, n0)
-    failed |= pf
-    redraws = 0
-    if failed[0]:
-        redraws = _redraw_failed(cfg, pairs, trials, hw, bits, wu, idx,
-                                 failed, root)
-        hb = hw if cfg.baseline else hw @ root
-        h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-        beta, hp, gain, _ = _precode_batch(cfg, h_sel, n0)
+    # cfg holds this one point, so the screen runs at the trial's own SNR
+    _, bits, wu, redraws, precode = _draw_precodable(
+        cfg, root, pairs, np.array([trial_index]))
+    beta, hp, gain = precode(n0)
     kb, mb = cfg.spatial_bits, cfg.symbol_bits
     k_idx = bits[:, :kb].astype(np.intp) @ (1 << np.arange(kb)[::-1])
     m_idx = bits[:, kb:].astype(np.intp) @ (1 << np.arange(mb)[::-1])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from farsm.channel import SeededRng
 from farsm.errors import ConfigError
 from farsm.modulation import build_qam
+from farsm.precoding import NoiseModel, effective_gain_matrix, mmse_precoder
 from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _detect_batch,
                             _draw_trials, _energy_ratio, _med_batch,
                             _mld_batch, _precode_batch, _receive_batch,
@@ -240,6 +241,37 @@ def test_gated_rttd_equals_both_branches_on_the_whole_batch(
     taken = {"both": 0 < coarse.sum() < rows, "med": coarse.all(),
              "mld": not coarse.any(), "either": True}
     assert taken[branches]
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-9,
+                               atol=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("rows", [1, 300])
+@pytest.mark.parametrize("n_r, n_a", [(4, 6), (8, 10)])
+@pytest.mark.parametrize("snr_db", [-5.0, 10.0, 30.0, 60.0])
+def test_mmse_svd_route_matches_scalar_precoder(rows, n_r, n_a, snr_db):
+    g = np.random.Generator(np.random.Philox(7 * n_r + rows))
+    h_sel = (g.standard_normal((rows, n_r, n_a))
+             + 1j * g.standard_normal((rows, n_r, n_a))) / np.sqrt(2.0)
+    noise = NoiseModel.from_snr_db(snr_db)
+    svd = np.linalg.svd(h_sel, full_matrices=False)[:2]
+    beta, hp, gain, failed = _precode_batch(SimConfig(precoder="mmse"),
+                                            h_sel, noise.n0, svd)
+    assert not failed.any()
+    for b in range(rows):
+        ref = mmse_precoder(h_sel[b], noise)
+        assert beta[b] == pytest.approx(ref.beta, rel=1e-9)
+        _assert_close(gain[b], effective_gain_matrix(h_sel[b], noise))
+        _assert_close(hp[b], h_sel[b] @ ref.matrix)
+    # P = beta H^H U diag(1 / (lambda + N_r N_0)) U^H from the same factors
+    u, lam = svd[0], svd[1] ** 2
+    inv = (u / (lam + n_r * noise.n0)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    p = beta[:, None, None] * (h_sel.conj().transpose(0, 2, 1) @ inv)
+    _assert_close(hp, h_sel @ p)
+    power = np.einsum("bij,bij->b", p, p.conj()).real
+    np.testing.assert_allclose(power, n_r, rtol=1e-9)
 
 
 def test_rttd_reports_energy_detector_rows_per_point():
