@@ -2,141 +2,99 @@
 
 After precoding, the noiseless receive vector is beta * s_m * e_k (ZF) or
 beta * s_m * g_k (MMSE, g_k the k-th column of the effective gain matrix G).
-Detectors recover (k, m):
+The detectors are stacked kernels: each takes B receive vectors ``y`` (B,
+N_r), the per-row gains ``beta`` (B,), the per-row gain matrices ``gain``
+(B, N_r, N_r) or None for ZF, and the constellation ``points``, and
+returns the 0-based (k, m) of every row as two (B,) arrays.
 
-* ``mld_zf`` / ``mld_mmse``: joint maximum-likelihood search over all
-  N_r x M hypotheses.
+* ``mld``: joint maximum-likelihood search over all N_r x M hypotheses.
 * ``med``: maximum energy detection. The strongest receive entry names the
   antenna; the symbol is demapped from that entry alone using the scalar
   gain (beta, or beta * G[k, k] for MMSE). One magnitude pass instead of a
   joint search.
-* ``rttd``: threshold switch between the two. The ratio of the second
-  largest to the largest receive energy measures how concentrated y is;
-  concentrated vectors (ratio below gamma) are safe for the cheap path,
-  the rest fall back to the joint search. The batched RTTD of the sweep
-  engine (``farsm.simulate._detect_batch``) likewise runs the joint search
-  only on the rows with ratio >= gamma.
+* ``energy_ratio``: the second largest over the largest receive energy,
+  which measures how concentrated y is.
 
-Ties resolve to the smallest index pair (k, then m); all antenna indices at
-this interface are 1-based.
+RTTD switches between the two detectors: rows whose ratio lies below gamma
+are safe for the cheap energy path, the rest fall back to the joint search.
+Its gate is the engine's detect stage, ``farsm.simulate._detect_batch``,
+which runs each detector only on its own rows. ``mld_generic`` enumerates
+residuals explicitly and is the oracle the kernels are tested against.
+
+Ties resolve to the smallest index pair (k, then m).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from farsm.modulation import Constellation
 
+def mld(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
+        points: np.ndarray):
+    """Joint ML search: argmin over (k, m) of ||y - beta s_m c_k||^2 per row.
 
-@dataclass(frozen=True)
-class RttdConfig:
-    """Threshold for the ratio test; gamma in [0, 1].
-
-    gamma = 0 always takes the joint search, gamma = 1 (almost surely)
-    always takes the energy path.
+    Under ZF (``gain`` None) c_k = e_k, so only the k-th residual entry
+    depends on the hypothesis and the cost reduces to |y_k - beta s_m|^2 -
+    |y_k|^2. Under MMSE c_k = g_k and the cost is |beta s_m|^2 ||g_k||^2 -
+    2 Re(conj(beta s_m) g_k^H y). Returns (k, m), each (B,) and 0-based.
     """
+    m_count = points.size
+    if gain is None:
+        d = y[:, :, None] - beta[:, None, None] * points[None, None, :]
+        cost = (d.real ** 2 + d.imag ** 2) - (np.abs(y) ** 2)[:, :, None]
+    else:
+        z = np.einsum("brk,br->bk", gain.conj(), y)
+        gn = np.einsum("brk,brk->bk", gain, gain.conj()).real
+        c = beta[:, None] * points[None, :]
+        cost = (np.abs(c) ** 2)[:, None, :] * gn[:, :, None] - 2.0 * np.real(
+            np.conj(c)[:, None, :] * z[:, :, None])
+    flat = np.argmin(cost.reshape(cost.shape[0], -1), axis=1)
+    return flat // m_count, flat % m_count
 
-    gamma: float = 0.6
 
-    def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
+def med(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
+        points: np.ndarray):
+    """Maximum energy detection: the strongest entry of each row names k.
 
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Detected antenna (1-based), symbol index, and which path decided.
-
-    ``branch`` is 'mld' or 'med'; for the ratio-test detector it records the
-    branch actually taken.
+    The symbol is the point nearest y_k / scale, scale being beta under ZF
+    (``gain`` None) and beta times the real diagonal entry G[k, k] under
+    MMSE. Returns (k, m), each (B,) and 0-based.
     """
+    k = np.argmax(np.abs(y) ** 2, axis=1)
+    yk = np.take_along_axis(y, k[:, None], axis=1)[:, 0]
+    scale = beta
+    if gain is not None:
+        diag = np.diagonal(gain, axis1=1, axis2=2).real
+        scale = beta * np.take_along_axis(diag, k[:, None], axis=1)[:, 0]
+    m = np.argmin(np.abs(yk[:, None] - scale[:, None] * points[None, :]) ** 2,
+                  axis=1)
+    return k, m
 
-    antenna: int
-    symbol: int
-    branch: str
 
+def energy_ratio(y: np.ndarray) -> np.ndarray:
+    """(B,) second-largest over largest receive energy, in [0, 1].
 
-def mld_zf(y: np.ndarray, beta: float,
-           constellation: Constellation) -> DetectionResult:
-    """Joint ML search for a zero-forced channel: argmin ||y - beta s_m e_k||.
-
-    Only the k-th residual entry depends on the hypothesis, so the cost
-    reduces to |y_k - beta s_m|^2 - |y_k|^2 per (k, m) pair.
+    An all-zero row reports 1 (nothing is concentrated).
     """
-    d = y[:, None] - beta * constellation.points[None, :]
-    cost = (d.real ** 2 + d.imag ** 2) - (np.abs(y) ** 2)[:, None]
-    k, m = np.unravel_index(np.argmin(cost), cost.shape)
-    return DetectionResult(antenna=int(k) + 1, symbol=int(m), branch="mld")
+    e = np.abs(y) ** 2
+    largest = e.max(axis=1)
+    second = np.partition(e, e.shape[1] - 2, axis=1)[:, -2]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(largest > 0, second / np.maximum(largest, 1e-300), 1.0)
 
 
-def mld_mmse(y: np.ndarray, beta: float, gain: np.ndarray,
-             constellation: Constellation) -> DetectionResult:
-    """Joint ML search against the MMSE effective columns beta * g_k."""
-    z = gain.conj().T @ y                                    # g_k^H y
-    gn = np.einsum("ij,ij->j", gain.conj(), gain).real       # ||g_k||^2
-    c = beta * constellation.points
-    cost = (np.abs(c) ** 2)[None, :] * gn[:, None] - 2.0 * np.real(
-        np.conj(c)[None, :] * z[:, None])
-    k, m = np.unravel_index(np.argmin(cost), cost.shape)
-    return DetectionResult(antenna=int(k) + 1, symbol=int(m), branch="mld")
-
-
-def mld_generic(y: np.ndarray, effective: np.ndarray,
-                constellation: Constellation) -> DetectionResult:
-    """Reference ML search by explicit residual enumeration.
+def mld_generic(y: np.ndarray, effective: np.ndarray, points: np.ndarray):
+    """Reference ML search for one receive vector by residual enumeration.
 
     ``effective`` is the noiseless receive matrix whose column k is the
-    response to antenna k at unit symbol. Slow; exists as an oracle for the
-    specialized searches.
+    response to antenna k at unit symbol. Returns the 0-based (k, m). Slow;
+    exists as an oracle for the stacked kernels.
     """
     n_r = y.shape[0]
     best = (np.inf, 0, 0)
     for k in range(n_r):
-        for m, s in enumerate(constellation.points):
+        for m, s in enumerate(points):
             r = float(np.linalg.norm(y - s * effective[:, k]) ** 2)
             if r < best[0]:
                 best = (r, k, m)
-    return DetectionResult(antenna=best[1] + 1, symbol=best[2], branch="mld")
-
-
-def med(y: np.ndarray, beta: float, constellation: Constellation,
-        gain_diag: np.ndarray | None = None) -> DetectionResult:
-    """Maximum energy detection: strongest entry names the antenna.
-
-    ``gain_diag`` supplies the real diagonal of the MMSE effective gain
-    matrix; when omitted the demap gain is beta alone (ZF).
-    """
-    k = int(np.argmax(np.abs(y) ** 2))
-    scale = beta if gain_diag is None else beta * float(gain_diag[k])
-    m = int(np.argmin(np.abs(y[k] - scale * constellation.points) ** 2))
-    return DetectionResult(antenna=k + 1, symbol=m, branch="med")
-
-
-def energy_ratio(y: np.ndarray) -> float:
-    """Second-largest over largest receive energy, in [0, 1].
-
-    An all-zero vector reports 1.0 (nothing is concentrated).
-    """
-    e = np.sort(np.abs(y) ** 2)
-    if e[-1] == 0.0:
-        return 1.0
-    return float(e[-2] / e[-1])
-
-
-def rttd(y: np.ndarray, beta: float, constellation: Constellation,
-         config: RttdConfig, gain: np.ndarray | None = None) -> DetectionResult:
-    """Ratio-test two-stage detection.
-
-    Energy ratio below gamma routes to the energy detector, otherwise to the
-    joint ML search. ``gain`` (the MMSE effective matrix) switches both
-    branches to their MMSE forms.
-    """
-    if energy_ratio(y) < config.gamma:
-        diag = None if gain is None else np.diag(gain).real
-        r = med(y, beta, constellation, gain_diag=diag)
-        return DetectionResult(antenna=r.antenna, symbol=r.symbol, branch="med")
-    if gain is None:
-        return mld_zf(y, beta, constellation)
-    return mld_mmse(y, beta, gain, constellation)
+    return best[1], best[2]

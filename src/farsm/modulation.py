@@ -1,10 +1,10 @@
 """Square QAM constellations and the joint spatial/symbol bit mapping.
 
 Each channel use carries log2(N_r) + log2(M) bits: the leading bits pick the
-targeted receive antenna (natural binary, value + 1 gives the 1-based index),
-the trailing bits pick the QAM point through its Gray label. Constellations
-are normalized to unit mean symbol energy and labeled Gray per axis, so
-nearest neighbors along either axis differ in exactly one bit.
+targeted receive antenna k (natural binary, 0-based), the trailing bits pick
+the QAM point m through its Gray label, which is m written in binary.
+Constellations are normalized to unit mean symbol energy and labeled Gray
+per axis, so nearest neighbors along either axis differ in exactly one bit.
 """
 
 from __future__ import annotations
@@ -31,14 +31,6 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         return self.order.bit_length() - 1
-
-    def label_index(self, label: str) -> int:
-        """Index of the point carrying ``label``."""
-        return self._label_to_index[label]
-
-    def __post_init__(self):
-        lut = {lab: i for i, lab in enumerate(self.bit_labels)}
-        object.__setattr__(self, "_label_to_index", lut)
 
 
 def _gray(i: int) -> int:
@@ -76,51 +68,25 @@ def build_qam(order: int) -> Constellation:
     return Constellation(order=order, points=points, bit_labels=tuple(labels))
 
 
-@dataclass(frozen=True)
-class SpatialSymbol:
-    """One channel use: 1-based receive-antenna index plus QAM point index."""
-
-    antenna: int
-    symbol: int
-
-
 def spectral_efficiency(order: int, n_r: int) -> float:
     """Bits per channel use: log2(order) + log2(n_r)."""
     return float(np.log2(order) + np.log2(n_r))
 
 
-def _check_power_of_two(n_r: int) -> int:
-    if n_r < 2 or n_r & (n_r - 1):
-        raise ValueError(f"receive antenna count must be a power of two >= 2, got {n_r}")
-    return n_r.bit_length() - 1
+def bits_to_indices(bits: np.ndarray, spatial_bits: int):
+    """Map (B, n) bit rows, MSB first, to 0-based (k, m), each (B,).
 
-
-def bits_to_symbol(bits: np.ndarray, n_r: int,
-                   constellation: Constellation) -> SpatialSymbol:
-    """Map one bit block to (antenna, symbol).
-
-    ``bits`` holds log2(n_r) + log2(M) entries in {0, 1}, MSB first. The
-    spatial bits are read as natural binary and offset by one to make the
-    antenna index 1-based.
+    The leading ``spatial_bits`` bits of a row read as natural binary give
+    the antenna k; the rest give the point m whose label they are.
     """
-    kb = _check_power_of_two(n_r)
-    bits = np.asarray(bits, dtype=int)
-    if bits.size != kb + constellation.bits_per_symbol:
-        raise ValueError(
-            f"expected {kb + constellation.bits_per_symbol} bits, got {bits.size}")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bit block must contain only 0s and 1s")
-    antenna = 1 + int(bits[:kb].dot(1 << np.arange(kb)[::-1]))
-    label = "".join(str(b) for b in bits[kb:])
-    return SpatialSymbol(antenna=antenna, symbol=constellation.label_index(label))
+    symbol_bits = bits.shape[1] - spatial_bits
+    value = bits.astype(np.intp) @ (1 << np.arange(bits.shape[1])[::-1])
+    return value >> symbol_bits, value & ((1 << symbol_bits) - 1)
 
 
-def symbol_to_bits(symbol: SpatialSymbol, n_r: int,
-                   constellation: Constellation) -> np.ndarray:
-    """Inverse of :func:`bits_to_symbol`."""
-    kb = _check_power_of_two(n_r)
-    if not 1 <= symbol.antenna <= n_r:
-        raise ValueError(f"antenna index {symbol.antenna} outside 1..{n_r}")
-    spatial = format(symbol.antenna - 1, f"0{kb}b")
-    label = constellation.bit_labels[symbol.symbol]
-    return np.array([int(b) for b in spatial + label], dtype=np.uint8)
+def indices_to_bits(k: np.ndarray, m: np.ndarray, spatial_bits: int,
+                    symbol_bits: int) -> np.ndarray:
+    """Inverse of :func:`bits_to_indices`: (B, n) uint8 bit rows."""
+    value = (k << symbol_bits) | m
+    shifts = np.arange(spatial_bits + symbol_bits)[::-1]
+    return ((value[:, None] >> shifts) & 1).astype(np.uint8)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from farsm.errors import SingularChannelError
-from farsm.modulation import Constellation, SpatialSymbol
 
 # Gram (or regularized Gram) condition numbers beyond this are treated as
 # singular and surface as SingularChannelError.
@@ -143,24 +142,3 @@ def effective_gain_matrix(h_active: np.ndarray, noise: NoiseModel) -> np.ndarray
     inv = _checked_hermitian_inverse(reg, "regularized channel Gram matrix")
     return gram @ inv
 
-
-def transmit(h_active: np.ndarray, precoder: Precoder, symbol: SpatialSymbol,
-             constellation: Constellation, noise: NoiseModel,
-             rng) -> np.ndarray:
-    """One channel use: y = H P (s e_k) + w, with w ~ CN(0, N_0 I).
-
-    The noise model here is the operating point and may differ from the one
-    the precoder was designed for (e.g. noiseless probing of an MMSE design).
-    The unit noise vector is always drawn and scaled by sqrt(n0), so noisy
-    and noiseless runs of the same configuration consume identical streams.
-    """
-    from farsm.channel import sample_iid_cscg
-
-    n_r = h_active.shape[0]
-    if not 1 <= symbol.antenna <= n_r:
-        raise ValueError(f"antenna index {symbol.antenna} outside 1..{n_r}")
-    s = constellation.points[symbol.symbol]
-    x = np.zeros(n_r, dtype=complex)
-    x[symbol.antenna - 1] = s
-    y = h_active @ (precoder.matrix @ x)
-    return y + np.sqrt(noise.n0) * sample_iid_cscg(n_r, 1, rng)[:, 0]

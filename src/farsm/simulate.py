@@ -11,7 +11,9 @@ estimate, but curve shapes and curve-to-curve gaps are far less noisy.
 
 The public entry points accept a :class:`SimConfig`; trials are processed in
 fixed-size batches through vectorized selection / precoding / detection
-kernels that reproduce the single-trial functions decision for decision.
+kernels. The detectors and the bit mapping are the stacked kernels of
+:mod:`farsm.detection` and :mod:`farsm.modulation`, and :func:`run_trial`
+runs a batch of one through the same stages as the sweep.
 A batch draws its trials through one Philox generator re-keyed to each
 trial's stream, which yields exactly the values of a fresh per-trial
 generator; keying streams by blocks of trials instead would vectorize the
@@ -42,7 +44,11 @@ from farsm.channel import (SeededRng, dump_channels_csv,
 from farsm.correlation import (SortedPairArrays, build_correlation_model,
                                port_coordinates, sorted_pair_correlations)
 from farsm.errors import ConfigError, NumericalError
-from farsm.modulation import build_qam
+from farsm.detection import energy_ratio, med
+# every ML search runs through this module global, which the benchmark's
+# tracer patches to count the rows that reach it
+from farsm.detection import mld as _mld_batch
+from farsm.modulation import bits_to_indices, build_qam, indices_to_bits
 from farsm.precoding import NoiseModel, _screened_hermitian_inverse
 from farsm.selection import (_batch_mce_stage1, _batch_optimal, _batch_tmd,
                              mce_tmd_select, optimal_select, tmd_select)
@@ -118,8 +124,9 @@ class SimConfig:
     def validate(self) -> "SimConfig":
         if self.n1 < 1 or self.n2 < 1:
             raise ConfigError(f"port counts must be >= 1, got {self.n1}x{self.n2}")
-        if self.w1 <= 0 or self.w2 <= 0:
-            raise ConfigError(f"surface extents must be > 0, got {self.w1}x{self.w2}")
+        if not (0 < self.w1 < math.inf and 0 < self.w2 < math.inf):
+            raise ConfigError(
+                f"surface extents must be finite and > 0, got {self.w1}x{self.w2}")
         if self.n_r < 2 or self.n_r & (self.n_r - 1):
             raise ConfigError(
                 f"N_r must be a power of two >= 2 for whole-bit spatial "
@@ -162,6 +169,14 @@ class SimConfig:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if len(self.snr_db) == 0:
             raise ConfigError("at least one SNR point is required")
+        # +inf is the noiseless point; NaN and -inf give no noise level
+        if not all(-math.inf < s <= math.inf for s in self.snr_db):
+            raise ConfigError(
+                f"SNR points must not be NaN or -inf, got {self.snr_db}")
+        if self.select_snr_db is not None and not math.isfinite(
+                self.select_snr_db):
+            raise ConfigError(
+                f"select_snr_db must be finite, got {self.select_snr_db}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < (1 << 64):
@@ -397,54 +412,18 @@ def _detect_batch(det: str, cfg: SimConfig, y: np.ndarray, beta: np.ndarray,
     if det == "mld":
         return (*_mld_batch(y, beta, gain, points), None)
     if det == "med":
-        return (*_med_batch(y, beta, gain, points), None)
+        return (*med(y, beta, gain, points), None)
     if det == "rttd":
-        coarse = _energy_ratio(y) < cfg.gamma
+        coarse = energy_ratio(y) < cfg.gamma
         k_hat = np.empty(y.shape[0], dtype=np.intp)
         m_hat = np.empty(y.shape[0], dtype=np.intp)
-        for rows, branch in ((coarse, _med_batch), (~coarse, _mld_batch)):
+        for rows, branch in ((coarse, med), (~coarse, _mld_batch)):
             if rows.any():
                 k_hat[rows], m_hat[rows] = branch(
                     y[rows], beta[rows], None if gain is None else gain[rows],
                     points)
         return k_hat, m_hat, coarse
     raise ConfigError(f"detector must be one of {_DETECTORS}")
-
-
-def _energy_ratio(y: np.ndarray) -> np.ndarray:
-    """(B,) second-largest over largest receive energy; 1 for an all-zero y."""
-    e = np.abs(y) ** 2
-    largest = e.max(axis=1)
-    second = np.partition(e, e.shape[1] - 2, axis=1)[:, -2]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(largest > 0, second / np.maximum(largest, 1e-300), 1.0)
-
-
-def _mld_batch(y, beta, gain, points):
-    m_count = points.size
-    if gain is None:
-        d = y[:, :, None] - beta[:, None, None] * points[None, None, :]
-        cost = (d.real ** 2 + d.imag ** 2) - (np.abs(y) ** 2)[:, :, None]
-    else:
-        z = np.einsum("brk,br->bk", gain.conj(), y)
-        gn = np.einsum("brk,brk->bk", gain, gain.conj()).real
-        c = beta[:, None] * points[None, :]
-        cost = (np.abs(c) ** 2)[:, None, :] * gn[:, :, None] - 2.0 * np.real(
-            np.conj(c)[:, None, :] * z[:, :, None])
-    flat = np.argmin(cost.reshape(cost.shape[0], -1), axis=1)
-    return flat // m_count, flat % m_count
-
-
-def _med_batch(y, beta, gain, points):
-    k = np.argmax(np.abs(y) ** 2, axis=1)
-    yk = np.take_along_axis(y, k[:, None], axis=1)[:, 0]
-    scale = beta
-    if gain is not None:
-        diag = np.diagonal(gain, axis1=1, axis2=2).real
-        scale = beta * np.take_along_axis(diag, k[:, None], axis=1)[:, 0]
-    m = np.argmin(np.abs(yk[:, None] - scale[:, None] * points[None, :]) ** 2,
-                  axis=1)
-    return k, m
 
 
 def _redraw_failed(cfg: SimConfig, pairs, trials: np.ndarray,
@@ -523,7 +502,7 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
     cfg.validate()
     points = build_qam(cfg.mod_order).points
     root, pairs = _port_model(cfg)
-    kb, mb = cfg.spatial_bits, cfg.symbol_bits
+    mb = cfg.symbol_bits
     n0s = [10.0 ** (-s / 10.0) for s in cfg.snr_db]
     if cfg.dump_channels:
         open(cfg.dump_channels, "w", encoding="ascii").close()  # batches append
@@ -534,8 +513,7 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
             cfg, root, pairs, trials)
         if cfg.dump_channels:
             dump_channels_csv(cfg.dump_channels, zip(trials.tolist(), hb))
-        k_idx = bits[:, :kb].astype(np.intp) @ (1 << np.arange(kb)[::-1])
-        m_idx = bits[:, kb:].astype(np.intp) @ (1 << np.arange(mb)[::-1])
+        k_idx, m_idx = bits_to_indices(bits, cfg.spatial_bits)
         tx = (k_idx << mb) | m_idx
         s = points[m_idx]
         counts = {d: [] for d in detectors}
@@ -544,7 +522,7 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
             beta, hp, gain = precode(n0)
             y = _receive_batch(hp, k_idx, s, wu, n0)
             if collect_ratios:
-                ratios.append(_energy_ratio(y))
+                ratios.append(energy_ratio(y))
             for d in detectors:
                 k_hat, m_hat, coarse = _detect_batch(d, cfg, y, beta, gain,
                                                      points)
@@ -594,9 +572,11 @@ def run_ber_sweep_multi(cfg: SimConfig,
     detector-to-detector comparisons paired. Equivalent to, and bit-identical
     with, separate ``run_ber_sweep`` calls per detector under the same seed.
     """
-    for d in detectors:
+    for i, d in enumerate(detectors):
         if d not in _DETECTORS:
             raise ConfigError(f"detector must be one of {_DETECTORS}")
+        if d in detectors[:i]:
+            raise ConfigError(f"detector {d!r} is listed more than once")
     totals, redraws, _ = _run_batches(cfg, tuple(detectors))
     out = {}
     for d in detectors:
@@ -634,23 +614,18 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     tightest SNR of its grid and this function at its own.
     """
     cfg = replace(cfg, snr_db=(float(snr_db),)).validate()
-    const = build_qam(cfg.mod_order)
+    points = build_qam(cfg.mod_order).points
     root, pairs = _port_model(cfg)
     n0 = 10.0 ** (-snr_db / 10.0)
     # cfg holds this one point, so the screen runs at the trial's own SNR
     _, bits, wu, redraws, precode = _draw_precodable(
         cfg, root, pairs, np.array([trial_index]))
     beta, hp, gain = precode(n0)
-    kb, mb = cfg.spatial_bits, cfg.symbol_bits
-    k_idx = bits[:, :kb].astype(np.intp) @ (1 << np.arange(kb)[::-1])
-    m_idx = bits[:, kb:].astype(np.intp) @ (1 << np.arange(mb)[::-1])
-    y = _receive_batch(hp, k_idx, const.points[m_idx], wu, n0)
-    k_hat, m_hat, _ = _detect_batch(cfg.detector, cfg, y, beta, gain,
-                                    const.points)
-    rx_val = (int(k_hat[0]) << mb) | int(m_hat[0])
-    rx_bits = np.array([(rx_val >> (cfg.bits_per_use - 1 - i)) & 1
-                        for i in range(cfg.bits_per_use)], dtype=np.uint8)
-    return TrialResult(tx_bits=bits[0], rx_bits=rx_bits, redraws=redraws)
+    k_idx, m_idx = bits_to_indices(bits, cfg.spatial_bits)
+    y = _receive_batch(hp, k_idx, points[m_idx], wu, n0)
+    k_hat, m_hat, _ = _detect_batch(cfg.detector, cfg, y, beta, gain, points)
+    rx_bits = indices_to_bits(k_hat, m_hat, cfg.spatial_bits, cfg.symbol_bits)
+    return TrialResult(tx_bits=bits[0], rx_bits=rx_bits[0], redraws=redraws)
 
 
 def ratio_histograms(cfg: SimConfig) -> list[RatioHistogram]:

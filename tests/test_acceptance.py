@@ -19,13 +19,14 @@ import pytest
 
 from farsm.channel import SeededRng, restrict_to_ports, sample_correlated_channel
 from farsm.correlation import build_correlation_model, port_coordinates
-from farsm.detection import med, mld_mmse, mld_zf
-from farsm.modulation import SpatialSymbol, build_qam
+from farsm.detection import med, mld
+from farsm.modulation import build_qam
 from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
-                             transmit, zf_precoder)
+                             zf_precoder)
 from farsm.selection import (PortSet, initial_trace_state, smw_downdate,
                              tmd_select, tmd_trace_metric)
-from farsm.simulate import SimConfig, ratio_histograms, run_ber_sweep, run_ber_sweep_multi
+from farsm.simulate import (SimConfig, _receive_batch, ratio_histograms,
+                            run_ber_sweep, run_ber_sweep_multi)
 from farsm.theory import (NestedSetPair, mmse_mse, mmse_mse_difference,
                           zf_capacity_loss, zf_capacity_loss_bound)
 
@@ -139,10 +140,12 @@ def test_precoder_identities_and_limit(announce):
 def test_noiseless_detection_is_exact(announce):
     with announce(3, "noiseless runs decode every (antenna, symbol) pair",
                   budget_s=5):
-        const = build_qam(4)
+        points = build_qam(4).points
         model = build_correlation_model(port_coordinates(1.0, 1.0, 4, 4))
-        off = NoiseModel(0.0)
         design = NoiseModel(1e-6)
+        # every (antenna, symbol) pair, one per row
+        k, m = np.divmod(np.arange(4 * points.size), points.size)
+        rows = k.size
         for trial in range(30):
             rng = SeededRng(master_seed=33, stream_id=trial).generator()
             h = sample_correlated_channel(model, 4, rng)
@@ -150,16 +153,18 @@ def test_noiseless_detection_is_exact(announce):
             zf = zf_precoder(h_act)
             mm = mmse_precoder(h_act, design)
             gain = effective_gain_matrix(h_act, design)
-            for k in range(1, 5):
-                for m in range(const.order):
-                    sym = SpatialSymbol(antenna=k, symbol=m)
-                    y = transmit(h_act, zf, sym, const, off, rng)
-                    for r in (mld_zf(y, zf.beta, const),
-                              med(y, zf.beta, const)):
-                        assert (r.antenna, r.symbol) == (k, m)
-                    y = transmit(h_act, mm, sym, const, off, rng)
-                    r = mld_mmse(y, mm.beta, gain, const)
-                    assert (r.antenna, r.symbol) == (k, m)
+            # unit noise is drawn and scaled by sqrt(n0) = 0
+            z = rng.standard_normal((2, rows, 4))
+            wu = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+            for p, g in ((zf, None), (mm, np.broadcast_to(gain, (rows, 4, 4)))):
+                hp = np.broadcast_to(h_act @ p.matrix, (rows, 4, 4))
+                y = _receive_batch(hp, k, points[m], wu, 0.0)
+                beta = np.full(rows, p.beta)
+                detectors = (mld, med) if g is None else (mld,)
+                for detect in detectors:
+                    k_hat, m_hat = detect(y, beta, g, points)
+                    assert np.array_equal(k_hat, k)
+                    assert np.array_equal(m_hat, m)
 
 
 # -- 4: channel statistics ----------------------------------------------------

@@ -178,6 +178,12 @@ def test_invariant_violation_exits_2(capsys):
     assert "N_a must be >= N_r for precoder invertibility" in err
 
 
+def test_non_finite_aperture_exits_2(capsys):
+    code, _, err = run_cli(["ber", "--w1", "nan", "--trials", "5"], capsys)
+    assert code == 2
+    assert "surface extents must be finite" in err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text('{"bogus": 1}')

@@ -4,17 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel
-from farsm.detection import (RttdConfig, energy_ratio, med, mld_generic,
-                             mld_mmse, mld_zf, rttd)
+from farsm.detection import energy_ratio, med, mld, mld_generic
+from farsm.errors import ConfigError
 from farsm.modulation import build_qam
 from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
                              zf_precoder)
+from farsm.simulate import SimConfig, _detect_batch
 
 
 def _zf_setup(seed, n_r=4, order=16):
     h = random_channel(seed, n_r, n_r + 3)
     p = zf_precoder(h)
-    return h, p, build_qam(order)
+    return h, p, build_qam(order).points
 
 
 def _mmse_setup(seed, snr_db=8.0, n_r=4, order=16):
@@ -22,125 +23,150 @@ def _mmse_setup(seed, snr_db=8.0, n_r=4, order=16):
     noise = NoiseModel.from_snr_db(snr_db)
     p = mmse_precoder(h, noise)
     g = effective_gain_matrix(h, noise)
-    return h, p, g, build_qam(order)
+    return h, p, g, build_qam(order).points
+
+
+def _rows(beta, rows):
+    return np.full(rows, beta)
+
+
+def _noisy_stack(effective, points, nseed, rows=40):
+    """Noisy receive vectors over random (k, m), one per row."""
+    g = np.random.Generator(np.random.Philox(nseed))
+    n_r = effective.shape[0]
+    k = g.integers(0, n_r, rows)
+    m = g.integers(0, points.size, rows)
+    y = effective[:, k].T * points[m][:, None]
+    y = y + 0.3 * (g.standard_normal((rows, n_r))
+                   + 1j * g.standard_normal((rows, n_r)))
+    return y
+
+
+def _assert_matches_oracle(y, effective, points, k_hat, m_hat):
+    for b in range(y.shape[0]):
+        assert (k_hat[b], m_hat[b]) == mld_generic(y[b], effective, points)
 
 
 @settings(max_examples=30)
-@given(seed=st.integers(0, 3000), k=st.integers(0, 3), m=st.integers(0, 15),
-       nseed=st.integers(0, 1000))
-def test_mld_zf_matches_exhaustive_reference(seed, k, m, nseed):
-    h, p, const = _zf_setup(seed)
-    g = np.random.Generator(np.random.Philox(nseed))
-    y = np.zeros(4, dtype=complex)
-    y[k] = p.beta * const.points[m]
-    y += 0.3 * (g.standard_normal(4) + 1j * g.standard_normal(4))
-    fast = mld_zf(y, p.beta, const)
-    slow = mld_generic(y, p.beta * np.eye(4), const)
-    assert (fast.antenna, fast.symbol) == (slow.antenna, slow.symbol)
+@given(seed=st.integers(0, 3000), nseed=st.integers(0, 1000))
+def test_mld_matches_exhaustive_reference_under_zf(seed, nseed):
+    _, p, points = _zf_setup(seed)
+    effective = p.beta * np.eye(4)
+    # the all-zero last row ties every antenna and the four inner points
+    y = np.vstack([_noisy_stack(effective, points, nseed),
+                   np.zeros((1, 4), dtype=complex)])
+    k_hat, m_hat = mld(y, _rows(p.beta, y.shape[0]), None, points)
+    _assert_matches_oracle(y, effective, points, k_hat, m_hat)
 
 
 @settings(max_examples=30)
-@given(seed=st.integers(0, 3000), k=st.integers(0, 3), m=st.integers(0, 15),
-       nseed=st.integers(0, 1000))
-def test_mld_mmse_matches_exhaustive_reference(seed, k, m, nseed):
-    h, p, gain, const = _mmse_setup(seed)
-    g = np.random.Generator(np.random.Philox(nseed))
-    y = p.beta * gain[:, k] * 1.0 * const.points[m]
-    y = y + 0.3 * (g.standard_normal(4) + 1j * g.standard_normal(4))
-    fast = mld_mmse(y, p.beta, gain, const)
-    slow = mld_generic(y, p.beta * gain, const)
-    assert (fast.antenna, fast.symbol) == (slow.antenna, slow.symbol)
+@given(seed=st.integers(0, 3000), nseed=st.integers(0, 1000))
+def test_mld_matches_exhaustive_reference_under_mmse(seed, nseed):
+    _, p, gain, points = _mmse_setup(seed)
+    effective = p.beta * gain
+    # no all-zero row: its exact tie among the inner points is broken by
+    # the rounding of s_m g_k, which differs between kernel and oracle
+    y = _noisy_stack(effective, points, nseed)
+    rows = y.shape[0]
+    k_hat, m_hat = mld(y, _rows(p.beta, rows),
+                       np.broadcast_to(gain, (rows, 4, 4)), points)
+    _assert_matches_oracle(y, effective, points, k_hat, m_hat)
 
 
 def test_mld_noiseless_is_exact():
-    _, p, const = _zf_setup(1)
-    for k in range(4):
-        for m in range(16):
-            y = np.zeros(4, dtype=complex)
-            y[k] = p.beta * const.points[m]
-            r = mld_zf(y, p.beta, const)
-            assert (r.antenna, r.symbol) == (k + 1, m)
+    _, p, points = _zf_setup(1)
+    k, m = np.divmod(np.arange(4 * 16), 16)
+    y = np.zeros((k.size, 4), dtype=complex)
+    y[np.arange(k.size), k] = p.beta * points[m]
+    k_hat, m_hat = mld(y, _rows(p.beta, k.size), None, points)
+    assert np.array_equal(k_hat, k) and np.array_equal(m_hat, m)
 
 
 def test_mld_tie_breaks_to_smallest_pair():
-    const = build_qam(4)
-    y = np.zeros(2, dtype=complex)  # all hypotheses equally bad
-    r = mld_zf(y, 1.0, const)
-    assert (r.antenna, r.symbol) == (1, 0)
+    points = build_qam(4).points
+    y = np.zeros((1, 2), dtype=complex)  # all hypotheses equally bad
+    k_hat, m_hat = mld(y, np.ones(1), None, points)
+    assert (k_hat[0], m_hat[0]) == (0, 0)
 
 
 def test_med_picks_strongest_antenna():
-    _, p, const = _zf_setup(2)
-    y = np.array([0.1 + 0j, 0.2, p.beta * const.points[5], 0.05])
-    r = med(y, p.beta, const)
-    assert r.antenna == 3
-    assert r.symbol == 5
+    _, p, points = _zf_setup(2)
+    y = np.array([[0.1 + 0j, 0.2, p.beta * points[5], 0.05]])
+    k_hat, m_hat = med(y, _rows(p.beta, 1), None, points)
+    assert (k_hat[0], m_hat[0]) == (2, 5)
 
 
 def test_med_mmse_uses_diagonal_gain():
-    _, p, gain, const = _mmse_setup(3)
+    _, p, gain, points = _mmse_setup(3)
     k = 2
-    y = np.zeros(4, dtype=complex)
-    y[k] = p.beta * gain[k, k].real * const.points[7]
-    r = med(y, p.beta, const, gain_diag=np.diag(gain).real)
-    assert (r.antenna, r.symbol) == (k + 1, 7)
+    y = np.zeros((1, 4), dtype=complex)
+    y[0, k] = p.beta * gain[k, k].real * points[7]
+    k_hat, m_hat = med(y, _rows(p.beta, 1), gain[None], points)
+    assert (k_hat[0], m_hat[0]) == (k, 7)
 
 
 def test_energy_ratio_values():
-    assert energy_ratio(np.zeros(4, dtype=complex)) == 1.0
-    y = np.array([3.0 + 0j, 0.0, 4.0, 0.0])
-    assert energy_ratio(y) == pytest.approx(9.0 / 16.0)
-    # equal energies ratio 1
-    assert energy_ratio(np.array([1 + 0j, -1 + 0j])) == pytest.approx(1.0)
+    y = np.array([[0.0, 0.0, 0.0, 0.0],
+                  [3.0, 0.0, 4.0, 0.0],
+                  [1.0, -1.0, 0.0, 0.0]], dtype=complex)
+    # all-zero reports 1, 9 / 16, and equal energies ratio 1
+    np.testing.assert_allclose(energy_ratio(y), [1.0, 9.0 / 16.0, 1.0],
+                               rtol=1e-15)
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
                                    allow_infinity=False),
                 min_size=2, max_size=8))
 def test_energy_ratio_bounded(vals):
-    r = energy_ratio(np.array(vals, dtype=complex))
-    assert 0.0 <= r <= 1.0
+    r = energy_ratio(np.array([vals], dtype=complex))
+    assert r.shape == (1,) and 0.0 <= r[0] <= 1.0
 
 
 def test_rttd_config_validates():
-    RttdConfig(0.0), RttdConfig(1.0)
-    with pytest.raises(ValueError):
-        RttdConfig(-0.1)
-    with pytest.raises(ValueError):
-        RttdConfig(1.1)
+    SimConfig(detector="rttd", gamma=0.0).validate()
+    SimConfig(detector="rttd", gamma=1.0).validate()
+    for bad in (-0.1, 1.1):
+        with pytest.raises(ConfigError, match="gamma"):
+            SimConfig(detector="rttd", gamma=bad).validate()
+
+
+def _rttd(y, beta, points, gamma, gain=None):
+    cfg = SimConfig(detector="rttd", gamma=gamma)
+    return _detect_batch("rttd", cfg, y, _rows(beta, y.shape[0]), gain,
+                         points)
 
 
 def test_rttd_switches_branches():
-    _, p, const = _zf_setup(4)
-    # dominant single antenna: ratio near 0, energy detection suffices
-    y = np.zeros(4, dtype=complex)
-    y[1] = p.beta * const.points[3]
-    r = rttd(y, p.beta, const, RttdConfig(0.6))
-    assert r.branch == "med"
-    assert (r.antenna, r.symbol) == (2, 3)
-    # two near-equal antennas: ratio near 1, ambiguity forces the ML search
-    y2 = np.array([1.0 + 0j, 0.999, 0.0, 0.0]) * p.beta
-    r2 = rttd(y2, p.beta, const, RttdConfig(0.6))
-    assert r2.branch == "mld"
-    assert r2.antenna == 1
+    _, p, points = _zf_setup(4)
+    # row 0, one dominant antenna: ratio near 0, energy detection suffices;
+    # row 1, two near-equal antennas: ratio near 1, the ML search decides
+    y = np.zeros((2, 4), dtype=complex)
+    y[0, 1] = p.beta * points[3]
+    y[1, :2] = p.beta * np.array([1.0, 0.999])
+    k_hat, m_hat, coarse = _rttd(y, p.beta, points, 0.6)
+    assert coarse.tolist() == [True, False]
+    assert (k_hat[0], m_hat[0]) == (1, 3)
+    assert k_hat[1] == 0
 
 
 def test_rttd_gamma_extremes():
-    _, p, const = _zf_setup(5)
+    _, p, points = _zf_setup(5)
     g = np.random.Generator(np.random.Philox(17))
-    for _ in range(20):
-        y = g.standard_normal(4) + 1j * g.standard_normal(4)
-        always_fine = rttd(y, p.beta, const, RttdConfig(0.0))
-        always_coarse = rttd(y, p.beta, const, RttdConfig(1.0))
-        ml = mld_zf(y, p.beta, const)
-        me = med(y, p.beta, const)
-        assert (always_fine.antenna, always_fine.symbol) == (ml.antenna, ml.symbol)
-        assert (always_coarse.antenna, always_coarse.symbol) == (me.antenna, me.symbol)
+    y = g.standard_normal((20, 4)) + 1j * g.standard_normal((20, 4))
+    beta = _rows(p.beta, 20)
+    *always_fine, fine_coarse = _rttd(y, p.beta, points, 0.0)
+    *always_coarse, coarse = _rttd(y, p.beta, points, 1.0)
+    assert not fine_coarse.any() and coarse.all()
+    for got, want in zip(always_fine, mld(y, beta, None, points)):
+        assert np.array_equal(got, want)
+    for got, want in zip(always_coarse, med(y, beta, None, points)):
+        assert np.array_equal(got, want)
 
 
 def test_rttd_mmse_route():
-    _, p, gain, const = _mmse_setup(6)
-    y = np.zeros(4, dtype=complex)
-    y[0] = p.beta * gain[0, 0].real * const.points[2]
-    r = rttd(y, p.beta, const, RttdConfig(0.6), gain=gain)
-    assert (r.antenna, r.symbol) == (1, 2)
+    _, p, gain, points = _mmse_setup(6)
+    y = np.zeros((1, 4), dtype=complex)
+    y[0, 0] = p.beta * gain[0, 0].real * points[2]
+    k_hat, m_hat, coarse = _rttd(y, p.beta, points, 0.6, gain=gain[None])
+    assert coarse[0]
+    assert (k_hat[0], m_hat[0]) == (0, 2)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from farsm.modulation import (Constellation, SpatialSymbol, bits_to_symbol,
-                              build_qam, spectral_efficiency, symbol_to_bits)
+from farsm.modulation import (bits_to_indices, build_qam, indices_to_bits,
+                              spectral_efficiency)
 
 ORDERS = (4, 16, 64)
 
@@ -50,8 +50,9 @@ def test_labels_are_unique_and_sized(order):
     c = build_qam(order)
     assert len(set(c.bit_labels)) == order
     assert all(len(b) == c.bits_per_symbol for b in c.bit_labels)
+    # the mapping reads the symbol bits of point m as m in binary
     for m, label in enumerate(c.bit_labels):
-        assert c.label_index(label) == m
+        assert int(label, 2) == m
 
 
 def test_build_qam_rejects_unsupported_orders():
@@ -67,39 +68,32 @@ def test_spectral_efficiency():
 
 
 @given(order=st.sampled_from(ORDERS), n_r=st.sampled_from((2, 4, 8, 16)),
-       data=st.data())
-def test_bits_roundtrip(order, n_r, data):
+       rows=st.integers(1, 5), data=st.data())
+def test_bits_roundtrip(order, n_r, rows, data):
     c = build_qam(order)
-    width = int(np.log2(n_r)) + c.bits_per_symbol
-    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=width,
-                                       max_size=width)), dtype=np.uint8)
-    sym = bits_to_symbol(bits, n_r, c)
-    assert 1 <= sym.antenna <= n_r
-    assert 0 <= sym.symbol < order
-    back = symbol_to_bits(sym, n_r, c)
+    kb = int(np.log2(n_r))
+    width = kb + c.bits_per_symbol
+    bits = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=width, max_size=width),
+        min_size=rows, max_size=rows)), dtype=np.uint8)
+    k, m = bits_to_indices(bits, kb)
+    assert ((0 <= k) & (k < n_r)).all()
+    assert ((0 <= m) & (m < order)).all()
+    back = indices_to_bits(k, m, kb, c.bits_per_symbol)
+    assert back.dtype == np.uint8
     assert np.array_equal(back, bits)
 
 
-def test_bits_to_symbol_layout():
+def test_bits_to_indices_layout():
     c = build_qam(4)
     # spatial bits lead (natural binary, MSB first), symbol label follows
-    sym = bits_to_symbol(np.array([1, 0, 1, 1], dtype=np.uint8), 4, c)
-    assert sym.antenna == 3  # bits 10 -> index 2 -> antenna 3
-    assert c.bit_labels[sym.symbol] == "11"
-
-
-def test_bits_to_symbol_validates():
-    c = build_qam(4)
-    with pytest.raises(ValueError):
-        bits_to_symbol(np.array([0, 1], dtype=np.uint8), 3, c)  # n_r not 2^k
-    with pytest.raises(ValueError):
-        bits_to_symbol(np.array([0, 1, 0], dtype=np.uint8), 4, c)  # wrong width
+    k, m = bits_to_indices(np.array([[1, 0, 1, 1], [0, 1, 1, 0]],
+                                    dtype=np.uint8), 2)
+    assert k.tolist() == [2, 1]  # bits 10 -> antenna 2, bits 01 -> 1
+    assert [c.bit_labels[i] for i in m] == ["11", "10"]
 
 
 def test_constellation_is_frozen():
     c = build_qam(4)
     with pytest.raises(AttributeError):
         c.order = 16
-    s = SpatialSymbol(antenna=1, symbol=0)
-    with pytest.raises(AttributeError):
-        s.antenna = 2

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel
-from farsm.channel import SeededRng
 from farsm.errors import SingularChannelError
-from farsm.modulation import SpatialSymbol, build_qam
+from farsm.modulation import build_qam
 from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
-                             transmit, zf_precoder)
+                             zf_precoder)
+from farsm.simulate import SimConfig, _draw_trials, _receive_batch
 
 
 def test_noise_model_conversions():
@@ -76,25 +76,28 @@ def test_mmse_regularization_survives_singular_gram():
 
 
 def test_transmit_noiseless_hits_target_antenna():
+    # the channel use y = H P s e_k + sqrt(n0) w through a ZF precoder
     h = random_channel(33, 4, 6)
     const = build_qam(16)
     p = zf_precoder(h)
-    y = transmit(h, p, SpatialSymbol(antenna=3, symbol=9), const,
-                 NoiseModel(0.0), SeededRng(0))
-    expected = np.zeros(4, dtype=complex)
-    expected[2] = p.beta * const.points[9]
+    wu = np.ones((1, 4), dtype=complex)
+    y = _receive_batch((h @ p.matrix)[None], np.array([2]),
+                       const.points[[9]], wu, 0.0)
+    expected = np.zeros((1, 4), dtype=complex)
+    expected[0, 2] = p.beta * const.points[9]
     assert np.allclose(y, expected, atol=1e-10)
 
 
 def test_transmit_noise_is_stream_stable():
-    # the unit-noise draw happens even at n0 = 0, so the same stream yields
-    # the same noiseless/noisy pair alignment
+    # a trial draws one unit-noise vector, also for a noiseless point, and
+    # every SNR point scales that same vector
     h = random_channel(34, 4, 6)
     const = build_qam(4)
-    p = zf_precoder(h)
-    sym = SpatialSymbol(antenna=1, symbol=2)
-    y0 = transmit(h, p, sym, const, NoiseModel(0.0), SeededRng(5))
-    y1 = transmit(h, p, sym, const, NoiseModel(0.04), SeededRng(5))
+    hp = (h @ zf_precoder(h).matrix)[None]
+    _, _, wu = _draw_trials(SimConfig(), np.array([5]))
+    k, s = np.array([0]), const.points[[2]]
+    y0 = _receive_batch(hp, k, s, wu, 0.0)
+    y1 = _receive_batch(hp, k, s, wu, 0.04)
     w = (y1 - y0) / 0.2
-    y2 = transmit(h, p, sym, const, NoiseModel(1.0), SeededRng(5))
+    y2 = _receive_batch(hp, k, s, wu, 1.0)
     assert np.allclose(y0 + w, y2, atol=1e-9)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farsm.channel import SeededRng
+from farsm.detection import energy_ratio, med, mld
 from farsm.errors import ConfigError
 from farsm.modulation import build_qam
 from farsm.precoding import NoiseModel, effective_gain_matrix, mmse_precoder
 from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _detect_batch,
-                            _draw_trials, _energy_ratio, _med_batch,
-                            _mld_batch, _precode_batch, _receive_batch,
+                            _draw_trials, _precode_batch, _receive_batch,
                             _run_batches, portsel_benchmark, ratio_histogram,
                             ratio_histograms, run_ber_sweep,
                             run_ber_sweep_multi, run_trial, stream_id,
@@ -102,6 +102,16 @@ def test_config_validation_messages():
         SimConfig(gamma=1.5).validate()
     with pytest.raises(ConfigError, match="SNR point"):
         SimConfig(snr_db=()).validate()
+    for bad in (float("nan"), -float("inf")):
+        with pytest.raises(ConfigError, match="NaN or -inf"):
+            SimConfig(snr_db=(0.0, bad)).validate()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="surface extents"):
+            SimConfig(w1=bad).validate()
+        with pytest.raises(ConfigError, match="surface extents"):
+            SimConfig(w2=bad).validate()
+        with pytest.raises(ConfigError, match="select_snr_db must be finite"):
+            SimConfig(precoder="mmse", select_snr_db=bad).validate()
     # valid default passes and returns itself
     cfg = SimConfig()
     assert cfg.validate() is cfg
@@ -153,9 +163,13 @@ def test_worker_count_rejects_garbage(monkeypatch):
         worker_count()
 
 
-def test_run_trial_matches_sweep_counts():
+@pytest.mark.parametrize("shape", [
+    dict(),
+    dict(n_r=8, n_a=8, mod_order=64),        # 9 payload bits: two words
+], ids=["4x4-4qam", "8x8-64qam"])
+def test_run_trial_matches_sweep_counts(shape):
     cfg = SimConfig(trials=128, snr_db=(4.0,), portsel="mce-tmd",
-                    precoder="mmse", detector="rttd")
+                    precoder="mmse", detector="rttd", **shape)
     sweep = run_ber_sweep(cfg)
     errors = 0
     for t in range(cfg.trials):
@@ -231,9 +245,9 @@ def test_gated_rttd_equals_both_branches_on_the_whole_batch(
         precoder, rows, gamma, branches):
     y, beta, gain, points = _detector_batch(precoder, rows)
     cfg = SimConfig(precoder=precoder, detector="rttd", gamma=gamma)
-    coarse = _energy_ratio(y) < gamma
-    k_med, m_med = _med_batch(y, beta, gain, points)
-    k_mld, m_mld = _mld_batch(y, beta, gain, points)
+    coarse = energy_ratio(y) < gamma
+    k_med, m_med = med(y, beta, gain, points)
+    k_mld, m_mld = mld(y, beta, gain, points)
     k_hat, m_hat, mask = _detect_batch("rttd", cfg, y, beta, gain, points)
     assert np.array_equal(mask, coarse)
     assert np.array_equal(k_hat, np.where(coarse, k_med, k_mld))
@@ -291,6 +305,20 @@ def test_run_trial_is_reproducible():
     b = run_trial(cfg, 3.0, 41)
     assert np.array_equal(a.tx_bits, b.tx_bits)
     assert np.array_equal(a.rx_bits, b.rx_bits)
+
+
+def test_infinite_snr_is_noiseless(recwarn):
+    for precoder in ("zf", "mmse"):
+        sw = run_ber_sweep(SimConfig(trials=300, snr_db=(float("inf"),),
+                                     portsel="tmd", precoder=precoder))
+        assert sw.points[0].bit_errors == 0
+    assert not recwarn.list
+
+
+def test_multi_detector_rejects_repeated_names():
+    cfg = SimConfig(trials=10, snr_db=(0.0, 15.0), portsel="tmd")
+    with pytest.raises(ConfigError, match="'mld' is listed more than once"):
+        run_ber_sweep_multi(cfg, ("mld", "med", "mld"))
 
 
 def test_multi_detector_equals_single_runs():
