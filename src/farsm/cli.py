@@ -37,6 +37,7 @@ from farsm.theory import (NestedSetPair, mmse_mse, zf_capacity_loss,
                           zf_capacity_loss_bound)
 
 _CONFIG_KEYS = tuple(f.name for f in fields(SimConfig))
+_MAX_SNR_POINTS = 10_000  # a start:step:stop grid larger than this is a typo
 
 
 def parse_snr_range(text: str) -> tuple[float, ...]:
@@ -52,11 +53,19 @@ def parse_snr_range(text: str) -> tuple[float, ...]:
         raise ConfigError(
             f"SNR must be a single value or start:step:stop, got {text!r}")
     start, step, stop = values
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(
+            f"SNR start, step and stop must be finite, got {text!r}")
     if step <= 0:
         raise ConfigError(f"SNR step must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"SNR stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 1e-9))
+    # checked before the grid is built; an overflowing span reads as inf
+    span = (stop - start) / step
+    if not span < _MAX_SNR_POINTS:
+        raise ConfigError(
+            f"SNR grid {text!r} has more than {_MAX_SNR_POINTS} points")
+    count = int(math.floor(span + 1e-9))
     return tuple(start + i * step for i in range(count + 1))
 
 
@@ -85,6 +94,12 @@ def load_config(path: str) -> dict:
     if "snr_db" in data:
         if not isinstance(data["snr_db"], list):
             raise ConfigError("config key 'snr_db' must be a list of numbers")
+        # float() would also take true and "10"; only JSON numbers count
+        if any(isinstance(v, bool) or not isinstance(v, (int, float))
+               for v in data["snr_db"]):
+            raise ConfigError(
+                "config key 'snr_db' must be a list of numbers, got "
+                f"{data['snr_db']!r}")
         data["snr_db"] = tuple(float(v) for v in data["snr_db"])
     return data
 

@@ -22,7 +22,11 @@ exist for the Monte Carlo engine; they implement the same decisions. The
 engine's exhaustive search (``_batch_optimal``) reads the polynomials off
 principal-minor tables of H^H H, a tile of trials per numpy call;
 ``optimal_select`` still gets them from power sums of each subset Gram,
-which agrees at N_r = 4 but loses accuracy from N_r = 8 on.
+which agrees at N_r = 4 but loses accuracy from N_r = 8 on. The engine's
+MCE-TMD (``_batch_mce_tmd``) scores only the prefix of the ranked pair list
+that a window can reach, from one H^H H per trial, then gathers each trial's
+N_b survivors and runs the same greedy kernel as TMD (``_batch_tmd``) on
+that narrower stack.
 """
 
 from __future__ import annotations
@@ -265,6 +269,9 @@ def mce_tmd_select(h: np.ndarray, pairs: SortedPairArrays, n_b: int,
     # the Gram; the whole point of stage one is that no per-iteration
     # algebra is needed. The walk below is plain Python on purpose: the
     # windowed scan over a short ranked list is cheaper than array masking.
+    # It reads the whole list, so it is the oracle for the engine's
+    # _batch_mce_tmd, which scores only the prefix a window can reach and
+    # runs stage two on the gathered survivor columns.
     scores = np.abs(gram[pairs.first - 1, pairs.second - 1]).tolist()
     firsts = pairs.first.tolist()
     seconds = pairs.second.tolist()
@@ -603,19 +610,17 @@ def _minor_capacities(hb: np.ndarray, n_a: int, kind: str, n0: float,
 # batch variants for the Monte Carlo engine
 # ---------------------------------------------------------------------------
 
-def _batch_tmd(hb: np.ndarray, n_a: int, active: np.ndarray | None = None):
-    """Greedy trace-minimizing removal on a stack of channels.
+def _batch_tmd(hb: np.ndarray, n_a: int):
+    """Greedy trace-minimizing removal on a stack of channels, from all N
+    ports down to n_a.
 
-    ``active`` optionally restricts the starting set per trial (all ports
-    when omitted); every row must hold the same count. Returns
-    (indices (B, n_a) 0-based ascending, failed (B,)).
+    Returns (indices (B, n_a) 0-based ascending, failed (B,)).
     """
-    b, n_r, n = hb.shape
-    act = np.ones((b, n), dtype=bool) if active is None else active.copy()
-    start = int(act[0].sum())
+    b, _, n = hb.shape
+    act = np.ones((b, n), dtype=bool)
     inv, failed = _screened_hermitian_inverse(
-        np.einsum("brn,bqn,bn->brq", hb, hb.conj(), act.astype(float)))
-    for _ in range(start - n_a):
+        hb @ hb.conj().transpose(0, 2, 1))
+    for _ in range(n - n_a):
         v = inv @ hb  # (B, N_r, N)
         num = np.einsum("brn,brn->bn", v.conj(), v).real
         den = 1.0 - np.einsum("brn,brn->bn", hb.conj(), v).real
@@ -641,14 +646,19 @@ def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,
 
     Same walk as mce_tmd_select, all trials at once: each removal scores
     the first n_b live entries of the ranked pair list and takes the first
-    maximum among them.
+    maximum among them. Only a prefix of the list is read: the window of
+    removal r (0-based) ends after n_b live pairs, and the r earlier
+    removals killed at most N - 1 pairs each, so no window reaches past
+    pair n_b + (N - n_b - 1)(N - 1).
     """
     b, _, n = hb.shape
-    pf = pairs.first.astype(np.intp) - 1
-    ps = pairs.second.astype(np.intp) - 1
-    inner = np.abs(np.einsum("brn,brm->bnm", hb.conj(), hb))[:, pf, ps]
-    norms2 = np.einsum("brn,brn->bn", hb.conj(), hb).real
-    alive = np.ones((b, pf.size), dtype=bool)
+    depth = min(pairs.first.size, n_b + (n - n_b - 1) * (n - 1))
+    pf = pairs.first[:depth].astype(np.intp) - 1
+    ps = pairs.second[:depth].astype(np.intp) - 1
+    gram = hb.conj().transpose(0, 2, 1) @ hb  # as mce_tmd_select's h^H h
+    inner = np.abs(gram[:, pf, ps])
+    norms2 = gram.diagonal(axis1=1, axis2=2).real
+    alive = np.ones((b, depth), dtype=bool)
     masks = np.ones((b, n), dtype=bool)
     rows = np.arange(b)
     for _ in range(n - n_b):
@@ -659,6 +669,20 @@ def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,
         masks[rows, removed] = False
         alive &= (pf != removed[:, None]) & (ps != removed[:, None])
     return masks
+
+
+def _batch_mce_tmd(hb: np.ndarray, pairs: SortedPairArrays, n_b: int,
+                   n_a: int):
+    """Two-stage MCE-TMD on a stack of channels: stage one prunes to n_b
+    ports, stage two runs _batch_tmd on each row's n_b gathered survivors.
+
+    Returns (indices (B, n_a) 0-based ascending, failed (B,)).
+    """
+    b = hb.shape[0]
+    keep = np.nonzero(_batch_mce_stage1(hb, pairs, n_b))[1].reshape(b, n_b)
+    idx, failed = _batch_tmd(np.take_along_axis(hb, keep[:, None, :], axis=2),
+                             n_a)
+    return np.take_along_axis(keep, idx, axis=1), failed
 
 
 def _batch_optimal(hb: np.ndarray, n_a: int, kind: str, n0_sel: float):

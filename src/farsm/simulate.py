@@ -50,7 +50,7 @@ from farsm.detection import energy_ratio, med
 from farsm.detection import mld as _mld_batch
 from farsm.modulation import bits_to_indices, build_qam, indices_to_bits
 from farsm.precoding import NoiseModel, _screened_hermitian_inverse
-from farsm.selection import (_batch_mce_stage1, _batch_optimal, _batch_tmd,
+from farsm.selection import (_batch_mce_tmd, _batch_optimal, _batch_tmd,
                              mce_tmd_select, optimal_select, tmd_select)
 
 _BATCH = 2048
@@ -349,8 +349,7 @@ def _select_indices(cfg: SimConfig, hb: np.ndarray,
     if cfg.portsel == "tmd":
         return _batch_tmd(hb, cfg.n_a)
     if cfg.portsel == "mce-tmd":
-        masks = _batch_mce_stage1(hb, pairs, cfg.n_b)
-        return _batch_tmd(hb, cfg.n_a, active=masks)
+        return _batch_mce_tmd(hb, pairs, cfg.n_b, cfg.n_a)
     # exhaustive: ZF ranking is noise-independent, MMSE uses the pinned level
     n0_sel = 1.0
     if cfg.precoder == "mmse":

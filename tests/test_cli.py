@@ -184,6 +184,29 @@ def test_non_finite_aperture_exits_2(capsys):
     assert "surface extents must be finite" in err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("0:nan:5", "must be finite"),
+    ("nan:1:5", "must be finite"),
+    ("0:1:inf", "must be finite"),
+    ("-inf:1:0", "must be finite"),
+    ("0:1e-300:1", "more than 10000 points"),
+    ("-1e308:1:1e308", "more than 10000 points"),
+])
+def test_malformed_snr_grid_exits_2(spec, message, capsys):
+    code, _, err = run_cli(["ber", "--trials", "5", f"--snr={spec}"], capsys)
+    assert code == 2
+    assert message in err
+
+
+def test_non_numeric_config_snr_exits_2(tmp_path, capsys):
+    for bad in ('["x"]', "[null]", "[[1]]", "[true]", '["10"]'):
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"snr_db": {bad}}}')
+        code, _, err = run_cli(["ber", "--config", str(path)], capsys)
+        assert code == 2
+        assert "'snr_db' must be a list of numbers" in err
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text('{"bogus": 1}')

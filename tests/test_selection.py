@@ -13,7 +13,8 @@ from farsm.correlation import (build_correlation_model, port_coordinates,
 from farsm.errors import ConfigError, SingularChannelError
 from farsm.precoding import NoiseModel
 from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
-                             _batch_optimal, _batch_tmd, _elementary_symmetric,
+                             _batch_mce_tmd, _batch_optimal, _batch_tmd,
+                             _elementary_symmetric,
                              _minor_capacities, _power_sums, _subset_table,
                              capacity_of_set, initial_trace_state,
                              mce_tmd_select, optimal_select, smw_downdate,
@@ -169,8 +170,7 @@ def test_mce_tmd_equals_batch_reference(default_model, draw_channel):
     for seed in range(30):
         h = draw_channel(seed)
         sel = mce_tmd_select(h, pairs, 12, 4)
-        masks = _batch_mce_stage1(h[None], pairs, 12)
-        idx, failed = _batch_tmd(h[None], 4, active=masks)
+        idx, failed = _batch_mce_tmd(h[None], pairs, 12, 4)
         assert not failed[0]
         assert list(sel) == [int(i) + 1 for i in idx[0]]
 
@@ -196,7 +196,7 @@ def test_mce_tmd_batched_stack_equals_scalar(default_model, draw_channel):
     assert (masks.sum(axis=1) == 12).all()
     assert masks[0][0] and not masks[0][1]
     assert not masks[1][0] and not masks[1][1] and masks[1][4]
-    idx, failed = _batch_tmd(hb, 4, active=masks)
+    idx, failed = _batch_mce_tmd(hb, pairs, 12, 4)
     assert not failed.any()
     for b in range(len(hb)):
         ref = mce_tmd_select(hb[b], pairs, 12, 4)
@@ -213,6 +213,56 @@ def test_mce_stage1_norm_tie_removes_larger_index(default_model):
     masks = _batch_mce_stage1(h[None], pairs, 12)
     assert masks[0][0]  # port 1 survives
     assert not masks[0][1]  # port 2 (larger index of the tie) is pruned
+
+
+def _hub_channels(pairs, n, n_b, count):
+    """Channels whose stage-one removals favour hub ports.
+
+    The N - n_b + 1 ports that sit in the most of the first 2 n_b ranked
+    pairs share one strong direction, so removals tend to hit the ports with
+    the most top-ranked pairs. This does not push a window to the prefix
+    cut: on the 4x4 grid at n_b = 12 the ranking geometry, not the channel,
+    limits window depth (no removal sequence reads past pair 23 of 57), so
+    this case checks the batched route on strongly structured channels only.
+    """
+    top = np.concatenate([pairs.first[:2 * n_b], pairs.second[:2 * n_b]])
+    degree = np.bincount(top - 1, minlength=n)
+    hubs = np.argsort(-degree, kind="stable")[:n - n_b + 1]
+    out = []
+    for seed in range(count):
+        h = random_channel(seed + 1000, 4, n)
+        u = random_channel(seed + 5000, 4, 1)
+        h[:, hubs] = (10.0 * (u + 0.1 * h[:, hubs])
+                      * (1.0 + 0.01 * np.arange(hubs.size)))
+        out.append(h)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("case", ["nb-n-minus-1", "nb-na-plus-1", "hubs",
+                                  "grid-4x5-na6"])
+def test_mce_tmd_prefix_bound_edges_equal_scalar(case, default_model):
+    # stage one reads only the first n_b + (N - n_b - 1)(N - 1) ranked
+    # pairs; the scalar walk reads the whole list, so it is the oracle
+    model, n_b, n_a = default_model, 12, 4
+    if case == "nb-n-minus-1":
+        n_b = 15  # the bound equals n_b: the one window is the whole prefix
+    elif case == "nb-na-plus-1":
+        n_b = 5  # the bound (155) exceeds the 120 pairs: all are read
+    elif case == "grid-4x5-na6":
+        model = build_correlation_model(port_coordinates(1.0, 1.0, 4, 5))
+        n_b, n_a = 10, 6
+    pairs = sorted_pair_correlations(model)
+    n = model.grid.n_ports
+    if case == "hubs":
+        hb = _hub_channels(pairs, n, n_b, 150)
+    else:
+        hb = np.stack([sample_correlated_channel(model, 4, SeededRng(s + 3000))
+                       for s in range(150)])
+    idx, failed = _batch_mce_tmd(hb, pairs, n_b, n_a)
+    assert not failed.any()
+    for b in range(len(hb)):
+        ref = mce_tmd_select(hb[b], pairs, n_b, n_a)
+        assert [int(i) + 1 for i in idx[b]] == list(ref), b
 
 
 def test_mce_tmd_validates_stage_sizes(default_model, draw_channel):

@@ -11,8 +11,9 @@ from farsm.errors import ConfigError
 from farsm.modulation import build_qam
 from farsm.precoding import NoiseModel, effective_gain_matrix, mmse_precoder
 from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _detect_batch,
-                            _draw_trials, _precode_batch, _receive_batch,
-                            _run_batches, portsel_benchmark, ratio_histogram,
+                            _draw_trials, _port_model, _precode_batch,
+                            _receive_batch, _run_batches, _select_indices,
+                            portsel_benchmark, ratio_histogram,
                             ratio_histograms, run_ber_sweep,
                             run_ber_sweep_multi, run_trial, stream_id,
                             wilson_interval, worker_count, write_ber_csv)
@@ -152,6 +153,20 @@ def test_thread_count_does_not_change_results(monkeypatch):
     assert worker_count() == 4
     threaded = run_ber_sweep(cfg)
     assert serial == threaded
+
+
+@pytest.mark.parametrize("w", [1.0, 0.5])
+def test_mce_tmd_selection_equals_one_row_calls(w):
+    # redraws select one trial at a time, so a selection must not depend
+    # on the batch it was made in
+    cfg = SimConfig(w1=w, w2=w, portsel="mce-tmd", trials=300).validate()
+    root, pairs = _port_model(cfg)
+    hb = _draw_trials(cfg, np.arange(300))[0] @ root
+    idx, failed = _select_indices(cfg, hb, pairs)
+    for b in range(300):
+        idx1, failed1 = _select_indices(cfg, hb[b:b + 1], pairs)
+        assert idx1[0].tolist() == idx[b].tolist(), b
+        assert failed1[0] == failed[b]
 
 
 def test_worker_count_rejects_garbage(monkeypatch):
