@@ -30,9 +30,9 @@ from farsm.correlation import (build_correlation_model, dump_correlation_csv,
 from farsm.errors import ConfigError, NumericalError
 from farsm.precoding import NoiseModel
 from farsm.selection import PortSet
-from farsm.simulate import (PURPOSE_THEORY, SimConfig, portsel_benchmark,
-                            ratio_histograms, run_ber_sweep, stream_id,
-                            write_ber_csv)
+from farsm.simulate import (PURPOSE_THEORY, STREAM_VERSION, SimConfig,
+                            portsel_benchmark, ratio_histograms,
+                            run_ber_sweep, stream_id, write_ber_csv)
 from farsm.theory import (NestedSetPair, mmse_mse, zf_capacity_loss,
                           zf_capacity_loss_bound)
 
@@ -339,7 +339,8 @@ def _cmd_ber(args: argparse.Namespace) -> int:
     if cfg.dump_channels:
         outputs.append(cfg.dump_channels)
     _write_manifest(args, "ber", _cfg_echo(cfg), outputs,
-                    {"redraws": sweep.redraws, **med_rows,
+                    {"stream_version": STREAM_VERSION,
+                     "redraws": sweep.redraws, **med_rows,
                      "elapsed_seconds": round(elapsed, 3)})
     return 0
 
@@ -363,7 +364,8 @@ def _cmd_ratio_hist(args: argparse.Namespace) -> int:
                 "median": h.median} for h in hists]
     outputs = _emit(args, render, payload)
     _write_manifest(args, "ratio-hist", _cfg_echo(cfg), outputs,
-                    {"medians": [[h.snr_db, h.median] for h in hists],
+                    {"stream_version": STREAM_VERSION,
+                     "medians": [[h.snr_db, h.median] for h in hists],
                      "elapsed_seconds": round(elapsed, 3)})
     return 0
 

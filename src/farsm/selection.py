@@ -20,7 +20,9 @@ All port indices at this interface are 1-based, matching the grid layout.
 Internal helpers prefixed with ``_batch`` operate on stacks of channels and
 exist for the Monte Carlo engine; they implement the same decisions. The
 engine's exhaustive search (``_batch_optimal``) reads the polynomials off
-principal-minor tables of H^H H, a tile of trials per numpy call;
+principal-minor tables of H^H H, a tile of trials per numpy call; each
+table entry is a sum of squared magnitudes |det H[R, J]|^2, formed by
+elementwise squares and row sums in the tile's own buffers;
 ``optimal_select`` still gets them from power sums of each subset Gram,
 which agrees at N_r = 4 but loses accuracy from N_r = 8 on. The engine's
 MCE-TMD (``_batch_mce_tmd``) scores only the prefix of the ranked pair list
@@ -54,12 +56,16 @@ _EXHAUSTIVE_MAX_PORTS = 20
 
 # _batch_optimal scores trials in tiles: as many trials as keep the widest
 # level of their minor tables (C(N_r, k) C(N, k) complex entries per trial)
-# within this count, about 220 KiB. A level and its three working arrays
-# then stay well inside a 2 MiB L2 cache, and peak memory stays bounded for
-# every N_r <= 8. At N_r = 4, N = 16 a tile is 6 trials, the fastest under
-# ZF on a 2-core Xeon with numpy 2.4 (4 to 8 trials ran within 15% of each
-# other; 7 or more raised peak memory).
-_OPTIMAL_TILE_MINORS = 14_000
+# within this count, 560 KiB per table; the workspace holds four. Larger
+# tiles spread the fixed cost of each numpy call over more trials, until
+# the tables fall out of cache. At N_r = 4, N = 16 a tile is 16 trials.
+# Under ZF on a 2-core AMD EPYC VM with numpy 2.4, a 256-trial search took
+# 43% longer at 6 trials per tile, 18% at 8, 10% at 12, 3% at 20 and the
+# same at 24 (medians of 40 interleaved calls). Peak memory grows with the
+# tile: the zf-optimal benchmark peaked 1.1 MB higher at 16 than at 12, and
+# 2.6 MB (5.9%) higher than with 6-trial tiles and the einsum level sums.
+# At N_r = 8 a tile is one trial.
+_OPTIMAL_TILE_MINORS = 35_840
 
 
 @dataclass(frozen=True)
@@ -317,7 +323,13 @@ def mce_tmd_select(h: np.ndarray, pairs: SortedPairArrays, n_b: int,
 # k x k minor of H is tabulated once per trial, k = 1..N_r, each level by a
 # Laplace expansion along the last column from the level below; the squared
 # magnitudes are summed over R into P_k[J]; and a candidate's e_k is the sum
-# of its C(N_a, k) entries of P_k. Every term of these sums is >= 0, so they
+# of its C(N_a, k) entries of P_k. A level's sum is three elementwise
+# passes: the real and imaginary parts are squared in one contiguous pass
+# over a float view of the table, each pair is added into |det H[R, J]|^2,
+# and the row subsets are added in order (k = N_r has a single one and
+# needs no sum). An einsum over the 2-wide re/im axis and the R axis does
+# the same additions in the same order but costs about four times as much
+# on axes that short. Every term of these sums is >= 0, so they
 # never cancel: at N_r = 8 on a half-wavelength aperture the capacities
 # still agree with capacity_of_set to 1e-8 relative. Row and column subsets
 # are indexed in colexicographic order, where the 0-based subset
@@ -382,8 +394,11 @@ def _shifted_elementary(es: list[np.ndarray], c: float, n: int) -> list[np.ndarr
 def _charpoly_eval(es: list[np.ndarray], x: complex, n: int) -> np.ndarray:
     """prod_k (sigma_k - x) from the elementary symmetric polynomials."""
     e_ext = [np.ones_like(es[0])] + es
-    acc = np.zeros_like(es[0], dtype=complex)
-    for j in range(0, n + 1):
+    # the j = 0 and 1 terms without **, which would run numpy's elementwise
+    # complex power; (-x)^0 = 1 and (-x)^1 = -x exactly, so every sum is
+    # unchanged
+    acc = e_ext[n] + e_ext[n - 1] * -x
+    for j in range(2, n + 1):
         acc += e_ext[n - j] * ((-x) ** j)
     return acc
 
@@ -395,7 +410,11 @@ def _zf_capacity(det, e_below, n0: float, n_r: int):
     definite. Call under np.errstate(divide/invalid="ignore").
     """
     tr_inv = e_below / det
-    cap = n_r * np.log2(1.0 + 1.0 / (tr_inv * n0))
+    cap = np.multiply(tr_inv, n0)
+    np.divide(1.0, cap, out=cap)
+    cap += 1.0
+    np.log2(cap, out=cap)
+    cap *= n_r
     return cap, ~(det > 0) | ~(tr_inv > 0)
 
 
@@ -491,15 +510,16 @@ def _laplace_plan(n_r: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _minor_workspace(n_r: int, n: int, b: int) -> tuple[np.ndarray, ...]:
     """Four flat complex buffers, each holding the widest k x k minor table
-    (k >= 2) of an N_r x N matrix for b trials.
+    (k >= 1) of an N_r x N matrix for b trials. Level 1 counts because the
+    level sums use two of the buffers as scratch.
 
     _principal_minors fills them level by level instead of allocating a
     table per level. Tables of tens to hundreds of KB, freed and allocated
     again on every tile, can each be mapped fresh by the allocator and
     page-fault on first touch; one workspace per exhaustive search does not.
     """
-    widest = max((math.comb(n_r, k) * math.comb(n, k)
-                  for k in range(2, n_r + 1)), default=0)
+    widest = max(math.comb(n_r, k) * math.comb(n, k)
+                 for k in range(1, n_r + 1))
     return tuple(np.empty(widest * b, dtype=complex) for _ in range(4))
 
 
@@ -539,9 +559,17 @@ def _principal_minors(hb: np.ndarray, levels: set[int],
                 else:
                     minors += term
         if k in levels:
-            # |det H[R, J]|^2 summed over R, on a float view of re and im
-            parts = minors.view(np.float64).reshape(math.comb(n_r, k), -1, b, 2)
-            out[k] = np.einsum("rjbt,rjbt->jb", parts, parts)
+            # |det H[R, J]|^2 summed over R (see the section comment), in
+            # the two buffers this level's Laplace terms no longer need
+            rows = math.comb(n_r, k)
+            sq = np.square(minors.view(np.float64).ravel(),
+                           out=work[2].view(np.float64)[:2 * minors.size])
+            if rows == 1:
+                out[k] = np.add(sq[0::2], sq[1::2]).reshape(-1, b)
+            else:
+                mag = np.add(sq[0::2], sq[1::2],
+                             out=work[3].view(np.float64)[:minors.size])
+                out[k] = mag.reshape(rows, -1).sum(axis=0).reshape(-1, b)
     return out
 
 
@@ -603,7 +631,9 @@ def _minor_capacities(hb: np.ndarray, n_a: int, kind: str, n0: float,
         else:
             cap, bad = _mmse_capacity([es[k] for k in range(1, n_r + 1)],
                                       n0, n_r)
-    return np.where(bad | ~np.isfinite(cap), -np.inf, cap).T
+    bad |= ~np.isfinite(cap)
+    cap[bad] = -np.inf
+    return cap.T
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,11 @@ _PRECODERS = ("zf", "mmse")
 _PORTSELS = ("optimal", "tmd", "mce-tmd", "first")
 _DETECTORS = ("mld", "med", "rttd")
 
+# Version of the random streams a sweep draws from (the stream-id layout
+# below and the order of the draws in _draw_trials). Manifests record it;
+# a change that moves any seeded number bumps it.
+STREAM_VERSION = 1
+
 # stream-id layout: bits 0..39 trial, 40..47 redraw attempt, 48..55 purpose
 PURPOSE_TRIAL = 0
 PURPOSE_THEORY = 1

@@ -106,6 +106,16 @@ def test_ber_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["outputs"] == [str(out)]
 
 
+@pytest.mark.parametrize("command", ["ber", "ratio-hist"])
+def test_manifest_records_stream_version(command, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    code, _, _ = run_cli([command, "--trials", "20", "--snr", "5",
+                          "--portsel", "tmd", "--out", str(out)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["stream_version"] == 1
+
+
 def test_manifest_config_reproduces_run(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     code, _, _ = run_cli(["ber", "--trials", "60", "--snr", "4", "--portsel",

@@ -14,11 +14,12 @@ from farsm.errors import ConfigError, SingularChannelError
 from farsm.precoding import NoiseModel
 from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
                              _batch_mce_tmd, _batch_optimal, _batch_tmd,
-                             _elementary_symmetric,
-                             _minor_capacities, _power_sums, _subset_table,
-                             capacity_of_set, initial_trace_state,
-                             mce_tmd_select, optimal_select, smw_downdate,
-                             tmd_select, tmd_trace_metric)
+                             _elementary_symmetric, _minor_capacities,
+                             _minor_workspace, _power_sums, _principal_minors,
+                             _subset_table, capacity_of_set,
+                             initial_trace_state, mce_tmd_select,
+                             optimal_select, smw_downdate, tmd_select,
+                             tmd_trace_metric)
 
 
 def gram_trace_inverse(h, ports):
@@ -299,6 +300,28 @@ def compact_model():
     """3 x 4 ports on a half-by-half wavelength aperture: strongly
     correlated, so subset Grams are ill conditioned."""
     return build_correlation_model(port_coordinates(0.5, 0.5, 3, 4))
+
+
+@pytest.mark.parametrize("n_r,n", [(2, 6), (4, 16), (8, 12)])
+def test_principal_minors_match_cauchy_binet_at_every_level(n_r, n):
+    # P_k[J] = sum_R |det H[R, J]|^2 over the k-row subsets R, from
+    # np.linalg.det on every (R, J), at every level k = 1..N_r: ZF reads
+    # only levels {1, N_r - 1, N_r}, and the capacity tests reach the
+    # others only through MMSE capacities
+    hb = np.stack([random_channel(seed + 40, n_r, n) for seed in range(3)])
+    levels = set(range(1, n_r + 1))
+    tables = _principal_minors(hb, levels, _minor_workspace(n_r, n, 3))
+    assert sorted(tables) == sorted(levels)
+    for k in levels:
+        rows = np.array(list(itertools.combinations(range(n_r), k)))
+        # column subsets in colex order: sorted by their largest element
+        # first, which is lexicographic order on the reversed tuples
+        cols = np.array(sorted(itertools.combinations(range(n), k),
+                               key=lambda c: c[::-1]))
+        sub = hb[:, rows[:, None, :, None], cols[None, :, None, :]]
+        ref = (np.abs(np.linalg.det(sub)) ** 2).sum(axis=1)  # (B, C(N, k))
+        assert tables[k].shape == (len(cols), 3)
+        np.testing.assert_allclose(tables[k], ref.T, rtol=1e-10, atol=0)
 
 
 @pytest.mark.parametrize("kind", ["zf", "mmse"])
