@@ -37,12 +37,14 @@ FIRST_SEED = 100
 MMSE_SELECT_SNR_DB = 10.0
 
 # SimConfig fields of each case, on top of the 4x4 one-wavelength default;
-# mce-tmd keeps N_a < N_b < N
+# mce-tmd keeps N_a < N_b < N. At N_r = 2 the receive-row sums of the TMD
+# kernel are a single add.
 CASES = {
     "w1": {},
     "w0.5": {"w1": 0.5, "w2": 0.5},
     "w2": {"w1": 2.0, "w2": 2.0},
     "na5": {"n_a": 5},
+    "nr2": {"n_r": 2, "n_a": 2},
     "nr8": {"n_r": 8, "n_a": 8, "n1": 3, "n2": 4, "n_b": 10},
 }
 

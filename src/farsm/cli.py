@@ -307,6 +307,13 @@ def _write_manifest(args: argparse.Namespace, command: str, cfg_echo: dict,
         sys.stderr.write("\n")
 
 
+def _run_timing(trials: int, elapsed: float) -> dict:
+    """Manifest fields for the wall time of a run of ``trials`` trials (each
+    shared by every SNR point)."""
+    return {"elapsed_seconds": round(elapsed, 3),
+            "trials_per_second": round(trials / elapsed, 1)}
+
+
 def _cfg_echo(cfg: SimConfig) -> dict:
     echo = asdict(cfg)
     echo["snr_db"] = list(cfg.snr_db)
@@ -341,7 +348,7 @@ def _cmd_ber(args: argparse.Namespace) -> int:
     _write_manifest(args, "ber", _cfg_echo(cfg), outputs,
                     {"stream_version": STREAM_VERSION,
                      "redraws": sweep.redraws, **med_rows,
-                     "elapsed_seconds": round(elapsed, 3)})
+                     **_run_timing(cfg.trials, elapsed)})
     return 0
 
 
@@ -366,7 +373,7 @@ def _cmd_ratio_hist(args: argparse.Namespace) -> int:
     _write_manifest(args, "ratio-hist", _cfg_echo(cfg), outputs,
                     {"stream_version": STREAM_VERSION,
                      "medians": [[h.snr_db, h.median] for h in hists],
-                     "elapsed_seconds": round(elapsed, 3)})
+                     **_run_timing(cfg.trials, elapsed)})
     return 0
 
 

@@ -645,29 +645,66 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
     ports down to n_a.
 
     Returns (indices (B, n_a) 0-based ascending, failed (B,)).
+
+    Each step scores every port with V = A H for the inverse Gram A: num =
+    sum_r |v_rn|^2, den = 1 - sum_r Re(conj(h_rn) v_rn) and cost num / den,
+    then applies the rank-one update of smw_downdate for the cheapest port.
+    The steps work in buffers allocated once per call. num and den are sums
+    over float64 views with exactly the additions einsum("brn,brn->bn")
+    makes on conj(V) V and conj(H) V, in its order: re^2 + im^2 (or the re
+    and im products) per entry, then the rows r = 0, 1, ... Another order
+    moves the last bit of some costs, and with it seeded selections.
     """
     b, _, n = hb.shape
+    hb = np.ascontiguousarray(hb)
     act = np.ones((b, n), dtype=bool)
     inv, failed = _screened_hermitian_inverse(
         hb @ hb.conj().transpose(0, 2, 1))
+    rows = np.arange(b)
+    v = np.empty_like(hb)
+    hf, vf = hb.view(np.float64), v.view(np.float64)  # (B, N_r, 2N)
+    prod = np.empty(vf.shape)
+    terms = np.empty(hb.shape, dtype=np.float64)
+    num, den, cost = (np.empty((b, n)) for _ in range(3))
+    skip = np.empty((b, n), dtype=bool)
+    outer = np.empty_like(inv)
     for _ in range(n - n_a):
-        v = inv @ hb  # (B, N_r, N)
-        num = np.einsum("brn,brn->bn", v.conj(), v).real
-        den = 1.0 - np.einsum("brn,brn->bn", hb.conj(), v).real
-        cost = np.where(act & (den > REMOVAL_EPS),
-                        num / np.maximum(den, REMOVAL_EPS), np.inf)
+        np.matmul(inv, hb, out=v)
+        _pair_row_sums(np.multiply(vf, vf, out=prod), terms, num)
+        _pair_row_sums(np.multiply(hf, vf, out=prod), terms, den)
+        np.subtract(1.0, den, out=den)
+        # cost = num / den on active ports with den > REMOVAL_EPS (NaN
+        # fails the test too), inf elsewhere
+        np.greater(den, REMOVAL_EPS, out=skip)
+        np.logical_and(skip, act, out=skip)
+        np.logical_not(skip, out=skip)
+        np.divide(num, np.maximum(den, REMOVAL_EPS, out=cost), out=cost)
+        np.putmask(cost, skip, np.inf)
         j = np.argmin(cost, axis=1)
-        bad = ~np.isfinite(np.take_along_axis(cost, j[:, None], 1)[:, 0])
+        bad = ~np.isfinite(cost[rows, j])
         failed |= bad
         # dead rows still must shed exactly one active port to keep counts
-        j = np.where(bad, np.argmax(act, axis=1), j)
-        vj = np.take_along_axis(v, j[:, None, None], axis=2)[:, :, 0]
-        dj = np.take_along_axis(den, j[:, None], axis=1)[:, 0]
-        dj = np.where(np.abs(dj) > REMOVAL_EPS, dj, 1.0)  # dead rows only
-        inv = inv + vj[:, :, None] * vj.conj()[:, None, :] / dj[:, None, None]
-        np.put_along_axis(act, j[:, None], False, axis=1)
+        j[bad] = np.argmax(act[bad], axis=1)
+        vj = v[rows, :, j]  # (B, N_r)
+        dj = den[rows, j]
+        dj[~(np.abs(dj) > REMOVAL_EPS)] = 1.0  # dead rows only
+        np.multiply(vj[:, :, None], vj.conj()[:, None, :], out=outer)
+        np.divide(outer, dj[:, None, None], out=outer)
+        inv += outer
+        act[rows, j] = False
     idx = np.nonzero(act)[1].reshape(b, n_a)
     return idx, failed
+
+
+def _pair_row_sums(prod: np.ndarray, terms: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """out[b, n] = sum_r (prod[b, r, 2n] + prod[b, r, 2n + 1]) for N_r >= 2,
+    the rows added in order r = 0, 1, ...; ``terms`` (B, N_r, N) is scratch."""
+    np.add(prod[..., 0::2], prod[..., 1::2], out=terms)
+    np.add(terms[:, 0], terms[:, 1], out=out)
+    for r in range(2, terms.shape[1]):
+        out += terms[:, r]
+    return out
 
 
 def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,

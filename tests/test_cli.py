@@ -116,6 +116,20 @@ def test_manifest_records_stream_version(command, tmp_path, capsys):
     assert manifest["stream_version"] == 1
 
 
+@pytest.mark.parametrize("command", ["ber", "ratio-hist"])
+def test_manifest_records_trials_per_second(command, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    code, _, _ = run_cli([command, "--trials", "30", "--snr", "0:5:10",
+                          "--portsel", "tmd", "--out", str(out)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    # trials, not trial-points: each trial serves all three SNR points.
+    # elapsed_seconds is rounded to the millisecond, the rate to 0.1.
+    rate, elapsed = manifest["trials_per_second"], manifest["elapsed_seconds"]
+    assert rate > 0
+    assert abs(rate * elapsed - 30) <= rate * 5e-4 + 0.05 * elapsed + 1e-9
+
+
 def test_manifest_config_reproduces_run(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     code, _, _ = run_cli(["ber", "--trials", "60", "--snr", "4", "--portsel",

@@ -283,6 +283,60 @@ def test_batch_tmd_equals_singleton(draw_channel):
         assert [int(i) + 1 for i in idx[b]] == list(tmd_select(hb[b], 4))
 
 
+@pytest.mark.parametrize("n_r,n1,n2,n_a", [
+    (2, 2, 3, 2),   # two receive rows: the in-order row sum is one add
+    (4, 4, 4, 6),
+    (8, 3, 4, 8),
+    (8, 3, 4, 9),
+], ids=["nr2-2x3", "nr4-4x4-na6", "nr8-3x4-na8", "nr8-3x4-na9"])
+def test_batch_tmd_equals_scalar_across_shapes(n_r, n1, n2, n_a):
+    model = build_correlation_model(port_coordinates(1.0, 1.0, n1, n2))
+    hb = np.stack([sample_correlated_channel(model, n_r, SeededRng(s + 4000))
+                   for s in range(60)])
+    idx, failed = _batch_tmd(hb, n_a)
+    assert not failed.any()
+    for b in range(60):
+        assert [int(i) + 1 for i in idx[b]] == list(tmd_select(hb[b], n_a)), b
+
+
+def test_batch_tmd_degenerate_rows(draw_channel):
+    # healthy draws interleaved with channels whose Gram is singular. The
+    # stack screen (1-norm condition) and tmd_select's check (2-norm) differ
+    # by at most a factor N_r, so only clear-cut rows are used: every
+    # degenerate row has a Gram condition far beyond MAX_CONDITION.
+    n_a, n = 4, 16
+    degenerate = {
+        "rank-one": np.tile(random_channel(1, 4, 1), (1, n)),
+        "rank-two": random_channel(2, 4, 2) @ random_channel(3, 2, n),
+        "zero-row": draw_channel(3).copy(),
+        "zero": np.zeros((4, n), dtype=complex),
+        "one-port": np.zeros((4, n), dtype=complex),
+    }
+    degenerate["zero-row"][2] = 0
+    degenerate["one-port"][:, 5] = random_channel(4, 4, 1)[:, 0]
+    rows = []
+    for s, h in enumerate(degenerate.values()):
+        rows += [draw_channel(s + 900), h, draw_channel(s + 950)]
+    hb = np.stack(rows)
+    idx, failed = _batch_tmd(hb, n_a)
+    assert failed.sum() == len(degenerate)
+    assert idx.shape == (len(rows), n_a)
+    assert np.all(np.diff(idx, axis=1) > 0)
+    assert idx.min() >= 0 and idx.max() < n
+    for b, h in enumerate(rows):
+        try:
+            ref = tmd_select(h, n_a)
+        except SingularChannelError:
+            ref = None
+        assert failed[b] == (ref is None), b
+        if ref is not None:
+            assert [int(i) + 1 for i in idx[b]] == list(ref), b
+    # an all-zero channel has no inverse at all, so every step it sheds its
+    # first active port and keeps the last n_a
+    zero = 3 * list(degenerate).index("zero") + 1
+    assert idx[zero].tolist() == list(range(n - n_a, n))
+
+
 @pytest.mark.parametrize("kind,n0", [("zf", 1.0), ("mmse", 0.0316)])
 def test_batch_optimal_equals_singleton(kind, n0, draw_channel):
     # pins the engine's minor-table kernel to the scalar power-sum route at
