@@ -3,9 +3,9 @@
 Three strategies pick N_a of the N fluid-antenna ports per channel draw:
 
 * ``optimal_select``: exhaustive capacity maximization over all C(N, N_a)
-  subsets. Exact but combinatorial; guarded to N <= 20. Capacities come
-  from the elementary symmetric polynomials of each subset Gram, not from
-  a factorization per subset (see "exact subset capacities").
+  subsets. Exact but combinatorial; guarded to N <= 20. Each candidate's
+  capacity comes from the singular values of its N_r x N_a channel, all
+  candidates in one batched SVD (``_subset_capacities``).
 * ``tmd_select``: greedy removal of N - N_a ports, each step discarding the
   port whose removal grows tr((H H^H)^(-1)) the least. The growth caused by
   removing column h from an active set with inverse Gram A is
@@ -18,17 +18,19 @@ Three strategies pick N_a of the N fluid-antenna ports per channel draw:
 
 All port indices at this interface are 1-based, matching the grid layout.
 Internal helpers prefixed with ``_batch`` operate on stacks of channels and
-exist for the Monte Carlo engine; they implement the same decisions. The
-engine's exhaustive search (``_batch_optimal``) reads the polynomials off
-principal-minor tables of H^H H, a tile of trials per numpy call; each
-table entry is a sum of squared magnitudes |det H[R, J]|^2, formed by
-elementwise squares and row sums in the tile's own buffers;
-``optimal_select`` still gets them from power sums of each subset Gram,
-which agrees at N_r = 4 but loses accuracy from N_r = 8 on. The engine's
-MCE-TMD (``_batch_mce_tmd``) scores only the prefix of the ranked pair list
-that a window can reach, from one H^H H per trial, then gathers each trial's
-N_b survivors and runs the same greedy kernel as TMD (``_batch_tmd``) on
-that narrower stack.
+exist for the Monte Carlo engine. The greedy trace rule has one
+implementation, ``_batch_tmd``: ``tmd_select`` is its one-row case, and
+``mce_tmd_select`` and the engine's ``_batch_mce_tmd`` run their stage two
+through it on the gathered survivor columns. ``TraceState``,
+``tmd_trace_metric`` and ``smw_downdate`` spell the rule out one port at a
+time and are its oracle. Stage one has two walks: ``mce_tmd_select`` reads
+the whole ranked pair list and is the oracle of ``_batch_mce_stage1``, which
+scores only the prefix a window can reach, from one H^H H per trial. The
+engine's exhaustive search (``_batch_optimal``) gets each candidate's Gram
+polynomials from principal-minor tables of H^H H, a tile of trials per numpy
+call; each table entry is a sum of squared magnitudes |det H[R, J]|^2,
+formed by elementwise squares and row sums in the tile's own buffers.
+``_subset_capacities`` is its reference.
 """
 
 from __future__ import annotations
@@ -149,6 +151,39 @@ def optimal_select(h: np.ndarray, n_a: int, precoder_kind: str,
     return PortSet(tuple(int(p) + 1 for p in subsets[best]))
 
 
+def _subset_capacities(h: np.ndarray, subsets: np.ndarray, kind: str,
+                       n0: float) -> np.ndarray:
+    """Capacity of every candidate subset of ``h`` (N_r x N), one SVD each.
+
+    With lambda the squared singular values of H_I and c = N_r N_0, the
+    precoded channel is beta G, G = U diag(g) U^H: ZF has g = 1 and
+    beta^2 = N_r / sum 1 / lambda; MMSE has g = lambda / (lambda + c) and
+    beta^2 = N_r / sum lambda / (lambda + c)^2. The capacity is
+    sum log2(1 + beta^2 g^2 / c). A candidate scores -inf where
+    capacity_of_set raises: when the Gram its precoder inverts (H_I H_I^H,
+    plus c I under MMSE) has a 2-norm condition above MAX_CONDITION.
+    """
+    if kind not in ("zf", "mmse"):
+        raise ValueError(f"unknown precoder kind {kind!r}")
+    n_r = h.shape[0]
+    c = n_r * n0
+    # (S, N_r), each row in descending order
+    lam = np.linalg.svd(np.moveaxis(h[:, subsets], 0, 1),
+                        compute_uv=False) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "zf":
+            d = lam
+            beta2 = n_r / np.sum(1.0 / lam, axis=1)
+            cap = n_r * np.log2(1.0 + beta2 / c)
+        else:
+            d = lam + c
+            beta2 = n_r / np.sum(lam / d ** 2, axis=1)
+            cap = np.log2(1.0 + beta2[:, None] * (lam / d) ** 2 / c).sum(axis=1)
+        bad = ~(d[:, 0] / d[:, -1] <= MAX_CONDITION) | ~np.isfinite(cap)
+    cap[bad] = -np.inf
+    return cap
+
+
 # ---------------------------------------------------------------------------
 # greedy trace-minimizing removal
 # ---------------------------------------------------------------------------
@@ -212,43 +247,29 @@ def smw_downdate(state: TraceState, port: int, h: np.ndarray) -> TraceState:
     return TraceState(inverse=inv, active=active)
 
 
-def _greedy_trace_removal(inv: np.ndarray, active: list[int], h: np.ndarray,
-                          stop: int) -> list[int]:
-    """Shared greedy loop: peel ports until ``stop`` remain.
-
-    Reuses the cost intermediates for the rank-one inverse update, so each
-    step costs one matvec batch instead of recomputing A h for the removed
-    column; decisions are identical to composing tmd_trace_metric with
-    smw_downdate.
-    """
-    cols = h[:, np.asarray(active, dtype=np.intp) - 1]
-    while len(active) > stop:
-        v = inv @ cols
-        num = np.einsum("ij,ij->j", v.conj(), v).real
-        den = 1.0 - np.einsum("ij,ij->j", cols.conj(), v).real
-        costs = np.where(den > REMOVAL_EPS,
-                         num / np.maximum(den, REMOVAL_EPS), np.inf)
-        j = int(np.argmin(costs))  # first minimum = smallest active port
-        if not np.isfinite(costs[j]):
-            raise SingularChannelError("no removable port left")
-        vj = v[:, j]
-        inv = inv + np.outer(vj, vj.conj()) / den[j]
-        del active[j]
-        cols = np.delete(cols, j, axis=1)
-    return active
-
-
 def tmd_select(h: np.ndarray, n_a: int) -> PortSet:
     """Greedy trace-minimizing removal down to n_a active ports.
 
-    Ties on the removal metric resolve to the smallest port index.
+    The one-row case of _batch_tmd: ties on the removal metric resolve to
+    the smallest port index, and a row that _batch_tmd fails (its Gram
+    fails the condition screen) raises SingularChannelError.
     """
     n = h.shape[1]
-    if not h.shape[0] <= n_a <= n:
-        raise ValueError(f"need N_r <= N_a <= N, got N_a={n_a}")
-    state = initial_trace_state(h)
-    return PortSet(tuple(
-        _greedy_trace_removal(state.inverse, list(state.active), h, n_a)))
+    if not 2 <= h.shape[0] <= n_a <= n:
+        raise ValueError(f"need 2 <= N_r <= N_a <= N, got N_r={h.shape[0]}, "
+                         f"N_a={n_a}, N={n}")
+    return _tmd_ports(h, np.arange(n), n_a)
+
+
+def _tmd_ports(h: np.ndarray, cols: np.ndarray, n_a: int) -> PortSet:
+    """_batch_tmd on the columns ``cols`` (0-based) of one channel, as a
+    PortSet; raises SingularChannelError when the row fails."""
+    idx, failed = _batch_tmd(h[None, :, cols].astype(complex, copy=False),
+                             n_a)
+    if failed[0]:
+        raise SingularChannelError(
+            "active-port Gram matrix is singular or ill conditioned")
+    return PortSet(tuple(int(p) + 1 for p in cols[idx[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +284,22 @@ def mce_tmd_select(h: np.ndarray, pairs: SortedPairArrays, n_b: int,
     entries of the geometry-ranked pair list (pairs containing removed ports
     drop out), find the pair with the largest channel inner product
     |h_n^H h_nbar| and remove its smaller-norm member; on a norm tie the
-    larger port index goes. Stage two is tmd_select on the survivors.
+    larger port index goes. Stage two runs _batch_tmd on the survivors'
+    columns.
     """
     n = h.shape[1]
-    if not h.shape[0] <= n_a < n_b < n:
+    if not 2 <= h.shape[0] <= n_a < n_b < n:
         raise ValueError(
-            f"need N_r <= N_a < N_b < N, got N_a={n_a}, N_b={n_b}, N={n}")
+            f"need 2 <= N_r <= N_a < N_b < N, got N_r={h.shape[0]}, "
+            f"N_a={n_a}, N_b={n_b}, N={n}")
     gram = h.conj().T @ h
     norms2 = gram.diagonal().real
     # pair scores never change (h is fixed), so compute them all once from
     # the Gram; the whole point of stage one is that no per-iteration
     # algebra is needed. The walk below is plain Python on purpose: the
     # windowed scan over a short ranked list is cheaper than array masking.
-    # It reads the whole list, so it is the oracle for the engine's
-    # _batch_mce_tmd, which scores only the prefix a window can reach and
-    # runs stage two on the gathered survivor columns.
+    # It reads the whole list, so it is the oracle of the engine's
+    # _batch_mce_stage1, which scores only the prefix a window can reach.
     scores = np.abs(gram[pairs.first - 1, pairs.second - 1]).tolist()
     firsts = pairs.first.tolist()
     seconds = pairs.second.tolist()
@@ -300,23 +322,23 @@ def mce_tmd_select(h: np.ndarray, pairs: SortedPairArrays, n_b: int,
         lo, hi = firsts[best_pos], seconds[best_pos]
         dead.add(lo if norms2[hi - 1] > norms2[lo - 1] else hi)
 
-    survivors = tuple(p for p in range(1, n + 1) if p not in dead)
-    state = initial_trace_state(h, PortSet(survivors))
-    return PortSet(tuple(
-        _greedy_trace_removal(state.inverse, list(state.active), h, n_a)))
+    survivors = [p for p in range(n) if p + 1 not in dead]
+    return _tmd_ports(h, np.asarray(survivors, dtype=np.intp), n_a)
 
 
 # ---------------------------------------------------------------------------
-# exact subset capacities
+# subset capacities from principal-minor tables
 # ---------------------------------------------------------------------------
 # Both capacities are functions of the elementary symmetric polynomials e_k
 # of a candidate's N_r x N_r Gram W = H_I H_I^H: ZF needs
 # tr(W^-1) = e_{N_r-1} / e_{N_r}, and the regularized MMSE quantities are
 # polynomial shifts of all of them. Scoring all C(N, N_a) candidates one
-# factorization at a time would dominate the Monte Carlo budget, so the e_k
-# come from tables shared by every candidate of a trial.
+# factorization at a time, as optimal_select does, would dominate the Monte
+# Carlo budget, so the engine's kernel (_minor_capacities) takes the e_k
+# from tables shared by every candidate of a trial, and
+# _subset_capacities, one SVD per candidate, is its reference.
 #
-# The engine's kernel (_minor_capacities) uses principal minors. By
+# The tables hold principal minors. By
 # Cauchy-Binet, e_k(W) is the sum of the k x k principal minors of K = H^H H
 # over the candidate's columns, and each of those is
 # det K[J, J] = sum_R |det H[R, J]|^2 over the k-row subsets R. So every
@@ -335,48 +357,6 @@ def mce_tmd_select(h: np.ndarray, pairs: SortedPairArrays, n_b: int,
 # are indexed in colexicographic order, where the 0-based subset
 # j_1 < ... < j_k has rank sum_t C(j_t, t), so dropping the largest element
 # only drops its own term.
-#
-# The scalar optimal_select still takes the e_k from power sums through
-# Newton's identities (_subset_capacities). That route cancels: it agrees at
-# N_r = 4, but at N_r = 8 on the same aperture it is off by several times
-# the true capacity and calls well-conditioned subsets singular.
-
-def _power_sums(g: np.ndarray, n: int) -> list[np.ndarray]:
-    """tr(G^k), k = 1..n, for a stack of Hermitian matrices g (..., n, n)."""
-    p1 = np.trace(g, axis1=-2, axis2=-1).real
-    if n == 1:
-        return [p1]
-    p2 = np.einsum("...ij,...ij->...", g, g.conj()).real
-    if n == 2:
-        return [p1, p2]
-    g2 = g @ g
-    p3 = np.einsum("...ij,...ji->...", g2, g).real
-    if n == 3:
-        return [p1, p2, p3]
-    p4 = np.einsum("...ij,...ij->...", g2, g2.conj()).real
-    if n == 4:
-        return [p1, p2, p3, p4]
-    ps = [p1, p2, p3, p4]
-    gk = g2 @ g2
-    for _ in range(5, n + 1):
-        gk = gk @ g
-        ps.append(np.trace(gk, axis1=-2, axis2=-1).real)
-    return ps
-
-
-def _elementary_symmetric(ps: list[np.ndarray]) -> list[np.ndarray]:
-    """Newton's identities: elementary symmetric polynomials e_1..e_n from
-    power sums p_1..p_n."""
-    es: list[np.ndarray] = []
-    for k in range(1, len(ps) + 1):
-        # e_k = (1/k) sum_{m=0}^{k-1} (-1)^(k-m-1) e_m p_{k-m}, e_0 = 1
-        acc = ps[k - 1].copy() if k % 2 else -ps[k - 1].copy()
-        for m in range(1, k):
-            term = es[m - 1] * ps[k - 1 - m]
-            acc += term if (k - m) % 2 else -term
-        es.append(acc / k)
-    return es
-
 
 def _shifted_elementary(es: list[np.ndarray], c: float, n: int) -> list[np.ndarray]:
     """Elementary symmetric polynomials of {sigma_i + c} from those of
@@ -439,35 +419,6 @@ def _mmse_capacity(es: list[np.ndarray], n0: float, n_r: int):
     q = _charpoly_eval(es, r, n_r)
     cap = n_r * np.log2(a) + 2.0 * np.log2(np.abs(q)) - 2.0 * np.log2(f_n)
     return cap, ~(t > 0) | ~(f_n > 0)
-
-
-def _subset_capacities(h: np.ndarray, subsets: np.ndarray, kind: str,
-                       n0: float) -> np.ndarray:
-    """Capacity of every candidate subset of ``h`` (N_r x N), from power sums.
-
-    Singular candidates score -inf. Matches capacity_of_set up to float
-    round-off at N_r = 4; see the section comment for larger N_r.
-    """
-    n_r = h.shape[0]
-    if subsets.shape[1] == n_r:
-        # square case: H_I H_I^H and H_I^H H_I share their spectrum, and the
-        # latter is a plain submatrix of the all-pairs inner product table
-        k = h.conj().T @ h
-        w = k[subsets[:, :, None], subsets[:, None, :]]
-    else:
-        hs = np.moveaxis(h[:, subsets], 0, 1)  # (S, N_r, N_a)
-        w = hs @ hs.conj().transpose(0, 2, 1)
-    es = _elementary_symmetric(_power_sums(w, n_r))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "zf":
-            cap, bad = _zf_capacity(es[-1], es[-2] if n_r > 1 else 1.0,
-                                    n0, n_r)
-        elif kind == "mmse":
-            cap, bad = _mmse_capacity(es, n0, n_r)
-        else:
-            raise ValueError(f"unknown precoder kind {kind!r}")
-    cap = np.where(bad | ~np.isfinite(cap), -np.inf, cap)
-    return cap
 
 
 def _colex_rank(subset) -> int:
@@ -649,6 +600,13 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
     Each step scores every port with V = A H for the inverse Gram A: num =
     sum_r |v_rn|^2, den = 1 - sum_r Re(conj(h_rn) v_rn) and cost num / den,
     then applies the rank-one update of smw_downdate for the cheapest port.
+    A row whose Gram fails the screen of _screened_hermitian_inverse is
+    failed. A step with no finite cost fails its row too, but on a row that
+    passed the screen that takes rounding: with k > N_r active ports the
+    leverages h_n^H A h_n sum to tr(A H H^H) = N_r, so the dens sum to
+    k - N_r >= 1 and one of them is >= 1/k, far above REMOVAL_EPS. The test
+    stays as a guard against rounding.
+
     The steps work in buffers allocated once per call. num and den are sums
     over float64 views with exactly the additions einsum("brn,brn->bn")
     makes on conj(V) V and conj(H) V, in its order: re^2 + im^2 (or the re

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from farsm.channel import restrict_to_ports
-from farsm.errors import NumericalError
-from farsm.precoding import NoiseModel, _checked_hermitian_inverse
+from farsm.errors import NumericalError, SingularChannelError
+from farsm.precoding import (MAX_CONDITION, NoiseModel,
+                             _checked_hermitian_inverse)
 from farsm.selection import PortSet, capacity_of_set
 
 _AGREEMENT_ATOL = 1e-9
@@ -60,17 +61,32 @@ class NestedSetPair:
 def _removal_update(h: np.ndarray, pair: NestedSetPair,
                     shift: float) -> tuple[float, float]:
     """tr(B) and tr(D) for the outer inverse Gram (optionally regularized by
-    ``shift`` * I) and the removed columns."""
-    h_out = restrict_to_ports(h, pair.outer)
+    ``shift`` * I) and the removed columns.
+
+    Both come from one SVD H_out = U diag(s) V^H, without forming the Gram:
+    B = U diag(1/d) U^H with d = s^2 + shift, and with V_r the columns of
+    V^H at the removed ports, H_rem = U diag(s) V_r, so B H_rem =
+    U diag(s/d) V_r and the core is I - V_r^H diag(s^2/d) V_r.
+    """
     n_r = h.shape[0]
-    gram = h_out @ h_out.conj().T + shift * np.eye(n_r)
-    b = _checked_hermitian_inverse(gram, "outer-set Gram matrix")
-    h_rem = restrict_to_ports(h, pair.removed)
-    core = np.eye(len(pair.removed)) - h_rem.conj().T @ b @ h_rem
+    _, s, vh = np.linalg.svd(restrict_to_ports(h, pair.outer),
+                             full_matrices=False)
+    lam = np.zeros(n_r)  # eigenvalues of H_out H_out^H, zero past rank N_out
+    lam[:s.size] = s ** 2
+    d = lam + shift
+    cond = d[0] / d[-1] if d[-1] > 0 else np.inf
+    if not np.isfinite(cond) or cond > MAX_CONDITION:
+        raise SingularChannelError(
+            "outer-set Gram matrix is singular or ill conditioned "
+            f"(cond ~ {cond:.3e})", cond)
+    removed = set(pair.removed)
+    vr = vh[:, [i for i, p in enumerate(pair.outer) if p in removed]]
+    w = (lam / d)[:s.size, None]
+    core = np.eye(vr.shape[1]) - vr.conj().T @ (w * vr)
     core_inv = _checked_hermitian_inverse(core, "removal update core")
-    bh = b @ h_rem
-    d = bh @ core_inv @ bh.conj().T
-    return float(np.trace(b).real), float(np.trace(d).real)
+    # tr(D) = tr(core^-1 (B H_rem)^H (B H_rem))
+    bh_gram = vr.conj().T @ ((w / d[:s.size, None]) * vr)
+    return float(np.sum(1.0 / d)), float(np.trace(core_inv @ bh_gram).real)
 
 
 def zf_capacity_loss(h: np.ndarray, pair: NestedSetPair,

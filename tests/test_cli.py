@@ -293,6 +293,18 @@ def test_capacity_loss_csv(tmp_path, capsys):
     assert vals[0][2] == vals[1][2] == vals[2][2]
 
 
+def test_capacity_loss_compact_aperture(capsys):
+    # on a quarter-wavelength aperture the outer Gram is ill conditioned;
+    # the closed form must still agree with the direct route to 1e-9 bits
+    code, out, err = run_cli(
+        ["capacity-loss", "--w1", "0.25", "--w2", "0.25", "--snr", "0:10:40",
+         "--draws", "50"], capsys)
+    assert code == 0, err
+    lines = out.strip().split("\n")
+    assert lines[0] == "snr_db,value,bound"
+    assert len(lines) == 6
+
+
 def test_mse_csv(capsys):
     code, out, _ = run_cli(["mse", "--snr", "0:10:20", "--draws", "5"],
                            capsys)

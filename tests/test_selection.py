@@ -14,8 +14,8 @@ from farsm.errors import ConfigError, SingularChannelError
 from farsm.precoding import NoiseModel
 from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
                              _batch_mce_tmd, _batch_optimal, _batch_tmd,
-                             _elementary_symmetric, _minor_capacities,
-                             _minor_workspace, _power_sums, _principal_minors,
+                             _minor_capacities, _minor_workspace,
+                             _principal_minors, _subset_capacities,
                              _subset_table, capacity_of_set,
                              initial_trace_state, mce_tmd_select,
                              optimal_select, smw_downdate, tmd_select,
@@ -25,6 +25,25 @@ from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
 def gram_trace_inverse(h, ports):
     sub = restrict_to_ports(h, ports)
     return np.trace(np.linalg.inv(sub @ sub.conj().T)).real
+
+
+def greedy_trace_walk(h, n_a, ports=None):
+    """TMD composed from the one-port oracles: each step removes the active
+    port of least tmd_trace_metric (the first on a tie) by smw_downdate; a
+    non-removable port costs inf. initial_trace_state raises on a singular
+    Gram. Returns the surviving 1-based ports."""
+    state = initial_trace_state(h, ports)
+    while len(state.active) > n_a:
+        costs = []
+        for port in state.active:
+            try:
+                costs.append(tmd_trace_metric(state, port, h))
+            except SingularChannelError:
+                costs.append(np.inf)
+        j = int(np.argmin(costs))
+        assert np.isfinite(costs[j])
+        state = smw_downdate(state, state.active[j], h)
+    return list(state.active)
 
 
 def test_portset_normalizes():
@@ -136,24 +155,6 @@ def test_optimal_select_singular_raises():
         optimal_select(h, 4, "zf", NoiseModel(1.0))
 
 
-def test_power_sums_and_elementary_match_eigenvalues():
-    h = random_channel(7, 4, 9)
-    g = (h @ h.conj().T)[None]
-    ps = _power_sums(g, 4)
-    es = _elementary_symmetric(ps)
-    ev = np.linalg.eigvalsh(g[0])
-    for k in range(1, 5):
-        assert ps[k - 1][0] == pytest.approx(np.sum(ev ** k), rel=1e-10)
-    # elementary symmetric polynomials of the eigenvalues
-    combos = {1: ev.sum(), 4: ev.prod()}
-    combos[2] = sum(ev[i] * ev[j] for i in range(4) for j in range(i + 1, 4))
-    combos[3] = sum(ev[i] * ev[j] * ev[k]
-                    for i in range(4) for j in range(i + 1, 4)
-                    for k in range(j + 1, 4))
-    for k in range(1, 5):
-        assert es[k - 1][0] == pytest.approx(combos[k], rel=1e-9)
-
-
 def test_mce_tmd_nested_structure(default_model, draw_channel):
     pairs = sorted_pair_correlations(default_model)
     h = draw_channel(17)
@@ -164,6 +165,8 @@ def test_mce_tmd_nested_structure(default_model, draw_channel):
     # stage two only ever removes, so the result nests in stage one
     survivors = {int(i) + 1 for i in np.flatnonzero(masks[0])}
     assert set(sel) <= survivors
+    # and it is the greedy trace rule on the survivors
+    assert list(sel) == greedy_trace_walk(h, 4, PortSet(tuple(survivors)))
 
 
 def test_mce_tmd_equals_batch_reference(default_model, draw_channel):
@@ -280,7 +283,7 @@ def test_batch_tmd_equals_singleton(draw_channel):
     idx, failed = _batch_tmd(hb, 4)
     assert not failed.any()
     for b in range(40):
-        assert [int(i) + 1 for i in idx[b]] == list(tmd_select(hb[b], 4))
+        assert [int(i) + 1 for i in idx[b]] == greedy_trace_walk(hb[b], 4)
 
 
 @pytest.mark.parametrize("n_r,n1,n2,n_a", [
@@ -296,12 +299,13 @@ def test_batch_tmd_equals_scalar_across_shapes(n_r, n1, n2, n_a):
     idx, failed = _batch_tmd(hb, n_a)
     assert not failed.any()
     for b in range(60):
-        assert [int(i) + 1 for i in idx[b]] == list(tmd_select(hb[b], n_a)), b
+        assert [int(i) + 1 for i in idx[b]] == greedy_trace_walk(hb[b], n_a), b
 
 
 def test_batch_tmd_degenerate_rows(draw_channel):
     # healthy draws interleaved with channels whose Gram is singular. The
-    # stack screen (1-norm condition) and tmd_select's check (2-norm) differ
+    # stack screen (1-norm condition) and initial_trace_state's check
+    # (2-norm) differ
     # by at most a factor N_r, so only clear-cut rows are used: every
     # degenerate row has a Gram condition far beyond MAX_CONDITION.
     n_a, n = 4, 16
@@ -325,12 +329,12 @@ def test_batch_tmd_degenerate_rows(draw_channel):
     assert idx.min() >= 0 and idx.max() < n
     for b, h in enumerate(rows):
         try:
-            ref = tmd_select(h, n_a)
+            initial_trace_state(h)
         except SingularChannelError:
-            ref = None
-        assert failed[b] == (ref is None), b
-        if ref is not None:
-            assert [int(i) + 1 for i in idx[b]] == list(ref), b
+            assert failed[b], b
+            continue
+        assert not failed[b], b
+        assert [int(i) + 1 for i in idx[b]] == greedy_trace_walk(h, n_a), b
     # an all-zero channel has no inverse at all, so every step it sheds its
     # first active port and keeps the last n_a
     zero = 3 * list(degenerate).index("zero") + 1
@@ -338,15 +342,25 @@ def test_batch_tmd_degenerate_rows(draw_channel):
 
 
 @pytest.mark.parametrize("kind,n0", [("zf", 1.0), ("mmse", 0.0316)])
-def test_batch_optimal_equals_singleton(kind, n0, draw_channel):
-    # pins the engine's minor-table kernel to the scalar power-sum route at
-    # N_r = 4, where both are exact
+def test_batch_optimal_equals_singleton(kind, n0, draw_channel,
+                                        compact_model):
+    # pins the engine's minor-table kernel to optimal_select's per-subset
+    # SVD scores: at N_r = 4 on the default aperture, and at N_r = 8 on the
+    # compact one, where subset Grams are ill conditioned
     hb = np.stack([draw_channel(s + 500) for s in range(200)])
     idx, failed = _batch_optimal(hb, 4, kind, n0)
     assert not failed.any()
     for b in range(200):
         ref = optimal_select(hb[b], 4, kind, NoiseModel(n0))
         assert [int(i) + 1 for i in idx[b]] == list(ref)
+    hb = np.stack([sample_correlated_channel(compact_model, 8,
+                                             SeededRng(s + 600))
+                   for s in range(20)])
+    idx, failed = _batch_optimal(hb, 8, kind, n0)
+    assert not failed.any()
+    for b in range(20):
+        ref = optimal_select(hb[b], 8, kind, NoiseModel(n0))
+        assert [int(i) + 1 for i in idx[b]] == list(ref), b
 
 
 @pytest.fixture(scope="module")
@@ -386,10 +400,11 @@ def test_minor_capacities_match_capacity_of_set(kind, n_r, n_a,
     subsets = _subset_table(12, n_a)
     for seed in range(3):
         h = sample_correlated_channel(compact_model, n_r, SeededRng(seed))
-        got = _minor_capacities(h[None], n_a, kind, noise.n0)[0]
         ref = np.array([capacity_of_set(h, PortSet(tuple(s + 1)), kind, noise)
                         for s in subsets])
-        np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0)
+        for got in (_minor_capacities(h[None], n_a, kind, noise.n0)[0],
+                    _subset_capacities(h, subsets, kind, noise.n0)):
+            np.testing.assert_allclose(got, ref, rtol=1e-8, atol=0)
         idx, failed = _batch_optimal(h[None], n_a, kind, noise.n0)
         assert not failed[0]
         assert idx[0].tolist() == subsets[int(np.argmax(ref))].tolist()
