@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farsm import simulate
 from farsm.channel import SeededRng
 from farsm.detection import energy_ratio, med, mld
 from farsm.errors import ConfigError
@@ -153,6 +154,47 @@ def test_thread_count_does_not_change_results(monkeypatch):
     assert worker_count() == 4
     threaded = run_ber_sweep(cfg)
     assert serial == threaded
+
+
+INVARIANCE_CASES = {
+    "tmd": (dict(portsel="tmd", snr_db=(0.0, 6.0), master_seed=31),
+            ("mld",)),
+    "zf-optimal": (dict(portsel="optimal", snr_db=(0.0, 6.0),
+                        master_seed=32), ("mld",)),
+    "mmse-mce-tmd-64qam": (dict(precoder="mmse", portsel="mce-tmd",
+                                mod_order=64, snr_db=(10.0, 20.0),
+                                master_seed=33), ("mld", "med", "rttd")),
+    "first-redraws": (dict(w1=0.05, w2=0.05, portsel="first",
+                           snr_db=(0.0, 90.0), master_seed=5), ("mld",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE_CASES))
+def test_batch_size_and_threads_do_not_change_results(name, monkeypatch):
+    # 600 trials is no multiple of any batch size here, so every run ends
+    # on a partial batch; 257 and 64 cut batches across blocks of trials
+    shape, detectors = INVARIANCE_CASES[name]
+    cfg = SimConfig(trials=600, **shape)
+    runs = {}
+    for batch in (2048, 257, 64):
+        for threads in ("1", "2"):
+            monkeypatch.setattr(simulate, "_BATCH", batch)
+            monkeypatch.setenv("FARSM_THREADS", threads)
+            runs[batch, threads] = run_ber_sweep_multi(cfg, detectors)
+    want = runs[2048, "1"]
+    if name == "first-redraws":
+        assert want["mld"].redraws > 0
+    for key, got in runs.items():
+        assert got == want, key
+
+
+@pytest.mark.parametrize("redraw", [0, 3])
+def test_draw_trials_rows_do_not_depend_on_the_trial_array(redraw):
+    cfg = SimConfig(n_r=8, n_a=8, mod_order=64, master_seed=(1 << 64) - 1)
+    whole = _draw_trials(cfg, np.arange(1100), redraw)
+    trials = np.array([700, 3, 259, 2, 511, 1099, 258, 3])
+    for got, ref in zip(_draw_trials(cfg, trials, redraw), whole):
+        assert got.tobytes() == ref[trials].tobytes()
 
 
 @pytest.mark.parametrize("w", [1.0, 0.5])
