@@ -6,11 +6,14 @@ Run from the repository root:
     python3 scripts/check_selection.py --parent HEAD --blocks 1 --case nr8
 
 The parent revision is exported with ``git archive`` into a temporary
-directory, as scripts/bench_pair.py does. Each tree then runs, in its own
-subprocess, the engine's draw and selection stages
-(``simulate._draw_trials`` and ``simulate._select_indices``) on the same
-trials: block i holds trials 0..20479 of master seed 100 + i, in batches of
-2048. Every case below runs every port selector of the tree's
+directory, as scripts/bench_pair.py does. The working tree draws the channel
+stacks once, through the engine's draw stage (``simulate._draw_trials``,
+coloured by the root of ``simulate._port_model``): block i holds trials
+0..20479 of master seed 100 + i. It saves each stack to an .npz file, and
+each tree then runs, in its own subprocess, the engine's selection stage
+(``simulate._select_indices``) on those same stacks in batches of 2048. So
+the check compares selections only, even across a change of the random
+streams. Every case below runs every port selector of the tree's
 ``simulate._PORTSELS``; exhaustive selection runs under both precoders (MMSE
 selects at 10 dB), the others once, since only exhaustive selection reads
 the precoder. The report gives, per case, precoder and selector, the
@@ -22,6 +25,7 @@ status is 1 when any differ.
 from __future__ import annotations
 
 import argparse
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -49,29 +53,47 @@ CASES = {
 }
 
 
-def select_all(cases: list[str], blocks: int, out_dir: str) -> None:
-    """Write the selections of the ``farsm`` on sys.path, one .npz per case,
-    precoder and selector, into ``out_dir``."""
+def _case_config(case: str, block: int, **fields):
     from farsm import simulate
 
-    for case in cases:
+    return simulate.SimConfig(master_seed=FIRST_SEED + block,
+                              select_snr_db=MMSE_SELECT_SNR_DB,
+                              **CASES[case], **fields).validate()
+
+
+def draw_stacks(cases: str, block: str, out_dir: str) -> None:
+    """Write the coloured channel stack of block ``block`` of each case, as
+    drawn by the ``farsm`` on sys.path, into ``out_dir``."""
+    from farsm import simulate
+
+    for case in cases.split(","):
+        cfg = _case_config(case, int(block))
+        root = simulate._port_model(cfg)[0]
+        hw = simulate._draw_trials(cfg, np.arange(BLOCK))[0]
+        np.savez(Path(out_dir) / f"{case}.npz", hb=hw @ root,
+                 source=simulate.__file__)
+
+
+def select_all(cases: str, block: str, stacks_dir: str, out_dir: str) -> None:
+    """Write the selections of the ``farsm`` on sys.path on the stacks in
+    ``stacks_dir``, one .npz per case, precoder and selector, into
+    ``out_dir``."""
+    from farsm import simulate
+
+    for case in cases.split(","):
+        hb = np.load(Path(stacks_dir) / f"{case}.npz")["hb"]
         for portsel in simulate._PORTSELS:
             precoders = ("zf", "mmse") if portsel == "optimal" else ("zf",)
             for precoder in precoders:
+                cfg = _case_config(case, int(block), precoder=precoder,
+                                   portsel=portsel)
+                pairs = simulate._port_model(cfg)[1]
                 idx, failed = [], []
-                for block in range(blocks):
-                    cfg = simulate.SimConfig(
-                        precoder=precoder, portsel=portsel,
-                        master_seed=FIRST_SEED + block,
-                        select_snr_db=MMSE_SELECT_SNR_DB,
-                        **CASES[case]).validate()
-                    root, pairs = simulate._port_model(cfg)
-                    for lo in range(0, BLOCK, BATCH):
-                        hw = simulate._draw_trials(
-                            cfg, np.arange(lo, lo + BATCH))[0]
-                        i, f = simulate._select_indices(cfg, hw @ root, pairs)
-                        idx.append(i.astype(np.uint8))
-                        failed.append(f)
+                for lo in range(0, BLOCK, BATCH):
+                    i, f = simulate._select_indices(
+                        cfg, hb[lo:lo + BATCH], pairs)
+                    idx.append(i.astype(np.uint8))
+                    failed.append(f)
                 np.savez(Path(out_dir) / f"{case}_{precoder}_{portsel}.npz",
                          idx=np.concatenate(idx),
                          failed=np.concatenate(failed), case=case,
@@ -79,14 +101,21 @@ def select_all(cases: list[str], blocks: int, out_dir: str) -> None:
                          source=simulate.__file__)
 
 
-def run_tree(tree: Path, cases: list[str], blocks: int, out_dir: Path) -> None:
-    out_dir.mkdir()
-    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-            "import check_selection as c; c.select_all("
-            "sys.argv[3].split(','), int(sys.argv[4]), sys.argv[5])")
+def run_tree(tree: Path, func: str, *args) -> None:
+    """Call ``func(*args)`` of this module in a subprocess that imports the
+    ``farsm`` of ``tree``."""
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; "
+            "import check_selection as c; "
+            "getattr(c, sys.argv[3])(*sys.argv[4:])")
     subprocess.run([sys.executable, "-c", code, str(tree / "src"),
-                    str(Path(__file__).resolve().parent), ",".join(cases),
-                    str(blocks), str(out_dir)], cwd=tree, check=True)
+                    str(Path(__file__).resolve().parent), func,
+                    *map(str, args)], cwd=tree, check=True)
+
+
+def _imported(data, side: str, tree: Path) -> None:
+    # a worker must have imported the tree it was given
+    if not str(data["source"]).startswith(str(tree / "src")):
+        raise RuntimeError(f"{side} imported {data['source']}")
 
 
 def main(argv=None) -> int:
@@ -103,33 +132,47 @@ def main(argv=None) -> int:
     cases = args.case or list(CASES)
     parent_rev = git("rev-parse", args.parent)
 
+    totals: dict[str, list[int]] = {}
     with tempfile.TemporaryDirectory(prefix="check-selection-") as tmp:
         parent_tree = Path(tmp) / "tree"
         export_rev(parent_rev, parent_tree)
-        out = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        run_tree(parent_tree, cases, args.blocks, out["parent"])
-        run_tree(ROOT, cases, args.blocks, out["change"])
-        moved_total = 0
-        print(f"parent {parent_rev}, change: working tree on "
-              f"{git('rev-parse', 'HEAD')}, "
-              f"{args.blocks} x {BLOCK} trials per row, master seeds from "
-              f"{FIRST_SEED}")
-        print(f"{'case':6s} {'precoder':8s} {'portsel':8s} {'trials':>7s} "
-              f"{'failed':>6s} {'moved':>6s} {'flags':>6s}")
-        for path in sorted(out["change"].glob("*.npz")):
-            chg = np.load(path)
-            par = np.load(out["parent"] / path.name)
-            for side, data, tree in (("parent", par, parent_tree),
-                                     ("change", chg, ROOT)):
-                # the worker must have imported the tree it was given
-                if not str(data["source"]).startswith(str(tree / "src")):
-                    raise RuntimeError(f"{side} imported {data['source']}")
-            moved = int(np.any(chg["idx"] != par["idx"], axis=1).sum())
-            flags = int((chg["failed"] != par["failed"]).sum())
-            moved_total += moved + flags
-            print(f"{str(chg['case']):6s} {str(chg['precoder']):8s} "
-                  f"{str(chg['portsel']):8s} {len(chg['failed']):7d} "
-                  f"{int(chg['failed'].sum()):6d} {moved:6d} {flags:6d}")
+        trees = {"parent": parent_tree, "change": ROOT}
+        for block in range(args.blocks):
+            work = Path(tmp) / f"block{block}"
+            dirs = {side: work / side for side in ("stacks", *trees)}
+            for d in dirs.values():
+                d.mkdir(parents=True)
+            run_tree(ROOT, "draw_stacks", ",".join(cases), block,
+                     dirs["stacks"])
+            for case in cases:
+                _imported(np.load(dirs["stacks"] / f"{case}.npz"), "stacks",
+                          ROOT)
+            for side, tree in trees.items():
+                run_tree(tree, "select_all", ",".join(cases), block,
+                         dirs["stacks"], dirs[side])
+            for path in sorted(dirs["change"].glob("*.npz")):
+                chg = np.load(path)
+                par = np.load(dirs["parent"] / path.name)
+                for side, data in (("parent", par), ("change", chg)):
+                    _imported(data, side, trees[side])
+                row = totals.setdefault(path.stem, [0, 0, 0, 0])
+                row[0] += len(chg["failed"])
+                row[1] += int(chg["failed"].sum())
+                row[2] += int(np.any(chg["idx"] != par["idx"], axis=1).sum())
+                row[3] += int((chg["failed"] != par["failed"]).sum())
+            shutil.rmtree(work)
+    print(f"parent {parent_rev}, change: working tree on "
+          f"{git('rev-parse', 'HEAD')}, channels drawn by the working tree, "
+          f"{args.blocks} x {BLOCK} trials per row, master seeds from "
+          f"{FIRST_SEED}")
+    print(f"{'case':6s} {'precoder':8s} {'portsel':8s} {'trials':>7s} "
+          f"{'failed':>6s} {'moved':>6s} {'flags':>6s}")
+    moved_total = 0
+    for stem, (trials, failed, moved, flags) in sorted(totals.items()):
+        case, precoder, portsel = stem.split("_")
+        moved_total += moved + flags
+        print(f"{case:6s} {precoder:8s} {portsel:8s} {trials:7d} "
+              f"{failed:6d} {moved:6d} {flags:6d}")
     print(f"moved selections and flags: {moved_total}")
     return 1 if moved_total else 0
 

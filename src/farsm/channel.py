@@ -4,11 +4,10 @@ Monte Carlo trials must be reproducible and order-independent, so every draw
 comes from a counter-based Philox stream keyed by a 64-bit master seed plus a
 64-bit stream id. Two streams with the same key always produce the same
 values, no matter how many other streams were consumed in between; distinct
-ids give statistically independent streams. That makes per-trial streams safe
-to evaluate in any order or in parallel. The Monte Carlo engine re-keys one
-Philox per batch to each trial's stream instead of calling
-``SeededRng.generator`` per trial; both start from the same state, so the
-draws are the same.
+ids give statistically independent streams. That makes streams safe to
+evaluate in any order or in parallel. The Monte Carlo engine keys one
+stream per block of trials (``farsm.simulate._draw_trials``) with the same
+128-bit key layout as ``SeededRng.generator``.
 
 Channel conventions: entries are CN(0, 1) (circularly symmetric complex
 Gaussian, unit variance split evenly between real and imaginary parts). A

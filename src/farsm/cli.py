@@ -24,14 +24,15 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from farsm import __version__
-from farsm.channel import SeededRng, sample_correlated_channel
+from farsm.channel import (SeededRng, restrict_to_ports,
+                           sample_correlated_channel)
 from farsm.correlation import (build_correlation_model, dump_correlation_csv,
                                port_coordinates)
-from farsm.errors import ConfigError, NumericalError
-from farsm.precoding import NoiseModel
+from farsm.errors import ConfigError, NumericalError, SingularChannelError
+from farsm.precoding import NoiseModel, zf_precoder
 from farsm.selection import PortSet
-from farsm.simulate import (PURPOSE_THEORY, STREAM_VERSION, SimConfig,
-                            portsel_benchmark, ratio_histograms,
+from farsm.simulate import (_MAX_REDRAWS, PURPOSE_THEORY, STREAM_VERSION,
+                            SimConfig, portsel_benchmark, ratio_histograms,
                             run_ber_sweep, stream_id, write_ber_csv)
 from farsm.theory import (NestedSetPair, mmse_mse, zf_capacity_loss,
                           zf_capacity_loss_bound)
@@ -377,13 +378,38 @@ def _cmd_ratio_hist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _theory_channels(cfg: SimConfig, draws: int) -> list[np.ndarray]:
+def _theory_channels(cfg: SimConfig,
+                     draws: int) -> tuple[list[np.ndarray], int]:
+    """Channel draws for the theory commands, plus the redraws they took.
+
+    Draw d reads stream_id(d, purpose=PURPOSE_THEORY). A draw whose ZF Gram
+    on the first N_a ports or on all N ports fails the ``MAX_CONDITION``
+    screen is redrawn from stream_id(d, attempt, PURPOSE_THEORY), at most
+    ``_MAX_REDRAWS`` times. The screen does not depend on the noise, so it
+    runs once per draw, before any SNR point, and a draw that passes is
+    never replaced.
+    """
     model = build_correlation_model(
         port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
-    return [sample_correlated_channel(
-                model, cfg.n_r,
-                SeededRng(cfg.master_seed, stream_id(d, purpose=PURPOSE_THEORY)))
-            for d in range(draws)]
+    port_sets = (PortSet(range(1, cfg.n_a + 1)),
+                 PortSet(range(1, cfg.n_ports + 1)))
+    channels, redraws = [], 0
+    for d in range(draws):
+        for attempt in range(_MAX_REDRAWS + 1):
+            h = sample_correlated_channel(model, cfg.n_r, SeededRng(
+                cfg.master_seed, stream_id(d, attempt, PURPOSE_THEORY)))
+            try:
+                for ports in port_sets:
+                    zf_precoder(restrict_to_ports(h, ports))
+                break
+            except SingularChannelError:
+                redraws += 1
+        else:
+            raise NumericalError(
+                f"theory draw {d} still ill conditioned after "
+                f"{_MAX_REDRAWS} redraws")
+        channels.append(h)
+    return channels, redraws
 
 
 def _cmd_capacity_loss(args: argparse.Namespace) -> int:
@@ -392,7 +418,7 @@ def _cmd_capacity_loss(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     if args.draws < 1:
         raise ConfigError(f"draws must be >= 1, got {args.draws}")
-    channels = _theory_channels(cfg, args.draws)
+    channels, redraws = _theory_channels(cfg, args.draws)
     pair = NestedSetPair(inner=PortSet(range(1, cfg.n_a + 1)),
                          outer=PortSet(range(1, cfg.n_ports + 1)))
     rows = []
@@ -412,7 +438,7 @@ def _cmd_capacity_loss(args: argparse.Namespace) -> int:
     payload = [{"snr_db": r[0], "value": r[1], "bound": r[2]} for r in rows]
     outputs = _emit(args, render, payload)
     _write_manifest(args, "capacity-loss", _cfg_echo(cfg), outputs,
-                    {"draws": args.draws})
+                    {"draws": args.draws, "redraws": redraws})
     return 0
 
 
@@ -422,7 +448,7 @@ def _cmd_mse(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     if args.draws < 1:
         raise ConfigError(f"draws must be >= 1, got {args.draws}")
-    channels = _theory_channels(cfg, args.draws)
+    channels, redraws = _theory_channels(cfg, args.draws)
     ports = PortSet(range(1, cfg.n_a + 1))
     rows = []
     for snr in cfg.snr_db:
@@ -438,7 +464,7 @@ def _cmd_mse(args: argparse.Namespace) -> int:
     payload = [{"snr_db": r[0], "value": r[1]} for r in rows]
     outputs = _emit(args, render, payload)
     _write_manifest(args, "mse", _cfg_echo(cfg), outputs,
-                    {"draws": args.draws})
+                    {"draws": args.draws, "redraws": redraws})
     return 0
 
 

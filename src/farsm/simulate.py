@@ -1,23 +1,24 @@
 """Monte Carlo engine: BER sweeps, ratio histograms, selection benchmarks.
 
-Every trial owns a counter-based random stream keyed by the master seed and
-the trial index, so results are bit-identical for a given seed no matter how
+Trials draw from counter-based random streams keyed by the master seed and
+a stream id, so results are bit-identical for a given seed no matter how
 trials are batched or parallelized, and a failed trial can be re-drawn from
-a derived sub-stream without disturbing its neighbours. One trial draws, in
-fixed order: the channel, the payload bits, and a unit noise vector that is
-scaled per SNR point. Sharing the channel draw across the SNR grid makes the
-sweep a common-random-numbers design: each point remains an independent
-estimate, but curve shapes and curve-to-curve gaps are far less noisy.
+a derived sub-stream without disturbing its neighbours. One trial draws a
+channel, its payload bits, and a unit noise vector that is scaled per SNR
+point. Sharing the channel draw across the SNR grid makes the sweep a
+common-random-numbers design: each point remains an independent estimate,
+but curve shapes and curve-to-curve gaps are far less noisy.
 
 The public entry points accept a :class:`SimConfig`; trials are processed in
 fixed-size batches through vectorized selection / precoding / detection
 kernels. The detectors and the bit mapping are the stacked kernels of
 :mod:`farsm.detection` and :mod:`farsm.modulation`, and :func:`run_trial`
 runs a batch of one through the same stages as the sweep.
-A batch draws its trials through one Philox generator re-keyed to each
-trial's stream, which yields exactly the values of a fresh per-trial
-generator; keying streams by blocks of trials instead would vectorize the
-draws but change every seeded result. The ZF precoder does not depend on
+Streams are keyed per block of 256 consecutive trials (stream version 2):
+a block draws all its channels, then all its payloads, then all its noise
+with one vectorized call each, and a batch draws every block it touches
+whole, so no value depends on the batch bounds; a redraw is a block of one
+trial on its own sub-stream. The ZF precoder does not depend on
 the noise level, so a batch builds it once, at the precodability screen,
 and rebuilds it only when failed trials were re-drawn. MMSE takes one SVD
 of the selected channels per batch, after any redraws, and builds G and
@@ -54,6 +55,7 @@ from farsm.selection import (_batch_mce_tmd, _batch_optimal, _batch_tmd,
                              mce_tmd_select, optimal_select, tmd_select)
 
 _BATCH = 2048
+_BLOCK = 256  # trials per first-draw stream; _BATCH is 8 blocks
 _MAX_REDRAWS = 8
 
 _PRECODERS = ("zf", "mmse")
@@ -63,7 +65,7 @@ _DETECTORS = ("mld", "med", "rttd")
 # Version of the random streams a sweep draws from (the stream-id layout
 # below and the order of the draws in _draw_trials). Manifests record it;
 # a change that moves any seeded number bumps it.
-STREAM_VERSION = 1
+STREAM_VERSION = 2
 
 # stream-id layout: bits 0..39 trial, 40..47 redraw attempt, 48..55 purpose
 PURPOSE_TRIAL = 0
@@ -280,56 +282,48 @@ def worker_count() -> int:
 # ---------------------------------------------------------------------------
 
 def _draw_trials(cfg: SimConfig, trials: np.ndarray, redraw: int = 0):
-    """Per-trial stream draws for a batch: channel factor, bits, unit noise.
+    """Channel factor, payload bits and unit noise of the given trials.
 
-    Trial t reads the stream SeededRng(master_seed, stream_id(t, redraw)) in
-    fixed order: 2 N_r N normals for the channel, the payload bits as
-    ``integers(0, 2, dtype=uint8)`` would draw them, and 2 N_r normals for
-    the noise. One Philox serves the whole batch: before each trial it is
-    re-keyed to a state equal to that of a fresh ``Philox(key=...)``, so no
-    per-trial generator is built and every value matches SeededRng's.
+    First draws come in blocks of ``_BLOCK`` trials, block b reading the
+    stream (master_seed, stream_id(b)); redraw a of trial t is a block of
+    one on stream_id(t, a). A block of S trials draws, in order, its channel
+    normals into the float64 view of a complex (S, N_r, N) array, its
+    payloads as ``random_raw`` words and its noise normals into the float64
+    view of a complex (S, N_r) array; both are then scaled by 1/sqrt(2).
+    Every block ``trials`` touch is drawn whole and their rows are returned
+    in order, so no value depends on the batch or the order of ``trials``.
     """
     n_cols = cfg.n_a if cfg.baseline else cfg.n_ports
-    b = trials.size
-    zh = np.empty((b, 2, cfg.n_r, n_cols))
-    zw = np.empty((b, 2, cfg.n_r))
     words = -(-cfg.bits_per_use // 8)
-    raw = np.empty((b, words), dtype=np.uint64)
-    bitgen = np.random.Philox(key=0)
-    g = np.random.Generator(bitgen)
+    size = 1 if redraw else _BLOCK
+    blocks = np.array(sorted(set((trials // size).tolist())))
+    hw = np.empty((blocks.size, size, cfg.n_r, n_cols), dtype=complex)
+    wu = np.empty((blocks.size, size, cfg.n_r), dtype=complex)
+    raw = np.empty((blocks.size, size, words), dtype=np.uint64)
     key = np.array([cfg.master_seed, 0], dtype=np.uint64)
-    fresh = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for i, t in enumerate(trials.tolist()):
-        key[1] = stream_id(t, redraw)
-        bitgen.state = fresh
-        g.standard_normal(out=zh[i])
-        raw[i] = bitgen.random_raw(words)
-        g.standard_normal(out=zw[i])
-    bits = _payload_bits(raw, cfg.bits_per_use)
-    zh *= 1.0 / math.sqrt(2.0)
-    zw *= 1.0 / math.sqrt(2.0)
-    hw = np.empty((b, cfg.n_r, n_cols), dtype=complex)
-    hw.real, hw.imag = zh[:, 0], zh[:, 1]
-    wu = np.empty((b, cfg.n_r), dtype=complex)
-    wu.real, wu.imag = zw[:, 0], zw[:, 1]
-    return hw, bits, wu
+    for j, b in enumerate(blocks.tolist()):
+        key[1] = stream_id(b, redraw)
+        g = np.random.Generator(np.random.Philox(key=key))
+        g.standard_normal(out=hw[j].view(np.float64))
+        raw[j] = g.bit_generator.random_raw((size, words))
+        g.standard_normal(out=wu[j].view(np.float64))
+    hw *= 1.0 / math.sqrt(2.0)
+    wu *= 1.0 / math.sqrt(2.0)
+    bits = _payload_bits(raw.reshape(-1, words), cfg.bits_per_use)
+    rows = np.searchsorted(blocks, trials // size) * size + trials % size
+    if np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
+        rows = slice(rows[0], rows[0] + rows.size)  # views, no gather
+    return (hw.reshape(-1, cfg.n_r, n_cols)[rows], bits[rows],
+            wu.reshape(-1, cfg.n_r)[rows])
 
 
 def _payload_bits(raw: np.ndarray, n_bits: int) -> np.ndarray:
     """(B, n_bits) uint8 bits from (B, ceil(n_bits / 8)) raw Philox words.
 
-    ``Generator.integers(0, 2, dtype=uint8)`` takes bit j from the top bit
-    of byte j of the 32-bit halves of the raw 64-bit outputs, low half
-    first (Lemire's bounded draw with range 2 never rejects). That is bit
-    8 (j % 8) + 7 of word j // 8. A half word it leaves buffered is never
-    read, since the noise normals that follow consume whole 64-bit words.
+    Bit j is the top bit of byte j of the little-endian words, bit
+    8 (j % 8) + 7 of word j // 8.
     """
-    j = np.arange(n_bits)
-    shift = (8 * (j % 8) + 7).astype(np.uint64)
-    return ((raw[:, j // 8] >> shift) & np.uint64(1)).astype(np.uint8)
+    return raw.astype("<u8", copy=False).view(np.uint8)[:, :n_bits] >> 7
 
 
 def _port_model(cfg: SimConfig):

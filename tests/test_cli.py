@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import farsm.cli as cli
+from farsm.channel import SeededRng, sample_correlated_channel
+from farsm.correlation import build_correlation_model, port_coordinates
 from farsm.errors import ConfigError, NumericalError
+from farsm.precoding import NoiseModel
+from farsm.selection import PortSet
+from farsm.simulate import PURPOSE_THEORY, SimConfig, stream_id
+from farsm.theory import NestedSetPair, zf_capacity_loss
 
 DATA = Path(__file__).parent / "data"
 
@@ -113,7 +119,7 @@ def test_manifest_records_stream_version(command, tmp_path, capsys):
                           "--portsel", "tmd", "--out", str(out)], capsys)
     assert code == 0
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
-    assert manifest["stream_version"] == 1
+    assert manifest["stream_version"] == 2
 
 
 @pytest.mark.parametrize("command", ["ber", "ratio-hist"])
@@ -303,6 +309,41 @@ def test_capacity_loss_compact_aperture(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "snr_db,value,bound"
     assert len(lines) == 6
+
+
+@pytest.mark.parametrize("command", ["capacity-loss", "mse"])
+def test_theory_redraws_ill_conditioned_draws(command, tmp_path, capsys):
+    # at w = 0.05 theory draw 44 has a 4-port Gram of condition 1.3e12,
+    # which capacity-loss cannot precode; it is redrawn before any point
+    out = tmp_path / "theory.csv"
+    code, _, err = run_cli(
+        [command, "--w1", "0.05", "--w2", "0.05", "--snr", "0:10:40",
+         "--draws", "50", "--out", str(out)], capsys)
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "theory.manifest.json").read_text())
+    assert manifest["redraws"] == 1
+    assert len(out.read_text().strip().split("\n")) == 6
+
+
+def test_theory_draws_that_pass_the_screen_are_kept(tmp_path, capsys):
+    out = tmp_path / "cl.csv"
+    code, _, _ = run_cli(["capacity-loss", "--snr", "0:10:20", "--draws", "5",
+                          "--seed", "3", "--out", str(out)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "cl.manifest.json").read_text())
+    assert manifest["redraws"] == 0
+    cfg = SimConfig()
+    model = build_correlation_model(
+        port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
+    pair = NestedSetPair(inner=PortSet(range(1, 5)),
+                         outer=PortSet(range(1, 17)))
+    hs = [sample_correlated_channel(model, cfg.n_r, SeededRng(
+              3, stream_id(d, purpose=PURPOSE_THEORY))) for d in range(5)]
+    rows = [l.split(",") for l in out.read_text().strip().split("\n")[1:]]
+    for (snr, value, _), snr_db in zip(rows, (0.0, 10.0, 20.0)):
+        noise = NoiseModel.from_snr_db(snr_db)
+        want = np.mean([zf_capacity_loss(h, pair, noise) for h in hs])
+        assert float(value) == pytest.approx(want, rel=1e-9)
 
 
 def test_mse_csv(capsys):

@@ -51,16 +51,26 @@ def test_stream_id_layout():
 
 
 def _draw_reference(cfg, trials, redraw):
-    """Per-trial draws from fresh SeededRng generators, in stream order."""
+    """Draws of stream version 2 from fresh SeededRng generators, one per
+    block: 256 consecutive trials per stream, or one trial per stream for
+    a redraw."""
     n_cols = cfg.n_a if cfg.baseline else cfg.n_ports
+    words = -(-cfg.bits_per_use // 8)
+    size = 1 if redraw else 256
     hw, bits, wu = [], [], []
-    for t in trials:
-        g = SeededRng(cfg.master_seed, stream_id(int(t), redraw)).generator()
-        z = g.standard_normal((2, cfg.n_r, n_cols))
-        hw.append((z[0] + 1j * z[1]) * (1.0 / np.sqrt(2.0)))
-        bits.append(g.integers(0, 2, size=cfg.bits_per_use, dtype=np.uint8))
-        zw = g.standard_normal((2, cfg.n_r))
-        wu.append((zw[0] + 1j * zw[1]) * (1.0 / np.sqrt(2.0)))
+    for t in trials.tolist():
+        b, row = divmod(t, size)
+        g = SeededRng(cfg.master_seed, stream_id(b, redraw)).generator()
+        z = g.standard_normal(2 * size * cfg.n_r * n_cols)
+        h = (z[0::2] + 1j * z[1::2]) * (1.0 / np.sqrt(2.0))
+        hw.append(h.reshape(size, cfg.n_r, n_cols)[row])
+        raw = g.bit_generator.random_raw(size * words).reshape(size, words)
+        bits.append(np.array(
+            [(int(raw[row, j // 8]) >> (8 * (j % 8) + 7)) & 1
+             for j in range(cfg.bits_per_use)], dtype=np.uint8))
+        zw = g.standard_normal(2 * size * cfg.n_r)
+        w = (zw[0::2] + 1j * zw[1::2]) * (1.0 / np.sqrt(2.0))
+        wu.append(w.reshape(size, cfg.n_r)[row])
     return np.stack(hw), np.stack(bits), np.stack(wu)
 
 
