@@ -255,6 +255,14 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     assert "synthetic" in err
 
 
+def test_redraw_exhaustion_exits_3(capsys):
+    code, _, err = run_cli(["ber", "--w1", "0.001", "--w2", "0.001",
+                            "--portsel", "first", "--trials", "50",
+                            "--snr", "10"], capsys)
+    assert code == 3
+    assert "trial 0 still degenerate after 8 redraws" in err
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["ber", "--frobnicate"])

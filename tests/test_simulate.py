@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from farsm import simulate
 from farsm.channel import SeededRng
 from farsm.detection import energy_ratio, med, mld
-from farsm.errors import ConfigError
+from farsm.errors import ConfigError, NumericalError
 from farsm.modulation import build_qam
 from farsm.precoding import NoiseModel, effective_gain_matrix, mmse_precoder
 from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _detect_batch,
@@ -282,6 +282,18 @@ def test_mmse_run_trial_matches_sweep_counts_with_redraws():
         redraws += res.redraws
     assert errors == sweep.points[-1].bit_errors
     assert redraws == sweep.redraws
+
+
+@pytest.mark.parametrize("portsel,first_failed", [("tmd", 1), ("first", 0)])
+def test_redraw_exhaustion_names_the_first_failed_trial(portsel, first_failed):
+    # at a thousandth of a wavelength every channel is near rank one; under
+    # TMD trial 0 finds a precodable draw within its redraws, trial 1 does not
+    cfg = SimConfig(w1=0.001, w2=0.001, portsel=portsel, trials=50,
+                    snr_db=(10.0,))
+    with pytest.raises(NumericalError,
+                       match=f"^trial {first_failed} still degenerate "
+                             f"after 8 redraws$"):
+        run_ber_sweep(cfg)
 
 
 def _detector_batch(precoder, rows, seed=3):
