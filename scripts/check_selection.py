@@ -2,8 +2,8 @@
 
 Run from the repository root:
 
-    python3 scripts/check_selection.py --parent HEAD --blocks 10
-    python3 scripts/check_selection.py --parent HEAD --blocks 1 --case nr8
+    python3 scripts/check_selection.py --parent HEAD
+    python3 scripts/check_selection.py --parent HEAD --blocks 3 --case w1
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as scripts/bench_pair.py does. The working tree draws the channel
@@ -18,8 +18,10 @@ streams. Every case below runs every port selector of the tree's
 selects at 10 dB), the others once, since only exhaustive selection reads
 the precoder. The report gives, per case, precoder and selector, the
 trials, the failed trials (change side), the trials whose selected ports
-differ ("moved") and those whose failure flag differs ("flags"). The exit
-status is 1 when any differ.
+differ ("moved") and those whose failure flag differs ("flags"), and the
+wall seconds each tree spent selecting that row. One block of all cases
+took about 6.3 minutes per tree on a 2-core VM, 4.3 of them in the nr8
+MMSE exhaustive row. The exit status is 1 when any differ.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +92,7 @@ def select_all(cases: str, block: str, stacks_dir: str, out_dir: str) -> None:
                                    portsel=portsel)
                 pairs = simulate._port_model(cfg)[1]
                 idx, failed = [], []
+                t0 = time.perf_counter()
                 for lo in range(0, BLOCK, BATCH):
                     i, f = simulate._select_indices(
                         cfg, hb[lo:lo + BATCH], pairs)
@@ -97,6 +101,7 @@ def select_all(cases: str, block: str, stacks_dir: str, out_dir: str) -> None:
                 np.savez(Path(out_dir) / f"{case}_{precoder}_{portsel}.npz",
                          idx=np.concatenate(idx),
                          failed=np.concatenate(failed), case=case,
+                         seconds=time.perf_counter() - t0,
                          precoder=precoder, portsel=portsel,
                          source=simulate.__file__)
 
@@ -122,8 +127,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD",
                     help="git revision to compare against (default HEAD)")
-    ap.add_argument("--blocks", type=int, default=10,
-                    help=f"blocks of {BLOCK} trials per case (default 10)")
+    ap.add_argument("--blocks", type=int, default=1,
+                    help=f"blocks of {BLOCK} trials per case (default 1)")
     ap.add_argument("--case", action="append", choices=sorted(CASES),
                     help="run only this case (repeatable; default all)")
     args = ap.parse_args(argv)
@@ -132,7 +137,7 @@ def main(argv=None) -> int:
     cases = args.case or list(CASES)
     parent_rev = git("rev-parse", args.parent)
 
-    totals: dict[str, list[int]] = {}
+    totals: dict[str, list] = {}
     with tempfile.TemporaryDirectory(prefix="check-selection-") as tmp:
         parent_tree = Path(tmp) / "tree"
         export_rev(parent_rev, parent_tree)
@@ -155,24 +160,28 @@ def main(argv=None) -> int:
                 par = np.load(dirs["parent"] / path.name)
                 for side, data in (("parent", par), ("change", chg)):
                     _imported(data, side, trees[side])
-                row = totals.setdefault(path.stem, [0, 0, 0, 0])
+                row = totals.setdefault(path.stem, [0, 0, 0, 0, 0.0, 0.0])
                 row[0] += len(chg["failed"])
                 row[1] += int(chg["failed"].sum())
                 row[2] += int(np.any(chg["idx"] != par["idx"], axis=1).sum())
                 row[3] += int((chg["failed"] != par["failed"]).sum())
+                row[4] += float(par["seconds"])
+                row[5] += float(chg["seconds"])
             shutil.rmtree(work)
     print(f"parent {parent_rev}, change: working tree on "
           f"{git('rev-parse', 'HEAD')}, channels drawn by the working tree, "
           f"{args.blocks} x {BLOCK} trials per row, master seeds from "
           f"{FIRST_SEED}")
     print(f"{'case':6s} {'precoder':8s} {'portsel':8s} {'trials':>7s} "
-          f"{'failed':>6s} {'moved':>6s} {'flags':>6s}")
+          f"{'failed':>6s} {'moved':>6s} {'flags':>6s} {'parent_s':>8s} "
+          f"{'change_s':>8s}")
     moved_total = 0
-    for stem, (trials, failed, moved, flags) in sorted(totals.items()):
+    for stem, (trials, failed, moved, flags, par_s, chg_s) in sorted(
+            totals.items()):
         case, precoder, portsel = stem.split("_")
         moved_total += moved + flags
         print(f"{case:6s} {precoder:8s} {portsel:8s} {trials:7d} "
-              f"{failed:6d} {moved:6d} {flags:6d}")
+              f"{failed:6d} {moved:6d} {flags:6d} {par_s:8.1f} {chg_s:8.1f}")
     print(f"moved selections and flags: {moved_total}")
     return 1 if moved_total else 0
 

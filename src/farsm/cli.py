@@ -108,6 +108,8 @@ def load_config(path: str) -> dict:
 def _merge_config(args: argparse.Namespace,
                   overrides: dict | None = None) -> SimConfig:
     """defaults < config file < flags; flag-over-file overrides are logged."""
+    if getattr(args, "snr", None) is not None:
+        args.snr_db = parse_snr_range(args.snr)
     merged = asdict(SimConfig())
     if overrides:
         merged.update(overrides)
@@ -326,8 +328,6 @@ def _cfg_echo(cfg: SimConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_ber(args: argparse.Namespace) -> int:
-    if args.snr is not None:
-        args.snr_db = parse_snr_range(args.snr)
     cfg = _merge_config(args)
     if args.dump_correlation:
         model = build_correlation_model(
@@ -354,8 +354,6 @@ def _cmd_ber(args: argparse.Namespace) -> int:
 
 
 def _cmd_ratio_hist(args: argparse.Namespace) -> int:
-    if args.snr is not None:
-        args.snr_db = parse_snr_range(args.snr)
     cfg = _merge_config(args, {"precoder": "mmse"})
     t0 = time.perf_counter()
     hists = ratio_histograms(cfg)
@@ -389,6 +387,8 @@ def _theory_channels(cfg: SimConfig,
     runs once per draw, before any SNR point, and a draw that passes is
     never replaced.
     """
+    if draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {draws}")
     model = build_correlation_model(
         port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
     port_sets = (PortSet(range(1, cfg.n_a + 1)),
@@ -413,11 +413,7 @@ def _theory_channels(cfg: SimConfig,
 
 
 def _cmd_capacity_loss(args: argparse.Namespace) -> int:
-    if args.snr is not None:
-        args.snr_db = parse_snr_range(args.snr)
     cfg = _merge_config(args)
-    if args.draws < 1:
-        raise ConfigError(f"draws must be >= 1, got {args.draws}")
     channels, redraws = _theory_channels(cfg, args.draws)
     pair = NestedSetPair(inner=PortSet(range(1, cfg.n_a + 1)),
                          outer=PortSet(range(1, cfg.n_ports + 1)))
@@ -443,11 +439,7 @@ def _cmd_capacity_loss(args: argparse.Namespace) -> int:
 
 
 def _cmd_mse(args: argparse.Namespace) -> int:
-    if args.snr is not None:
-        args.snr_db = parse_snr_range(args.snr)
     cfg = _merge_config(args)
-    if args.draws < 1:
-        raise ConfigError(f"draws must be >= 1, got {args.draws}")
     channels, redraws = _theory_channels(cfg, args.draws)
     ports = PortSet(range(1, cfg.n_a + 1))
     rows = []

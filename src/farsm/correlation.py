@@ -32,16 +32,6 @@ _TRACE_RTOL = 1e-6
 _RECONSTRUCTION_RTOL = 1e-8
 
 
-def spherical_bessel_j0(x: np.ndarray | float) -> np.ndarray | float:
-    """Zeroth-order spherical Bessel function sin(x)/x, with value 1 at x=0.
-
-    Distinct from the cylindrical Bessel J0: this is the kernel tying port
-    correlation to port separation on an isotropically scattered surface.
-    """
-    # np.sinc is sin(pi t)/(pi t), so rescale the argument.
-    return np.sinc(np.asarray(x) / np.pi) if np.ndim(x) else float(np.sinc(x / np.pi))
-
-
 @dataclass(frozen=True)
 class FluidAntennaGrid:
     """Port layout of the fluid antenna surface.

@@ -68,11 +68,6 @@ def build_qam(order: int) -> Constellation:
     return Constellation(order=order, points=points, bit_labels=tuple(labels))
 
 
-def spectral_efficiency(order: int, n_r: int) -> float:
-    """Bits per channel use: log2(order) + log2(n_r)."""
-    return float(np.log2(order) + np.log2(n_r))
-
-
 def bits_to_indices(bits: np.ndarray, spatial_bits: int):
     """Map (B, n) bit rows, MSB first, to 0-based (k, m), each (B,).
 

@@ -63,14 +63,10 @@ class Precoder:
     Attributes:
         matrix: (N_a, N_r) complex precoder P, power-normalized.
         beta: positive normalization gain.
-        kind: 'zf' or 'mmse'.
-        noise_power_used: the N_0 the precoder was designed for (0 for ZF).
     """
 
     matrix: np.ndarray
     beta: float
-    kind: str
-    noise_power_used: float
 
 
 def _checked_hermitian_inverse(m: np.ndarray, what: str) -> np.ndarray:
@@ -115,7 +111,7 @@ def zf_precoder(h_active: np.ndarray) -> Precoder:
     inv = _checked_hermitian_inverse(gram, "channel Gram matrix")
     beta = float(np.sqrt(n_r / np.trace(inv).real))
     matrix = beta * (h_active.conj().T @ inv)
-    return Precoder(matrix=matrix, beta=beta, kind="zf", noise_power_used=0.0)
+    return Precoder(matrix=matrix, beta=beta)
 
 
 def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:
@@ -126,8 +122,7 @@ def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:
     inv = _checked_hermitian_inverse(reg, "regularized channel Gram matrix")
     beta = float(np.sqrt(n_r / np.trace(gram @ inv @ inv).real))
     matrix = beta * (h_active.conj().T @ inv)
-    return Precoder(matrix=matrix, beta=beta, kind="mmse",
-                    noise_power_used=noise.n0)
+    return Precoder(matrix=matrix, beta=beta)
 
 
 def effective_gain_matrix(h_active: np.ndarray, noise: NoiseModel) -> np.ndarray:

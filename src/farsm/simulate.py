@@ -18,11 +18,14 @@ Streams are keyed per block of 256 consecutive trials (stream version 2):
 a block draws all its channels, then all its payloads, then all its noise
 with one vectorized call each, and a batch draws every block it touches
 whole, so no value depends on the batch bounds; a redraw is a block of one
-trial on its own sub-stream. The ZF precoder does not depend on
-the noise level, so a batch builds it once, at the precodability screen,
-and rebuilds it only when failed trials were re-drawn. MMSE takes one SVD
-of the selected channels per batch, after any redraws, and builds G and
-beta at each SNR point by rescaling the eigenvalues sigma^2 of H H^H.
+trial on its own sub-stream. Drawing, colouring, selecting and screening
+the precoder is one step. A batch takes it once for its trials and then
+once per redraw attempt for the trials still failed, as one batch, writing
+the trials that pass back into the batch in place. The ZF precoder does
+not depend on the noise level, so the screen's serves every SNR point.
+MMSE takes one SVD of the selected channels per batch, after any redraws,
+and builds G and beta at each point by rescaling the eigenvalues sigma^2
+of H H^H.
 RTTD runs the joint ML search only on the rows its ratio test sends there
 and reports, per point, how many rows the energy detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
@@ -33,10 +36,11 @@ thread count never changes results.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,6 +75,26 @@ STREAM_VERSION = 2
 PURPOSE_TRIAL = 0
 PURPOSE_THEORY = 1
 PURPOSE_BENCH = 2
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# SimConfig field annotation -> (check, expected kind); "X | None" also
+# admits None. Ints reject bool and float, floats accept int.
+_FIELD_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_real, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[float, ...]": (lambda v: isinstance(v, (tuple, list))
+                          and all(map(_is_real, v)), "a list of numbers"),
+}
 
 
 def stream_id(trial: int, redraw: int = 0, purpose: int = PURPOSE_TRIAL) -> int:
@@ -129,6 +153,14 @@ class SimConfig:
         return self.spatial_bits + self.symbol_bits
 
     def validate(self) -> "SimConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type.endswith(" | None"):
+                continue
+            check, expected = _FIELD_TYPES[f.type.removesuffix(" | None")]
+            if not check(value):
+                raise ConfigError(
+                    f"{f.name} must be {expected}, got {value!r}")
         if self.n1 < 1 or self.n2 < 1:
             raise ConfigError(f"port counts must be >= 1, got {self.n1}x{self.n2}")
         if not (0 < self.w1 < math.inf and 0 < self.w2 < math.inf):
@@ -251,16 +283,6 @@ def wilson_interval(errors: int, n: int) -> tuple[float, float]:
     lo = 0.0 if errors == 0 else max(center - half, 0.0)
     hi = 1.0 if errors == n else min(center + half, 1.0)
     return lo, hi
-
-
-def _popcount_sum(values: np.ndarray) -> int:
-    """Total set bits across an integer array."""
-    total = 0
-    v = values.copy()
-    while v.any():
-        total += int((v & 1).sum())
-        v >>= 1
-    return total
 
 
 def worker_count() -> int:
@@ -424,68 +446,100 @@ def _detect_batch(det: str, cfg: SimConfig, y: np.ndarray, beta: np.ndarray,
     raise ConfigError(f"detector must be one of {_DETECTORS}")
 
 
-def _redraw_failed(cfg: SimConfig, pairs, trials: np.ndarray,
-                   hw: np.ndarray, bits: np.ndarray, wu: np.ndarray,
-                   idx: np.ndarray, failed: np.ndarray, root) -> int:
-    """Re-draw failed trials from derived sub-streams, in place.
+def _draw_and_screen(cfg: SimConfig, ports, trials: np.ndarray, n0: float,
+                     redraw: int = 0):
+    """Draw redraw attempt ``redraw`` of ``trials``; colour, select, screen.
 
-    A trial fails when its selected channel cannot be precoded (singular
-    Gram) or selection itself degenerates. Each failure re-draws channel,
-    bits and noise from the (trial, attempt) stream. Returns the number of
-    redraws consumed.
+    Returns (failed, rows), rows being the trials' payload bits, unit noise,
+    coloured channels, selected columns, and the precoder gain and effective
+    channel that the precodability screen built at noise level n0. ``failed``
+    flags the trials whose selection degenerates or whose Gram fails the
+    screen.
     """
-    total = 0
-    for i in np.flatnonzero(failed):
-        t = int(trials[i])
-        for attempt in range(1, _MAX_REDRAWS + 1):
-            h1, b1, w1 = _draw_trials(cfg, np.array([t]), redraw=attempt)
-            hb1 = h1 if cfg.baseline else h1 @ root
-            idx1, bad1 = _select_indices(cfg, hb1, pairs)
-            total += 1
-            if not bad1[0]:
-                # gram screen at the tightest operating point
-                hsel1 = np.take_along_axis(hb1, idx1[:, None, :], axis=2)
-                n0_min = 10.0 ** (-max(cfg.snr_db) / 10.0)
-                _, _, _, pf = _precode_batch(cfg, hsel1, n0_min)
-                if not pf[0]:
-                    hw[i], bits[i], wu[i], idx[i] = h1[0], b1[0], w1[0], idx1[0]
-                    failed[i] = False
-                    break
-        else:
-            raise NumericalError(
-                f"trial {t} still degenerate after {_MAX_REDRAWS} redraws")
-    return total
-
-
-def _draw_precodable(cfg: SimConfig, root, pairs, trials: np.ndarray):
-    """Draw, select and screen a batch, re-drawing the trials that fail.
-
-    The screen runs at the tightest noise level of ``cfg.snr_db``, as the
-    redraws' does. Returns (hb, bits, wu, redraws, precode), where
-    precode(n0) gives (beta, hp, gain) of the final selections at noise
-    level n0. The ZF precoder does not depend on the noise, so its screen
-    result serves every level; MMSE rescales the eigenvalues of one SVD.
-    """
-    n0_screen = 10.0 ** (-max(cfg.snr_db) / 10.0)
-    hw, bits, wu = _draw_trials(cfg, trials)
+    root, pairs = ports
+    hw, bits, wu = _draw_trials(cfg, trials, redraw)
     hb = hw if cfg.baseline else hw @ root
     idx, failed = _select_indices(cfg, hb, pairs)
     h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-    screen = _precode_batch(cfg, h_sel, n0_screen)
-    failed |= screen[3]
-    redraws = 0
-    if failed.any():
-        redraws = _redraw_failed(cfg, pairs, trials, hw, bits, wu, idx,
-                                 failed, root)
-        hb = hw if cfg.baseline else hw @ root
-        h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-        if cfg.precoder == "zf":
-            screen = _precode_batch(cfg, h_sel, n0_screen)
-    if cfg.precoder == "zf":
-        return hb, bits, wu, redraws, lambda n0: screen[:3]
-    svd = np.linalg.svd(h_sel, full_matrices=False)[:2]
-    return (hb, bits, wu, redraws,
-            lambda n0: _precode_batch(cfg, h_sel, n0, svd)[:3])
+    beta, hp, _, ill_conditioned = _precode_batch(cfg, h_sel, n0)
+    return failed | ill_conditioned, (bits, wu, hb, h_sel, beta, hp)
+
+
+def _redraw_failed(cfg: SimConfig, ports, trials: np.ndarray,
+                   failed: np.ndarray, rows: tuple, n0: float) -> int:
+    """Re-draw the failed trials of a batch from derived sub-streams.
+
+    Attempt a re-draws every trial still failed as one batch, from the
+    (trial, a) streams, through the same draw, colour, select and screen
+    step as the first draw, and writes the trials that pass into the
+    batch's ``rows`` in place; the others go on to attempt a + 1. Returns
+    the number of redraws consumed. A trial still failed after
+    ``_MAX_REDRAWS`` attempts raises, naming the first such trial.
+    """
+    pending = np.flatnonzero(failed)
+    total = 0
+    for attempt in range(1, _MAX_REDRAWS + 1):
+        bad, new = _draw_and_screen(cfg, ports, trials[pending], n0, attempt)
+        total += pending.size
+        for row, fresh in zip(rows, new):
+            row[pending[~bad]] = fresh[~bad]
+        pending = pending[bad]
+        if not pending.size:
+            return total
+    raise NumericalError(f"trial {trials[pending[0]]} still degenerate "
+                         f"after {_MAX_REDRAWS} redraws")
+
+
+def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
+               detectors: tuple[str, ...], keep: bool = False):
+    """Run one batch of trials through every stage of the link.
+
+    The trials are drawn and screened at the tightest noise level of
+    ``cfg.snr_db``, failures re-drawn; then each SNR point precodes,
+    receives and detects. Returns (counts, redraws, kept): counts[i, p] is
+    the int64 (bit errors, symbol errors, energy-detector rows) of
+    ``detectors[i]`` at point p, the last being RTTD's rows decided by its
+    energy detector (0 for the others). With ``keep``, kept holds the
+    payload bits, each point's energy ratios and each point's and
+    detector's decided bits; otherwise it is None and no array of a point
+    outlives the point.
+    """
+    points = build_qam(cfg.mod_order).points
+    n0s = [10.0 ** (-s / 10.0) for s in cfg.snr_db]
+    failed, rows = _draw_and_screen(cfg, ports, trials, min(n0s))
+    redraws = (_redraw_failed(cfg, ports, trials, failed, rows, min(n0s))
+               if failed.any() else 0)
+    bits, wu, hb, h_sel, beta, hp = rows
+    del rows  # MMSE rebuilds beta and hp at each point
+    if cfg.dump_channels:
+        dump_channels_csv(cfg.dump_channels, zip(trials.tolist(), hb))
+    mb = cfg.symbol_bits
+    k_idx, m_idx = bits_to_indices(bits, cfg.spatial_bits)
+    tx = (k_idx << mb) | m_idx
+    s = points[m_idx]
+    gain = None
+    if cfg.precoder == "mmse":
+        svd = np.linalg.svd(h_sel, full_matrices=False)[:2]
+    counts = np.zeros((len(detectors), len(n0s), 3), dtype=np.int64)
+    ratios, rx = [], []
+    for p, n0 in enumerate(n0s):
+        if cfg.precoder == "mmse":
+            beta, hp, gain, _ = _precode_batch(cfg, h_sel, n0, svd)
+        y = _receive_batch(hp, k_idx, s, wu, n0)
+        if keep:
+            ratios.append(energy_ratio(y))
+            rx.append([])
+        for i, d in enumerate(detectors):
+            k_hat, m_hat, coarse = _detect_batch(d, cfg, y, beta, gain,
+                                                 points)
+            diff = tx ^ ((k_hat << mb) | m_hat)
+            bit_errors = np.count_nonzero(np.unpackbits(diff.view(np.uint8)))
+            counts[i, p] = (bit_errors, np.count_nonzero(diff),
+                            0 if coarse is None else np.count_nonzero(coarse))
+            if keep:
+                rx[p].append(indices_to_bits(k_hat, m_hat, cfg.spatial_bits,
+                                             mb))
+    return counts, redraws, (bits, ratios, rx) if keep else None
 
 
 def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
@@ -493,67 +547,32 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
     """Core sweep: per-detector, per-point error counts over all trials.
 
     Returns (counts, redraws, ratios) where counts[det][point] is
-    (bit_errors, symbol_errors, med_rows), med_rows counting the RTTD
+    [bit_errors, symbol_errors, med_rows], med_rows counting the RTTD
     decisions taken by the energy detector (0 for other detectors), and
     ratios[point] is an array of energy ratios (empty unless requested).
     """
     cfg.validate()
-    points = build_qam(cfg.mod_order).points
-    root, pairs = _port_model(cfg)
-    mb = cfg.symbol_bits
-    n0s = [10.0 ** (-s / 10.0) for s in cfg.snr_db]
+    ports = _port_model(cfg)
     if cfg.dump_channels:
         open(cfg.dump_channels, "w", encoding="ascii").close()  # batches append
-
-    def one_batch(lo: int, hi: int):
-        trials = np.arange(lo, hi)
-        hb, bits, wu, redraws, precode = _draw_precodable(
-            cfg, root, pairs, trials)
-        if cfg.dump_channels:
-            dump_channels_csv(cfg.dump_channels, zip(trials.tolist(), hb))
-        k_idx, m_idx = bits_to_indices(bits, cfg.spatial_bits)
-        tx = (k_idx << mb) | m_idx
-        s = points[m_idx]
-        counts = {d: [] for d in detectors}
-        ratios = []
-        for n0 in n0s:
-            beta, hp, gain = precode(n0)
-            y = _receive_batch(hp, k_idx, s, wu, n0)
-            if collect_ratios:
-                ratios.append(energy_ratio(y))
-            for d in detectors:
-                k_hat, m_hat, coarse = _detect_batch(d, cfg, y, beta, gain,
-                                                     points)
-                rx = (k_hat.astype(np.intp) << mb) | m_hat.astype(np.intp)
-                diff = np.bitwise_xor(tx, rx)
-                counts[d].append((
-                    _popcount_sum(diff), int(np.count_nonzero(diff)),
-                    0 if coarse is None else int(np.count_nonzero(coarse))))
-        return counts, redraws, ratios
-
     edges = list(range(0, cfg.trials, _BATCH)) + [cfg.trials]
-    jobs = [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
+    jobs = [np.arange(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+    def one_batch(trials):
+        return _run_batch(cfg, ports, trials, detectors, collect_ratios)
+
     workers = worker_count()
     if workers > 1 and len(jobs) > 1 and not cfg.dump_channels:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda j: one_batch(*j), jobs))
+            results = list(ex.map(one_batch, jobs))
     else:
-        results = [one_batch(*j) for j in jobs]
+        results = [one_batch(j) for j in jobs]
 
-    n_pts = len(cfg.snr_db)
-    totals = {d: [[0, 0, 0] for _ in range(n_pts)] for d in detectors}
-    redraws = 0
-    ratio_arrays = [[] for _ in range(n_pts)]
-    for counts, rd, ratios in results:
-        redraws += rd
-        for d in detectors:
-            for p in range(n_pts):
-                for j in range(3):
-                    totals[d][p][j] += counts[d][p][j]
-        for p, arr in enumerate(ratios):
-            ratio_arrays[p].append(arr)
-    merged = [np.concatenate(a) if a else np.empty(0) for a in ratio_arrays]
-    return totals, redraws, merged
+    counts = np.sum([r[0] for r in results], axis=0)
+    ratios = ([np.concatenate(a) for a in zip(*(r[2][1] for r in results))]
+              if collect_ratios else [np.empty(0) for _ in cfg.snr_db])
+    return ({d: counts[i].tolist() for i, d in enumerate(detectors)},
+            sum(r[1] for r in results), ratios)
 
 
 def run_ber_sweep(cfg: SimConfig) -> SweepResult:
@@ -606,24 +625,18 @@ class TrialResult:
 def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """Run a single trial of the configured link at one SNR point.
 
-    Deterministic in (master seed, trial index); shares every numerical code
-    path with the batched sweep. A sweep is exactly this repeated, except
-    under MMSE with redraws: the sweep screens precodability at the
-    tightest SNR of its grid and this function at its own.
+    Deterministic in (master seed, trial index): the trial runs as a batch
+    of one through the sweep's per-batch stages, re-drawn as the sweep
+    would re-draw it. A sweep is exactly this repeated, except under MMSE
+    with redraws: the sweep screens precodability at the tightest SNR of
+    its grid and this function at its own.
     """
-    cfg = replace(cfg, snr_db=(float(snr_db),)).validate()
-    points = build_qam(cfg.mod_order).points
-    root, pairs = _port_model(cfg)
-    n0 = 10.0 ** (-snr_db / 10.0)
-    # cfg holds this one point, so the screen runs at the trial's own SNR
-    _, bits, wu, redraws, precode = _draw_precodable(
-        cfg, root, pairs, np.array([trial_index]))
-    beta, hp, gain = precode(n0)
-    k_idx, m_idx = bits_to_indices(bits, cfg.spatial_bits)
-    y = _receive_batch(hp, k_idx, points[m_idx], wu, n0)
-    k_hat, m_hat, _ = _detect_batch(cfg.detector, cfg, y, beta, gain, points)
-    rx_bits = indices_to_bits(k_hat, m_hat, cfg.spatial_bits, cfg.symbol_bits)
-    return TrialResult(tx_bits=bits[0], rx_bits=rx_bits[0], redraws=redraws)
+    cfg = replace(cfg, snr_db=(float(snr_db),), dump_channels=None).validate()
+    _, redraws, (bits, _, rx) = _run_batch(
+        cfg, _port_model(cfg), np.array([trial_index]), (cfg.detector,),
+        keep=True)
+    # rx[point][detector] holds the decided bits of the batch's rows
+    return TrialResult(tx_bits=bits[0], rx_bits=rx[0][0][0], redraws=redraws)
 
 
 def ratio_histograms(cfg: SimConfig) -> list[RatioHistogram]:
@@ -644,12 +657,6 @@ def ratio_histograms(cfg: SimConfig) -> list[RatioHistogram]:
                                   counts=counts, total=int(arr.size),
                                   median=float(np.median(arr))))
     return out
-
-
-def ratio_histogram(cfg: SimConfig, snr_db: float, trials: int) -> RatioHistogram:
-    """Energy-ratio histogram at one SNR point over the given trial count."""
-    cfg = replace(cfg, snr_db=(float(snr_db),), trials=trials)
-    return ratio_histograms(cfg)[0]
 
 
 # ---------------------------------------------------------------------------

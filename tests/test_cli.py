@@ -237,6 +237,44 @@ def test_non_numeric_config_snr_exits_2(tmp_path, capsys):
         assert "'snr_db' must be a list of numbers" in err
 
 
+# config key -> (JSON value of the wrong type, expected error)
+WRONG_TYPES = {
+    "n_r": ('"4"', "n_r must be an integer, got '4'"),
+    "mod_order": ("4.0", "mod_order must be an integer, got 4.0"),
+    "trials": ("1.5", "trials must be an integer, got 1.5"),
+    "n_a": ("4.0", "n_a must be an integer, got 4.0"),
+    "n1": ("true", "n1 must be an integer, got True"),
+    "master_seed": ("1.0", "master_seed must be an integer, got 1.0"),
+    "w1": ('"1"', "w1 must be a number, got '1'"),
+    "gamma": ("true", "gamma must be a number, got True"),
+    "select_snr_db": ('"10"', "select_snr_db must be a number, got '10'"),
+    "baseline": ("1", "baseline must be true or false, got 1"),
+    "dump_channels": ("5", "dump_channels must be a string, got 5"),
+}
+
+
+@pytest.mark.parametrize("key", WRONG_TYPES)
+def test_config_value_of_wrong_type_exits_2(key, tmp_path, capsys):
+    value, message = WRONG_TYPES[key]
+    path = tmp_path / "c.json"
+    path.write_text(f'{{"{key}": {value}}}')
+    argv = ["ber", "--config", str(path), "--snr", "0", "--portsel", "tmd"]
+    if key != "trials":
+        argv += ["--trials", "3"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert message in err
+
+
+def test_config_numbers_of_either_json_type_are_accepted(tmp_path, capsys):
+    # floats accept JSON integers; optional fields accept null
+    path = tmp_path / "c.json"
+    path.write_text('{"w1": 1, "gamma": 0, "select_snr_db": null}')
+    code, _, _ = run_cli(["ber", "--config", str(path), "--snr", "0",
+                          "--portsel", "tmd", "--trials", "3"], capsys)
+    assert code == 0
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text('{"bogus": 1}')

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from farsm.correlation import (FluidAntennaGrid, build_correlation_model,
                                dump_correlation_csv, port_coordinates,
-                               sorted_pair_correlations, spherical_bessel_j0)
+                               sorted_pair_correlations)
 
 # sin(x)/x at the default-grid spacings, frozen from a 30-digit mpmath run
 J0_ADJACENT = 0.41349667156634403713  # x = 2*pi/3, neighbours at 1/3 wavelength
@@ -13,23 +13,23 @@ J0_DIAGONAL = 0.060334330676236000862  # x = 2*pi*sqrt(2)/3
 J0_TWO_STEPS = -0.20674833578317201857  # x = 4*pi/3
 
 
-def test_j0_frozen_values():
-    assert spherical_bessel_j0(2 * np.pi / 3) == pytest.approx(J0_ADJACENT, rel=1e-14)
-    assert spherical_bessel_j0(2 * np.pi * np.sqrt(2) / 3) == pytest.approx(
-        J0_DIAGONAL, rel=1e-13)
-    assert spherical_bessel_j0(4 * np.pi / 3) == pytest.approx(J0_TWO_STEPS, rel=1e-14)
+def _pair_correlation(x):
+    """Model correlation of two ports x radians (x / 2 pi wavelengths) apart."""
+    model = build_correlation_model(port_coordinates(1.0, x / (2 * np.pi), 1, 2))
+    return model.matrix[0, 1]
 
 
 def test_j0_at_zero_and_roots():
-    assert spherical_bessel_j0(0.0) == 1.0
-    # sin(pi k)/x vanishes at multiples of pi
-    assert abs(spherical_bessel_j0(np.pi)) < 1e-15
-    assert abs(spherical_bessel_j0(2 * np.pi)) < 1e-15
+    # ports half a wavelength apart: sin(pi k)/x vanishes at multiples of pi
+    j = build_correlation_model(port_coordinates(1.0, 1.0, 1, 3)).matrix
+    assert (np.diag(j) == 1.0).all()
+    assert abs(j[0, 1]) < 1e-15
+    assert abs(j[0, 2]) < 1e-15
 
 
 @given(st.floats(min_value=1e-6, max_value=50.0))
 def test_j0_matches_sine_quotient(x):
-    assert spherical_bessel_j0(x) == pytest.approx(np.sin(x) / x, rel=1e-12)
+    assert _pair_correlation(x) == pytest.approx(np.sin(x) / x, rel=1e-12)
 
 
 def test_port_coordinates_default_grid():

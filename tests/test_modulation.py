@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from farsm.modulation import (bits_to_indices, build_qam, indices_to_bits,
-                              spectral_efficiency)
+from farsm.modulation import bits_to_indices, build_qam, indices_to_bits
+from farsm.simulate import SimConfig
 
 ORDERS = (4, 16, 64)
 
@@ -62,9 +62,10 @@ def test_build_qam_rejects_unsupported_orders():
 
 
 def test_spectral_efficiency():
-    assert spectral_efficiency(4, 4) == 4.0
-    assert spectral_efficiency(16, 4) == 6.0
-    assert spectral_efficiency(64, 8) == 9.0
+    # bits per channel use: log2(M) symbol bits plus log2(N_r) spatial bits
+    assert SimConfig(mod_order=4, n_r=4).bits_per_use == 4
+    assert SimConfig(mod_order=16, n_r=4).bits_per_use == 6
+    assert SimConfig(mod_order=64, n_r=8).bits_per_use == 9
 
 
 @given(order=st.sampled_from(ORDERS), n_r=st.sampled_from((2, 4, 8, 16)),

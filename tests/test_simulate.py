@@ -14,8 +14,7 @@ from farsm.precoding import NoiseModel, effective_gain_matrix, mmse_precoder
 from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _detect_batch,
                             _draw_trials, _port_model, _precode_batch,
                             _receive_batch, _run_batches, _select_indices,
-                            portsel_benchmark, ratio_histogram,
-                            ratio_histograms, run_ber_sweep,
+                            portsel_benchmark, ratio_histograms, run_ber_sweep,
                             run_ber_sweep_multi, run_trial, stream_id,
                             wilson_interval, worker_count, write_ber_csv)
 
@@ -133,6 +132,18 @@ def test_variant_names():
     assert SimConfig().variant == "fa-rsm-zf-optimal-mld"
     assert SimConfig(baseline=True, precoder="mmse",
                      detector="rttd").variant == "rsm-mmse-rttd"
+
+
+def test_validate_checks_field_types():
+    with pytest.raises(ConfigError, match="^n_r must be an integer, got 4.0$"):
+        SimConfig(n_r=4.0).validate()
+    with pytest.raises(ConfigError, match="baseline must be true or false"):
+        SimConfig(baseline=0).validate()
+    with pytest.raises(ConfigError, match="snr_db must be a list of numbers"):
+        SimConfig(snr_db=(0.0, "10")).validate()
+    # numpy scalars are numbers too
+    SimConfig(trials=np.int64(10), w1=np.float64(0.5), gamma=1,
+              snr_db=(np.float64(0.0), 5)).validate()
 
 
 def test_bits_accounting():
@@ -439,9 +450,10 @@ def test_ratio_histograms_counts_and_edges():
     assert hists[0].median > hists[1].median
 
 
-def test_ratio_histogram_single_point_wrapper():
-    cfg = SimConfig(precoder="mmse", portsel="tmd", bins=10)
-    h = ratio_histogram(cfg, -5.0, 800)
+def test_ratio_histograms_single_point():
+    cfg = SimConfig(precoder="mmse", portsel="tmd", bins=10, snr_db=(-5.0,),
+                    trials=800)
+    (h,) = ratio_histograms(cfg)
     assert h.snr_db == -5.0
     assert h.total == 800
 
