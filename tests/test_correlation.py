@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farsm.correlation import (FluidAntennaGrid, build_correlation_model,
@@ -28,8 +28,16 @@ def test_j0_at_zero_and_roots():
 
 
 @given(st.floats(min_value=1e-6, max_value=50.0))
+@example(15.707983492452897)  # next to 5 pi: 8.8e-11 relative, 1.1e-16 absolute
 def test_j0_matches_sine_quotient(x):
-    assert _pair_correlation(x) == pytest.approx(np.sin(x) / x, rel=1e-12)
+    # The model rounds the argument on its way through the port spacing. A
+    # relative argument error e moves sin(x)/x by e |cos x - sin(x)/x|, which
+    # stays near e where sin(x)/x crosses zero, so no relative bound holds
+    # there; the evaluation adds a few ulps of the result itself.
+    ref = np.sin(x) / x
+    eps = np.finfo(float).eps
+    err = abs(_pair_correlation(x) - ref)
+    assert err <= 4 * eps * (abs(np.cos(x) - ref) + abs(ref))
 
 
 def test_port_coordinates_default_grid():
