@@ -49,7 +49,7 @@ from farsm.channel import (SeededRng, dump_channels_csv,
 from farsm.correlation import (SortedPairArrays, build_correlation_model,
                                port_coordinates, sorted_pair_correlations)
 from farsm.errors import ConfigError, NumericalError
-from farsm.detection import energy_ratio, med
+from farsm.detection import demap, energy_ratio, med, ratio_of, strongest
 # every ML search runs through this module global, which the benchmark's
 # tracer patches to count the rows that reach it
 from farsm.detection import mld as _mld_batch
@@ -426,22 +426,31 @@ def _detect_batch(det: str, cfg: SimConfig, y: np.ndarray, beta: np.ndarray,
     """Batched detection; returns (k_hat, m_hat, coarse), k and m 0-based.
 
     ``coarse`` is RTTD's (B,) mask of rows decided by the energy detector
-    (ratio below gamma) and None for the other detectors. RTTD runs each
-    branch only on its own rows.
+    (ratio below gamma) and None for the other detectors. RTTD computes the
+    energies and their argmax once, for its ratio test and for the energy
+    detector's antenna, demaps its energy rows from their own y_k and G[k, k]
+    alone, and passes only the other rows to the ML search.
     """
     if det == "mld":
         return (*_mld_batch(y, beta, gain, points), None)
     if det == "med":
         return (*med(y, beta, gain, points), None)
     if det == "rttd":
-        coarse = energy_ratio(y) < cfg.gamma
-        k_hat = np.empty(y.shape[0], dtype=np.intp)
+        e, k_hat = strongest(y)
+        coarse = ratio_of(e, k_hat) < cfg.gamma
         m_hat = np.empty(y.shape[0], dtype=np.intp)
-        for rows, branch in ((coarse, med), (~coarse, _mld_batch)):
-            if rows.any():
-                k_hat[rows], m_hat[rows] = branch(
-                    y[rows], beta[rows], None if gain is None else gain[rows],
-                    points)
+        rows = np.flatnonzero(coarse)
+        if rows.size:
+            k = k_hat[rows]
+            scale = beta[rows]
+            if gain is not None:
+                scale = scale * gain[rows, k, k].real
+            m_hat[rows] = demap(y[rows, k], scale, points)
+        rows = np.flatnonzero(~coarse)
+        if rows.size:
+            k_hat[rows], m_hat[rows] = _mld_batch(
+                y[rows], beta[rows], None if gain is None else gain[rows],
+                points)
         return k_hat, m_hat, coarse
     raise ConfigError(f"detector must be one of {_DETECTORS}")
 

@@ -10,7 +10,7 @@ receive entry must return what the full ML / energy search returns.
 import numpy as np
 import pytest
 
-from farsm.detection import med, mld
+from farsm.detection import med, mld, mld_generic
 from farsm.modulation import build_qam
 
 ORDERS = (16, 64)
@@ -154,3 +154,119 @@ def test_nonfinite_rows_keep_full_search_decisions(order, detector, precoder):
         k, m = fn(y, beta, None if precoder == "zf" else gain, points)
     want_k, want_m = BAD_ROW_DECISIONS[detector, precoder]
     assert k.tolist() == want_k and m.tolist() == want_m
+
+
+# ---------------------------------------------------------------------------
+# Sliced decisions against the full searches on engine rows
+# ---------------------------------------------------------------------------
+
+def _full_mld(y, beta, gain, points):
+    """Joint ML by scoring all N_r x M hypotheses (the full search)."""
+    m_count = points.size
+    if gain is None:
+        d = y[:, :, None] - beta[:, None, None] * points[None, None, :]
+        cost = (d.real ** 2 + d.imag ** 2) - (np.abs(y) ** 2)[:, :, None]
+    else:
+        z = np.einsum("brk,br->bk", gain.conj(), y)
+        gn = np.einsum("brk,brk->bk", gain, gain.conj()).real
+        c = beta[:, None] * points[None, :]
+        cost = (np.abs(c) ** 2)[:, None, :] * gn[:, :, None] - 2.0 * np.real(
+            np.conj(c)[:, None, :] * z[:, :, None])
+    flat = np.argmin(cost.reshape(cost.shape[0], -1), axis=1)
+    return flat // m_count, flat % m_count
+
+
+def _full_med(y, beta, gain, points):
+    """Energy detection scoring all M points on the strongest entry."""
+    k = np.argmax(np.abs(y) ** 2, axis=1)
+    yk = np.take_along_axis(y, k[:, None], axis=1)[:, 0]
+    scale = beta
+    if gain is not None:
+        diag = np.diagonal(gain, axis1=1, axis2=2).real
+        scale = beta * np.take_along_axis(diag, k[:, None], axis=1)[:, 0]
+    m = np.argmin(np.abs(yk[:, None] - scale[:, None] * points[None, :]) ** 2,
+                  axis=1)
+    return k, m
+
+
+SNR_GRID = (-30.0, 0.0, 15.0, 30.0, float("inf"))
+
+
+def _engine_rows(monkeypatch, n_r, order, precoder, trials=48):
+    """(y, beta, gain) of every SNR point of a small TMD sweep, as the engine
+    hands them to its detect stage."""
+    from farsm import simulate
+
+    got = []
+    detect = simulate._detect_batch
+
+    def spy(det, cfg, y, beta, gain, points):
+        got.append((y, beta, gain))
+        return detect(det, cfg, y, beta, gain, points)
+
+    monkeypatch.setattr(simulate, "_detect_batch", spy)
+    simulate.run_ber_sweep(simulate.SimConfig(
+        n_r=n_r, n_a=n_r, mod_order=order, precoder=precoder, portsel="tmd",
+        snr_db=SNR_GRID, trials=trials, master_seed=1000 + 10 * n_r + order))
+    monkeypatch.undo()
+    return got
+
+
+def _adversarial(y, beta, gain, points):
+    """Rows derived from engine rows: slicer inputs on decision boundaries,
+    zero and duplicated entries, extreme magnitudes and non-finite values."""
+    levels, q = _levels(points)
+    mids = (levels[:-1] + levels[1:]) / 2
+    n, n_r = y.shape
+    y, beta = y.copy(), beta.copy()
+    gain = None if gain is None else gain.copy()
+    rows = np.arange(n)
+    k = rows % n_r
+    # boundary between in-phase levels, and between quadrature levels
+    z = np.where(rows % 2, mids[rows % mids.size] + 1j * q,
+                 levels[rows % levels.size] + 1j * mids[rows % mids.size])
+    half = rows[: n // 2]
+    if gain is None:
+        y[half, k[half]] = beta[half] * z[half]
+    else:
+        y[half] = (beta[half, None] * gain[half, :, k[half]]
+                   * z[half, None])
+    y[n // 2::7] = 0.0
+    y[n // 2 + 1::7, 1] = y[n // 2 + 1::7, 0]
+    for i, e in enumerate((-700, -300, 300, 500)):
+        y[n // 2 + 2 + i::9] *= 2.0 ** e
+        beta[n // 2 + 2 + i::9] *= 2.0 ** e
+    y[n // 2 + 3::11] *= 2.0 ** 600
+    beta[n // 2 + 4::13] = 2.0 ** -1060
+    y[n // 2 + 5::17, 0] = np.nan
+    y[n // 2 + 6::17, -1] = np.inf
+    beta[n // 2 + 7::17] = 0.0
+    beta[n // 2 + 8::17] = np.nan
+    if gain is not None:
+        gain[n // 2 + 9::17, 1, 1] = np.inf
+        gain[n // 2 + 10::17, 0, 0] = np.nan
+    return y, beta, gain
+
+
+def _same(got, want):
+    return [int(np.count_nonzero(g != w)) for g, w in zip(got, want)] == [0, 0]
+
+
+@pytest.mark.parametrize("precoder", ("zf", "mmse"))
+@pytest.mark.parametrize("n_r", (2, 4, 8))
+@pytest.mark.parametrize("order", (4, 16, 64))
+def test_sliced_detectors_equal_full_search(monkeypatch, order, n_r, precoder):
+    points = build_qam(order).points
+    for y, beta, gain in _engine_rows(monkeypatch, n_r, order, precoder):
+        sets = [(y, beta, gain), _adversarial(y, beta, gain, points)]
+        for rows in sets:
+            with np.errstate(all="ignore"):
+                assert _same(mld(*rows, points), _full_mld(*rows, points))
+                assert _same(med(*rows, points), _full_med(*rows, points))
+        # the oracle on a sample of clean rows
+        eye = np.eye(n_r)
+        k_hat, m_hat = mld(y[:6], beta[:6], None if gain is None else gain[:6],
+                           points)
+        for b in range(6):
+            effective = beta[b] * (eye if gain is None else gain[b])
+            assert (k_hat[b], m_hat[b]) == mld_generic(y[b], effective, points)
