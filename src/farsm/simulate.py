@@ -734,10 +734,16 @@ def portsel_benchmark(cfg: SimConfig, repeats: int = 25) -> list[BenchmarkRow]:
 # ---------------------------------------------------------------------------
 
 def write_ber_csv(fh, sweeps: list[SweepResult]) -> None:
-    """Write sweep results as CSV rows with the standard header."""
-    fh.write("variant,snr_db,trials,bits,bit_errors,ber,ci_low,ci_high\n")
+    """Write sweep results as CSV rows with the standard header.
+
+    ``ser`` is the symbol error rate: symbol errors (a wrong antenna or
+    point) over trials, one symbol per trial.
+    """
+    fh.write("variant,snr_db,trials,bits,bit_errors,ber,ci_low,ci_high,"
+             "symbol_errors,ser\n")
     for sw in sweeps:
         for p in sw.points:
             fh.write(f"{sw.variant},{p.snr_db:.10g},{p.trials},{p.bits},"
                      f"{p.bit_errors},{p.ber:.10g},{p.ci_low:.10g},"
-                     f"{p.ci_high:.10g}\n")
+                     f"{p.ci_high:.10g},{p.symbol_errors},"
+                     f"{p.symbol_errors / p.trials:.10g}\n")

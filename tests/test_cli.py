@@ -103,7 +103,8 @@ def test_ber_writes_csv_and_manifest(tmp_path, capsys):
          "--seed", "9", "--out", str(out)], capsys)
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == "variant,snr_db,trials,bits,bit_errors,ber,ci_low,ci_high"
+    assert lines[0] == ("variant,snr_db,trials,bits,bit_errors,ber,ci_low,ci_high,"
+                        "symbol_errors,ser")
     assert len(lines) == 3
     manifest = json.loads((tmp_path / "sweep.manifest.json").read_text())
     assert manifest["command"] == "ber"

@@ -487,10 +487,14 @@ def test_write_ber_csv_schema(tmp_path):
     with open(path, "w") as fh:
         write_ber_csv(fh, [sw])
     lines = path.read_text().strip().split("\n")
-    assert lines[0] == "variant,snr_db,trials,bits,bit_errors,ber,ci_low,ci_high"
+    assert lines[0] == ("variant,snr_db,trials,bits,bit_errors,ber,ci_low,ci_high,"
+                        "symbol_errors,ser")
     row = lines[1].split(",")
     assert row[0] == "fa-rsm-zf-tmd-mld"
     assert int(row[4]) == sw.points[0].bit_errors
+    p = sw.points[0]
+    assert int(row[8]) == p.symbol_errors > 0
+    assert float(row[9]) == pytest.approx(p.symbol_errors / p.trials, rel=1e-9)
 
 
 def test_berpoint_consistency():
