@@ -9,9 +9,11 @@ For every configuration (M in 4, 16, 64; N_r in 2, 4, 8; ZF and MMSE; TMD
 selection on the reference 4x4 grid) one sweep over SNR points from -30 dB
 to +inf runs through the engine, and each point's receive rows, as the
 engine's detect stage gets them (``simulate._detect_batch``), are decided
-by ``detection.mld`` and ``detection.med`` and by full searches that score
-every hypothesis (written out below, as the detectors scored them before
-they sliced). The report gives, per configuration, the rows, the rows
+by ``detection.mld`` and ``detection.med`` and by the full searches that
+score every hypothesis (the detectors' own fallbacks, run on every row).
+The energy detector's antenna, the argmax of |y|^2, is the
+same code either way; its symbol is checked against the full search on
+that antenna. The report gives, per configuration, the rows, the rows
 where either detector's (k, m) differs from its full search, and the share
 of rows that took each detector's full-search fallback (rows the rounding
 margin could not prove). The default run took about a minute on a 2-core
@@ -33,34 +35,6 @@ from farsm import detection, simulate  # noqa: E402
 from farsm.modulation import build_qam  # noqa: E402
 
 SNR_DB = (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0, float("inf"))
-
-
-def full_mld(y, beta, gain, points):
-    """Joint ML by scoring all N_r x M hypotheses."""
-    if gain is None:
-        d = y[:, :, None] - beta[:, None, None] * points[None, None, :]
-        cost = (d.real ** 2 + d.imag ** 2) - (np.abs(y) ** 2)[:, :, None]
-    else:
-        z = np.einsum("brk,br->bk", gain.conj(), y)
-        gn = np.einsum("brk,brk->bk", gain, gain.conj()).real
-        c = beta[:, None] * points[None, :]
-        cost = (np.abs(c) ** 2)[:, None, :] * gn[:, :, None] - 2.0 * np.real(
-            np.conj(c)[:, None, :] * z[:, :, None])
-    flat = np.argmin(cost.reshape(cost.shape[0], -1), axis=1)
-    return flat // points.size, flat % points.size
-
-
-def full_med(y, beta, gain, points):
-    """Energy detection scoring all M points on the strongest entry."""
-    k = np.argmax(np.abs(y) ** 2, axis=1)
-    yk = np.take_along_axis(y, k[:, None], axis=1)[:, 0]
-    scale = beta
-    if gain is not None:
-        diag = np.diagonal(gain, axis1=1, axis2=2).real
-        scale = beta * np.take_along_axis(diag, k[:, None], axis=1)[:, 0]
-    m = np.argmin(np.abs(yk[:, None] - scale[:, None] * points[None, :]) ** 2,
-                  axis=1)
-    return k, m
 
 
 def _differ(got, want) -> int:
@@ -87,10 +61,14 @@ def check(cfg: simulate.SimConfig) -> dict:
         with np.errstate(all="ignore"):
             tally["rows"] += y.shape[0]
             decided = detection.mld(y, beta, gain, points)
-            tally["mld_moved"] += _differ(decided,
-                                          full_mld(y, beta, gain, points))
-            tally["med_moved"] += _differ(detection.med(y, beta, gain, points),
-                                          full_med(y, beta, gain, points))
+            full = originals["mld_fallback"](
+                y, beta, *detection._projections(y, gain), points)
+            tally["mld_moved"] += _differ(decided, full)
+            k, m = detection.med(y, beta, gain, points)
+            rows = np.arange(y.shape[0])
+            scale = beta if gain is None else beta * gain[rows, k, k].real
+            full = originals["med_fallback"](y[rows, k], scale, points)
+            tally["med_moved"] += _differ((k, m), (k, full))
         return (*decided, None)
 
     detect = simulate._detect_batch

@@ -176,6 +176,15 @@ def _in_range(x, bounds) -> np.ndarray:
     return (x >= bounds[0]) & (x <= bounds[1])
 
 
+def _projections(y, gain):
+    """(z, gn): z_k = g_k^H y and gn_k = ||g_k||^2, each (B, N_r), or (None,
+    None) under ZF (``gain`` None)."""
+    if gain is None:
+        return None, None
+    return (np.einsum("brk,br->bk", gain.conj(), y),
+            np.einsum("brk,brk->bk", gain, gain.conj()).real)
+
+
 def _ml_search(y, beta, z, gn, points):
     """Full search: the first argmin over (k, m) of |y_k - beta s_m|^2 -
     |y_k|^2 under ZF (``z`` None), of |beta s_m|^2 ||g_k||^2 - 2 Re(conj(
@@ -207,10 +216,7 @@ def mld(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
     its z_k, and rows the margin rule (module docstring) cannot prove go
     through the full search. Returns (k, m), each (B,) and 0-based.
     """
-    z = gn = None
-    if gain is not None:
-        z = np.einsum("brk,br->bk", gain.conj(), y)
-        gn = np.einsum("brk,brk->bk", gain, gain.conj()).real
+    z, gn = _projections(y, gain)
     grid = _grid(points)
     n, n_r = y.shape
     if grid is None:
