@@ -16,7 +16,7 @@ same code either way; its symbol is checked against the full search on
 that antenna. The report gives, per configuration, the rows, the rows
 where either detector's (k, m) differs from its full search, and the share
 of rows that took each detector's full-search fallback (rows the rounding
-margin could not prove). The default run took about a minute on a 2-core
+margin could not prove). The default run took 40 to 60 s on a 2-core
 VM. The exit status is 1 when any decision differs.
 """
 

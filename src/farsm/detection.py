@@ -18,7 +18,7 @@ RTTD switches between the two detectors: rows whose ratio lies below gamma
 are safe for the cheap energy path, the rest go to the joint ML decision.
 Its gate is the engine's detect stage, ``farsm.simulate._detect_batch``,
 which computes the energies and their argmax once for the ratio test and
-the energy path (``strongest``, ``ratio_of``, ``demap``) and runs each
+the energy path (``strongest``, ``ratio_of``, ``med_symbols``) and runs each
 detector only on its own rows. ``mld_generic`` enumerates residuals
 explicitly and is the oracle the kernels are tested against.
 
@@ -95,7 +95,7 @@ class _Grid(NamedTuple):
     origin: float         # slicer coordinate of 0, in spacings
     inv_step: float       # 1 / Delta
     amp: float            # largest point magnitude, in spacings
-    table: np.ndarray     # (side * side,) point index of level i_re * side + i_im
+    table: np.ndarray     # (side^2,) point index of level i_re * side + i_im
 
 
 def _grid(points: np.ndarray) -> _Grid | None:
@@ -291,12 +291,18 @@ def energy_ratio(y: np.ndarray) -> np.ndarray:
     return ratio_of(*strongest(y))
 
 
-def demap(yk: np.ndarray, scale: np.ndarray, points: np.ndarray):
-    """(B,) index of the point nearest each yk / scale.
+def med_symbols(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
+                points: np.ndarray, rows: np.ndarray, k: np.ndarray):
+    """The energy detector's symbol for ``rows`` of the batch, whose antennas
+    are ``k``: the index of the point nearest y[rows, k] / scale, scale
+    being beta (ZF, ``gain`` None) or beta G[k, k] (MMSE).
 
     Sliced per axis; rows the margin rule (module docstring) cannot prove
-    take the full search's first argmin over m of |yk - scale s_m|^2.
+    take the full search's first argmin over m of |y_k - scale s_m|^2.
     """
+    yk, scale = y[rows, k], beta[rows]
+    if gain is not None:
+        scale = scale * gain[rows, k, k].real
     grid = _grid(points)
     if grid is None:
         bad = np.arange(yk.shape[0])
@@ -323,9 +329,7 @@ def med(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
     MMSE. Returns (k, m), each (B,) and 0-based.
     """
     k = strongest(y)[1]
-    rows = np.arange(y.shape[0])
-    scale = beta if gain is None else beta * gain[rows, k, k].real
-    return k, demap(y[rows, k], scale, points)
+    return k, med_symbols(y, beta, gain, points, np.arange(y.shape[0]), k)
 
 
 def mld_generic(y: np.ndarray, effective: np.ndarray, points: np.ndarray):

@@ -49,7 +49,8 @@ from farsm.channel import (SeededRng, dump_channels_csv,
 from farsm.correlation import (SortedPairArrays, build_correlation_model,
                                port_coordinates, sorted_pair_correlations)
 from farsm.errors import ConfigError, NumericalError
-from farsm.detection import demap, energy_ratio, med, ratio_of, strongest
+from farsm.detection import (energy_ratio, med, med_symbols, ratio_of,
+                             strongest)
 # every ML search runs through this module global, which the benchmark's
 # tracer patches to count the rows that reach it
 from farsm.detection import mld as _mld_batch
@@ -441,11 +442,7 @@ def _detect_batch(det: str, cfg: SimConfig, y: np.ndarray, beta: np.ndarray,
         m_hat = np.empty(y.shape[0], dtype=np.intp)
         rows = np.flatnonzero(coarse)
         if rows.size:
-            k = k_hat[rows]
-            scale = beta[rows]
-            if gain is not None:
-                scale = scale * gain[rows, k, k].real
-            m_hat[rows] = demap(y[rows, k], scale, points)
+            m_hat[rows] = med_symbols(y, beta, gain, points, rows, k_hat[rows])
         rows = np.flatnonzero(~coarse)
         if rows.size:
             k_hat[rows], m_hat[rows] = _mld_batch(

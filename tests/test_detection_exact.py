@@ -129,8 +129,9 @@ def _bad_rows(order, n_r=4):
     y[5, 1] = complex(inf, inf)
     beta = np.full(8, b)
     beta[6] = 0.0
+    shape = (8, n_r, n_r)
     gain = np.eye(n_r) * 0.9 + 0.05 * (
-        g.standard_normal((8, n_r, n_r)) + 1j * g.standard_normal((8, n_r, n_r)))
+        g.standard_normal(shape) + 1j * g.standard_normal(shape))
     gain[7, 1, 1] = nan
     gain[6, 2, 2] = inf
     return y, beta, gain, points
