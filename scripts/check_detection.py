@@ -9,11 +9,13 @@ For every configuration (M in 4, 16, 64; N_r in 2, 4, 8; ZF and MMSE; TMD
 selection on the reference 4x4 grid) one sweep over SNR points from -30 dB
 to +inf runs through the engine, and each point's receive rows, as the
 engine's detect stage gets them (``simulate._detect_batch``), are decided
-by ``detection.mld`` and ``detection.med`` and by the full searches that
-score every hypothesis (the detectors' own fallbacks, run on every row).
-The energy detector's antenna, the argmax of |y|^2, is the
-same code either way; its symbol is checked against the full search on
-that antenna. The report gives, per configuration, the rows, the rows
+by ``detection.mld``, on the gain matrices formed from the stage's MMSE
+factor, and by the stage's own energy path (``_detect_batch("med", ...)``,
+its scale beta G[k, k] taken from the factor), and by the full searches
+that score every hypothesis (the detectors' own fallbacks, run on every
+row). The energy detector's antenna, the argmax of |y|^2, is the same code
+either way; its symbol is checked against the full search on that antenna
+with the same y_k and scale. The report gives, per configuration, the rows, the rows
 where either detector's (k, m) differs from its full search, and the share
 of rows that took each detector's full-search fallback (rows the rounding
 margin could not prove). The default run took 40 to 60 s on a 2-core
@@ -31,7 +33,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from farsm import detection, simulate  # noqa: E402
+from farsm import detection, precoding, simulate  # noqa: E402
 from farsm.modulation import build_qam  # noqa: E402
 
 SNR_DB = (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0, float("inf"))
@@ -56,29 +58,38 @@ def check(cfg: simulate.SimConfig) -> dict:
             return originals[key](y, *args)
         return search
 
+    seen = []
+
+    def seen_symbols(yk, scale, points_):
+        seen.append((yk, scale))
+        return symbols(yk, scale, points_)
+
     def spy(det, cfg_, y, beta, gain, points_):
-        # the sweep counts errors of the sliced ML decisions
+        # the sweep counts errors of the sliced ML decisions, made on the
+        # gain matrices formed from the MMSE factor (U, d) the stage gets
         with np.errstate(all="ignore"):
             tally["rows"] += y.shape[0]
-            decided = detection.mld(y, beta, gain, points)
+            g = None if gain is None else precoding.gain_matrices(*gain)
+            decided = detection.mld(y, beta, g, points)
             full = originals["mld_fallback"](
-                y, beta, *detection._projections(y, gain), points)
+                y, beta, *detection._projections(y, g), points)
             tally["mld_moved"] += _differ(decided, full)
-            k, m = detection.med(y, beta, gain, points)
-            rows = np.arange(y.shape[0])
-            scale = beta if gain is None else beta * gain[rows, k, k].real
-            full = originals["med_fallback"](y[rows, k], scale, points)
+            # the stage's own energy path on every row; its symbols against
+            # the full search on the same y_k and scale
+            k, m, _ = detect("med", cfg_, y, beta, gain, points)
+            yk, scale = seen.pop()
+            full = originals["med_fallback"](yk, scale, points)
             tally["med_moved"] += _differ((k, m), (k, full))
         return (*decided, None)
 
-    detect = simulate._detect_batch
-    simulate._detect_batch = spy
+    detect, symbols = simulate._detect_batch, simulate.med_symbols
+    simulate._detect_batch, simulate.med_symbols = spy, seen_symbols
     for key, name in searches.items():
         setattr(detection, name, counted(key))
     try:
         simulate.run_ber_sweep(cfg)
     finally:
-        simulate._detect_batch = detect
+        simulate._detect_batch, simulate.med_symbols = detect, symbols
         for key, name in searches.items():
             setattr(detection, name, originals[key])
     return tally

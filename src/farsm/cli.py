@@ -32,8 +32,8 @@ from farsm.errors import ConfigError, NumericalError, SingularChannelError
 from farsm.precoding import NoiseModel, zf_precoder
 from farsm.selection import PortSet
 from farsm.simulate import (_MAX_REDRAWS, PURPOSE_THEORY, STREAM_VERSION,
-                            SimConfig, portsel_benchmark, ratio_histograms,
-                            run_ber_sweep, stream_id, write_ber_csv)
+                            SimConfig, portsel_benchmark, run_ber_sweep,
+                            run_ratio_sweep, stream_id, write_ber_csv)
 from farsm.theory import (NestedSetPair, mmse_mse, zf_capacity_loss,
                           zf_capacity_loss_bound)
 
@@ -317,6 +317,14 @@ def _run_timing(trials: int, elapsed: float) -> dict:
             "trials_per_second": round(trials / elapsed, 1)}
 
 
+def _redraws(result) -> dict:
+    """Manifest fields for the redraws of a sweep: the total and its split
+    by cause (degenerate port selection, failed precoder screen)."""
+    return {"redraws": result.redraws,
+            "selection_redraws": result.selection_redraws,
+            "screen_redraws": result.screen_redraws}
+
+
 def _cfg_echo(cfg: SimConfig) -> dict:
     echo = asdict(cfg)
     echo["snr_db"] = list(cfg.snr_db)
@@ -339,16 +347,16 @@ def _cmd_ber(args: argparse.Namespace) -> int:
     # RTTD: per-point count of decisions taken by the energy detector
     med_rows = {} if sweep.med_rows is None else {
         "med_rows": list(sweep.med_rows)}
-    payload = {"variant": sweep.variant, "redraws": sweep.redraws,
-               **med_rows, "points": [asdict(p) for p in sweep.points]}
+    redraws = _redraws(sweep)
+    payload = {"variant": sweep.variant, **redraws, **med_rows,
+               "points": [asdict(p) for p in sweep.points]}
     outputs = _emit(args, lambda fh: write_ber_csv(fh, [sweep]), payload)
     if args.dump_correlation:
         outputs.append(args.dump_correlation)
     if cfg.dump_channels:
         outputs.append(cfg.dump_channels)
     _write_manifest(args, "ber", _cfg_echo(cfg), outputs,
-                    {"stream_version": STREAM_VERSION,
-                     "redraws": sweep.redraws, **med_rows,
+                    {"stream_version": STREAM_VERSION, **redraws, **med_rows,
                      **_run_timing(cfg.trials, elapsed)})
     return 0
 
@@ -356,8 +364,9 @@ def _cmd_ber(args: argparse.Namespace) -> int:
 def _cmd_ratio_hist(args: argparse.Namespace) -> int:
     cfg = _merge_config(args, {"precoder": "mmse"})
     t0 = time.perf_counter()
-    hists = ratio_histograms(cfg)
+    result = run_ratio_sweep(cfg)
     elapsed = time.perf_counter() - t0
+    hists = result.histograms
 
     def render(fh):
         fh.write("snr_db,bin_low,bin_high,count\n")
@@ -370,7 +379,7 @@ def _cmd_ratio_hist(args: argparse.Namespace) -> int:
                 "median": h.median} for h in hists]
     outputs = _emit(args, render, payload)
     _write_manifest(args, "ratio-hist", _cfg_echo(cfg), outputs,
-                    {"stream_version": STREAM_VERSION,
+                    {"stream_version": STREAM_VERSION, **_redraws(result),
                      "medians": [[h.snr_db, h.median] for h in hists],
                      **_run_timing(cfg.trials, elapsed)})
     return 0

@@ -17,9 +17,10 @@ returns the 0-based (k, m) of every row as two (B,) arrays.
 RTTD switches between the two detectors: rows whose ratio lies below gamma
 are safe for the cheap energy path, the rest go to the joint ML decision.
 Its gate is the engine's detect stage, ``farsm.simulate._detect_batch``,
-which computes the energies and their argmax once for the ratio test and
-the energy path (``strongest``, ``ratio_of``, ``med_symbols``) and runs each
-detector only on its own rows. ``mld_generic`` enumerates residuals
+which serves MLD and MED too. It computes the energies and their argmax
+once for the ratio test and the energy path (``strongest``, ``ratio_of``),
+hands ``med_symbols`` each energy row's strongest entry and scale, and runs
+``mld`` only on the other rows. ``mld_generic`` enumerates residuals
 explicitly and is the oracle the kernels are tested against.
 
 Ties resolve to the smallest index pair (k, then m).
@@ -291,18 +292,14 @@ def energy_ratio(y: np.ndarray) -> np.ndarray:
     return ratio_of(*strongest(y))
 
 
-def med_symbols(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
-                points: np.ndarray, rows: np.ndarray, k: np.ndarray):
-    """The energy detector's symbol for ``rows`` of the batch, whose antennas
-    are ``k``: the index of the point nearest y[rows, k] / scale, scale
-    being beta (ZF, ``gain`` None) or beta G[k, k] (MMSE).
+def med_symbols(yk: np.ndarray, scale: np.ndarray, points: np.ndarray):
+    """The energy detector's symbols: the index of the point nearest each
+    yk / scale, yk being a row's strongest receive entry and scale its
+    noiseless gain (beta under ZF, beta G[k, k] under MMSE), each (R,).
 
     Sliced per axis; rows the margin rule (module docstring) cannot prove
-    take the full search's first argmin over m of |y_k - scale s_m|^2.
+    take the full search's first argmin over m of |yk - scale s_m|^2.
     """
-    yk, scale = y[rows, k], beta[rows]
-    if gain is not None:
-        scale = scale * gain[rows, k, k].real
     grid = _grid(points)
     if grid is None:
         bad = np.arange(yk.shape[0])
@@ -329,7 +326,9 @@ def med(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
     MMSE. Returns (k, m), each (B,) and 0-based.
     """
     k = strongest(y)[1]
-    return k, med_symbols(y, beta, gain, points, np.arange(y.shape[0]), k)
+    rows = np.arange(y.shape[0])
+    scale = beta if gain is None else beta * gain[rows, k, k].real
+    return k, med_symbols(y[rows, k], scale, points)
 
 
 def mld_generic(y: np.ndarray, effective: np.ndarray, points: np.ndarray):

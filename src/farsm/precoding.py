@@ -16,10 +16,15 @@ where G = H H^H (H H^H + N_r N_0 I)^(-1) is Hermitian with a dominant
 diagonal that approaches identity as the noise vanishes.
 
 With H H^H = U diag(lambda) U^H the noise enters only through lambda:
-G = U diag(lambda / (lambda + N_r N_0)) U^H and beta_MMSE =
-sqrt(N_r / sum lambda / (lambda + N_r N_0)^2). The engine builds G, beta
-and H P = beta G for every SNR point from one SVD of H per batch (lambda =
-sigma^2); the functions below solve per call and are its reference.
+G = U diag(d) U^H with d = lambda / (lambda + N_r N_0), and beta_MMSE =
+sqrt(N_r / sum lambda / (lambda + N_r N_0)^2). U and lambda = sigma^2 come
+from one SVD of H, which keeps the small eigenvalues that set G at high SNR
+accurate; inverting the formed Gram loses them to rounding.
+``mmse_factor``, ``mmse_scales``, ``mmse_screen`` and ``gain_matrices`` are
+that route on a stack of channels. The engine factors a batch once and
+forms, at each SNR point, only the parts of G its receiver reads;
+``mmse_precoder`` and ``effective_gain_matrix`` are one-channel views of the
+same route.
 """
 
 from __future__ import annotations
@@ -78,6 +83,14 @@ def _checked_hermitian_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(m, np.eye(m.shape[0], dtype=m.dtype))
 
 
+def _condition_exceeded(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
+    """(B,) flags: the 1-norm condition number ||M||_1 ||M^-1||_1 of each
+    matrix is not finite or exceeds MAX_CONDITION."""
+    cond = (np.abs(m).sum(axis=1).max(axis=1)
+            * np.abs(m_inv).sum(axis=1).max(axis=1))
+    return ~np.isfinite(cond) | (cond > MAX_CONDITION)
+
+
 def _screened_hermitian_inverse(gram: np.ndarray):
     """Inverses of a stack of Hermitian matrices (B, n, n), with a screen.
 
@@ -98,10 +111,60 @@ def _screened_hermitian_inverse(gram: np.ndarray):
             except np.linalg.LinAlgError:
                 inv[i] = np.nan
                 failed[i] = True
-    cond = (np.abs(gram).sum(axis=1).max(axis=1)
-            * np.abs(inv).sum(axis=1).max(axis=1))
-    failed |= ~np.isfinite(cond) | (cond > MAX_CONDITION)
-    return inv, failed
+    return inv, failed | _condition_exceeded(gram, inv)
+
+
+def mmse_factor(h: np.ndarray):
+    """(U (B, N_r, N_r), lambda (B, N_r)) with H H^H = U diag(lambda) U^H,
+    from one SVD of each channel of the stack h (B, N_r, N_a), N_a >= N_r."""
+    u, sigma = np.linalg.svd(h, full_matrices=False)[:2]
+    return u, sigma ** 2
+
+
+def mmse_scales(lam: np.ndarray, c: float):
+    """(d, beta) at regularization c = N_r N_0: the eigenvalues d = lambda /
+    (lambda + c) (B, N_r) of G and the power normalization beta (B,)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = lam + c
+        return lam / w, np.sqrt(lam.shape[1] / (lam / w ** 2).sum(axis=1))
+
+
+def mmse_screen(u: np.ndarray, lam: np.ndarray, c: float) -> np.ndarray:
+    """(B,) flags: the 1-norm condition number of R = H H^H + c I exceeds
+    MAX_CONDITION or is not finite.
+
+    R = U diag(lambda + c) U^H and R^-1 = U diag(1 / (lambda + c)) U^H are
+    formed from the factor; nothing is solved. Since ||A||_1 <= sqrt(n)
+    ||A||_2, the condition is at most N_r (lambda_max + c) / (lambda_min +
+    c), so a row with that bound below MAX_CONDITION / 2 passes without
+    forming R; the factor 2 covers the rounding of forming it.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = lam + c
+        check = np.flatnonzero(~(lam.shape[1] * w.max(axis=1)
+                                 <= MAX_CONDITION / 2 * w.min(axis=1)))
+        failed = np.zeros(lam.shape[0], dtype=bool)
+        if check.size:
+            u, w = u[check], w[check][:, None, :]
+            uh = u.conj().transpose(0, 2, 1)
+            failed[check] = _condition_exceeded((u * w) @ uh, (u / w) @ uh)
+    return failed
+
+
+def gain_matrices(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The gain matrices G = U diag(d) U^H (B, N_r, N_r) of a factor."""
+    return (u * d[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
+def _screened_factor(h_active: np.ndarray, noise: NoiseModel):
+    """(U, lambda, c) of one channel as a stack of one, through the screen
+    at c = N_r N_0; a failing channel raises SingularChannelError."""
+    u, lam = mmse_factor(h_active[None])
+    c = h_active.shape[0] * noise.n0
+    if mmse_screen(u, lam, c)[0]:
+        raise SingularChannelError(
+            "regularized channel Gram matrix is singular or ill conditioned")
+    return u, lam, c
 
 
 def zf_precoder(h_active: np.ndarray) -> Precoder:
@@ -115,25 +178,21 @@ def zf_precoder(h_active: np.ndarray) -> Precoder:
 
 
 def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:
-    """MMSE (regularized) precoder; degenerates to ZF as the noise vanishes."""
-    n_r = h_active.shape[0]
-    gram = h_active @ h_active.conj().T
-    reg = gram + n_r * noise.n0 * np.eye(n_r)
-    inv = _checked_hermitian_inverse(reg, "regularized channel Gram matrix")
-    beta = float(np.sqrt(n_r / np.trace(gram @ inv @ inv).real))
-    matrix = beta * (h_active.conj().T @ inv)
-    return Precoder(matrix=matrix, beta=beta)
+    """MMSE (regularized) precoder; degenerates to ZF as the noise vanishes.
+
+    P = beta H^H U diag(1 / (lambda + N_r N_0)) U^H, from the stacked route.
+    """
+    u, lam, c = _screened_factor(h_active, noise)
+    beta = float(mmse_scales(lam, c)[1][0])
+    inv = (u[0] / (lam[0] + c)) @ u[0].conj().T
+    return Precoder(matrix=beta * (h_active.conj().T @ inv), beta=beta)
 
 
 def effective_gain_matrix(h_active: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Hermitian G = H H^H (H H^H + N_r N_0 I)^(-1).
+    """Hermitian G = H H^H (H H^H + N_r N_0 I)^(-1) = U diag(d) U^H.
 
     The MMSE effective channel is beta * G; detectors use its columns (and
     its diagonal for the low-complexity path).
     """
-    n_r = h_active.shape[0]
-    gram = h_active @ h_active.conj().T
-    reg = gram + n_r * noise.n0 * np.eye(n_r)
-    inv = _checked_hermitian_inverse(reg, "regularized channel Gram matrix")
-    return gram @ inv
-
+    u, lam, c = _screened_factor(h_active, noise)
+    return gain_matrices(u, mmse_scales(lam, c)[0])[0]

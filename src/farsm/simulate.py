@@ -21,13 +21,18 @@ whole, so no value depends on the batch bounds; a redraw is a block of one
 trial on its own sub-stream. Drawing, colouring, selecting and screening
 the precoder is one step. A batch takes it once for its trials and then
 once per redraw attempt for the trials still failed, as one batch, writing
-the trials that pass back into the batch in place. The ZF precoder does
-not depend on the noise level, so the screen's serves every SNR point.
-MMSE takes one SVD of the selected channels per batch, after any redraws,
-and builds G and beta at each point by rescaling the eigenvalues sigma^2
-of H H^H.
-RTTD runs the joint ML search only on the rows its ratio test sends there
-and reports, per point, how many rows the energy detector decided.
+the trials that pass back into the batch in place, and redraws are
+counted by cause (a degenerate selection or a failed screen). The ZF
+precoder does not depend on the noise level, so the screen's serves every
+SNR point. MMSE factors the selected channels once in that step, one SVD
+H H^H = U diag(lambda) U^H that the screen reads too (a redraw factors only
+its own trials), and each SNR point forms from U and the rescaled
+eigenvalues only what its receiver reads: the sent column g_k of G, the
+diagonal entries G[k, k] of the energy detector's rows, and G itself on
+the rows that reach the joint ML search. One detect stage serves MLD (no
+energy-detector rows), MED (all rows) and RTTD, which runs the joint ML
+search only on the rows its ratio test sends there and reports, per point,
+how many rows the energy detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
 (default 1); the reduction is a sum of per-batch integer counters, so the
 thread count never changes results.
@@ -49,13 +54,14 @@ from farsm.channel import (SeededRng, dump_channels_csv,
 from farsm.correlation import (SortedPairArrays, build_correlation_model,
                                port_coordinates, sorted_pair_correlations)
 from farsm.errors import ConfigError, NumericalError
-from farsm.detection import (energy_ratio, med, med_symbols, ratio_of,
-                             strongest)
+from farsm.detection import energy_ratio, med_symbols, ratio_of, strongest
 # every ML search runs through this module global, which the benchmark's
 # tracer patches to count the rows that reach it
 from farsm.detection import mld as _mld_batch
 from farsm.modulation import bits_to_indices, build_qam, indices_to_bits
-from farsm.precoding import NoiseModel, _screened_hermitian_inverse
+from farsm.precoding import (NoiseModel, _screened_hermitian_inverse,
+                             gain_matrices, mmse_factor, mmse_scales,
+                             mmse_screen)
 from farsm.selection import (_batch_mce_tmd, _batch_optimal, _batch_tmd,
                              mce_tmd_select, optimal_select, tmd_select)
 
@@ -250,12 +256,17 @@ class BerPoint:
 class SweepResult:
     """Per-point counts of one detector; ``med_rows`` is RTTD's count of
     decisions taken by the cheap energy detector at each point (None for
-    the other detectors)."""
+    the other detectors). ``redraws`` is the sum of ``selection_redraws``
+    (trials redrawn because their port selection degenerated) and
+    ``screen_redraws`` (because their precoder failed the condition
+    screen)."""
 
     variant: str
     points: tuple[BerPoint, ...]
     redraws: int
     med_rows: tuple[int, ...] | None = None
+    selection_redraws: int = 0
+    screen_redraws: int = 0
 
 
 @dataclass(frozen=True)
@@ -380,118 +391,145 @@ def _select_indices(cfg: SimConfig, hb: np.ndarray,
 
 
 def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float, svd=None):
-    """Batched precoder quantities: (beta (B,), hp (B,N_r,N_r), gain or None,
-    failed).
+    """Batched precoder quantities: (beta (B,), hp, gain, failed).
 
-    Without ``svd`` the (regularized) Gram is inverted and screened, so
-    ``failed`` flags unsolvable or ill-conditioned matrices. MMSE callers
-    may pass ``svd = np.linalg.svd(h_sel, full_matrices=False)[:2]``: with
-    H = U diag(sigma) V^H, G and beta come from the eigenvalues sigma^2 of
-    H H^H rescaled to this noise level, hp = beta G, and nothing is solved.
-    ``failed`` also flags non-finite gains.
+    Without ``svd`` this is the precodability screen at noise level n0, and
+    it returns what the SNR points are built from. ZF inverts and screens
+    the Gram, and its precoder serves every point: hp = H P (B, N_r, N_r),
+    gain None. MMSE takes one SVD and returns its factor (U, lambda) of H
+    H^H = U diag(lambda) U^H as ``gain``, hp None; the screen reads the
+    same factor (``precoding.mmse_screen``), so nothing is solved.
+    ``failed`` flags the trials that fail the screen or whose beta is not
+    finite.
+
+    Given ``svd = np.linalg.svd(h_sel, full_matrices=False)[:2]`` (MMSE),
+    it returns the whole precoder at n0, unscreened: gain = G = U diag(d)
+    U^H and hp = beta G. The sweep forms only parts of it (``_run_batch``).
     """
     n_r = h_sel.shape[1]
+    if cfg.precoder == "mmse":
+        if svd is None:
+            u, lam = mmse_factor(h_sel)
+            beta = mmse_scales(lam, n_r * n0)[1]
+            failed = mmse_screen(u, lam, n_r * n0) | ~np.isfinite(beta)
+            return beta, None, (u, lam), failed
+        u, lam = svd[0], svd[1] ** 2
+        d, beta = mmse_scales(lam, n_r * n0)
+        gain = gain_matrices(u, d)
+        return beta, beta[:, None, None] * gain, gain, ~np.isfinite(beta)
     with np.errstate(invalid="ignore", divide="ignore"):
-        if svd is not None:
-            # sigma^2 keeps the small eigenvalues that set G at high SNR
-            # accurate; eigh of the formed Gram would lose them to rounding
-            u, lam = svd[0], svd[1] ** 2
-            d = lam + n_r * n0
-            gain = (u * (lam / d)[:, None, :]) @ u.conj().transpose(0, 2, 1)
-            beta = np.sqrt(n_r / (lam / d ** 2).sum(axis=1))
-            return beta, beta[:, None, None] * gain, gain, ~np.isfinite(beta)
         gram = h_sel @ h_sel.conj().transpose(0, 2, 1)
-        if cfg.precoder == "zf":
-            inv, failed = _screened_hermitian_inverse(gram)
-            beta = np.sqrt(n_r / np.trace(inv, axis1=1, axis2=2).real)
-            p = beta[:, None, None] * (inv @ h_sel).conj().transpose(0, 2, 1)
-            gain, hp = None, h_sel @ p
-        else:
-            inv, failed = _screened_hermitian_inverse(
-                gram + (n_r * n0) * np.eye(n_r))
-            gain = gram @ inv
-            beta = np.sqrt(n_r / np.einsum("bij,bji->b", gain, inv).real)
-            hp = beta[:, None, None] * gain
-    return beta, hp, gain, failed | ~np.isfinite(beta)
+        inv, failed = _screened_hermitian_inverse(gram)
+        beta = np.sqrt(n_r / np.trace(inv, axis1=1, axis2=2).real)
+        p = beta[:, None, None] * (inv @ h_sel).conj().transpose(0, 2, 1)
+    return beta, h_sel @ p, None, failed | ~np.isfinite(beta)
 
 
-def _receive_batch(hp: np.ndarray, k_idx: np.ndarray, s: np.ndarray,
+def _receive_batch(hp: np.ndarray, k_idx: np.ndarray | None, s: np.ndarray,
                    wu: np.ndarray, n0: float) -> np.ndarray:
-    """y = (H P) s e_k + sqrt(n0) w for a batch."""
-    cols = np.take_along_axis(hp, k_idx[:, None, None], axis=2)[:, :, 0]
+    """y = (H P) s e_k + sqrt(n0) w for a batch.
+
+    ``hp`` is the effective channels (B, N_r, N_r), whose columns ``k_idx``
+    are sent, or with ``k_idx`` None the sent columns (H P) e_k (B, N_r).
+    """
+    cols = hp if k_idx is None else np.take_along_axis(
+        hp, k_idx[:, None, None], axis=2)[:, :, 0]
     return cols * s[:, None] + math.sqrt(n0) * wu
 
 
 def _detect_batch(det: str, cfg: SimConfig, y: np.ndarray, beta: np.ndarray,
-                  gain: np.ndarray | None, points: np.ndarray):
+                  gain, points: np.ndarray):
     """Batched detection; returns (k_hat, m_hat, coarse), k and m 0-based.
 
-    ``coarse`` is RTTD's (B,) mask of rows decided by the energy detector
-    (ratio below gamma) and None for the other detectors. RTTD computes the
-    energies and their argmax once, for its ratio test and for the energy
-    detector's antenna, demaps its energy rows from their own y_k and G[k, k]
-    alone, and passes only the other rows to the ML search.
+    ``gain`` is None under ZF and under MMSE the factor (U, d) of the gain
+    matrices G = U diag(d) U^H. One gate serves every detector: the energy
+    detector decides MED's rows, none of MLD's and RTTD's rows whose energy
+    ratio lies below gamma, each from its strongest entry y_k and the scale
+    beta (ZF) or beta G[k, k] (MMSE), with G[k, k] = sum_j |U_kj|^2 d_j. The
+    other rows go to the joint ML search, with G formed for those rows only.
+    MLD computes no energies. ``coarse`` is RTTD's (B,) mask of
+    energy-detector rows and None for the other detectors.
     """
+    if det not in _DETECTORS:
+        raise ConfigError(f"detector must be one of {_DETECTORS}")
+    n = y.shape[0]
     if det == "mld":
-        return (*_mld_batch(y, beta, gain, points), None)
-    if det == "med":
-        return (*med(y, beta, gain, points), None)
-    if det == "rttd":
+        k_hat, coarse = np.empty(n, dtype=np.intp), np.zeros(n, dtype=bool)
+    else:
         e, k_hat = strongest(y)
-        coarse = ratio_of(e, k_hat) < cfg.gamma
-        m_hat = np.empty(y.shape[0], dtype=np.intp)
-        rows = np.flatnonzero(coarse)
-        if rows.size:
-            m_hat[rows] = med_symbols(y, beta, gain, points, rows, k_hat[rows])
-        rows = np.flatnonzero(~coarse)
-        if rows.size:
-            k_hat[rows], m_hat[rows] = _mld_batch(
-                y[rows], beta[rows], None if gain is None else gain[rows],
-                points)
-        return k_hat, m_hat, coarse
-    raise ConfigError(f"detector must be one of {_DETECTORS}")
+        coarse = (ratio_of(e, k_hat) < cfg.gamma if det == "rttd"
+                  else np.ones(n, dtype=bool))
+    m_hat = np.empty(n, dtype=np.intp)
+    rows = np.flatnonzero(coarse)
+    if rows.size:
+        k = k_hat[rows]
+        scale = beta[rows]
+        if gain is not None:
+            uk = gain[0][rows, k]
+            scale = scale * ((uk.real ** 2 + uk.imag ** 2)
+                             * gain[1][rows]).sum(axis=1)
+        m_hat[rows] = med_symbols(y[rows, k], scale, points)
+    rows = np.flatnonzero(~coarse)
+    if rows.size:
+        if rows.size == n:
+            rows = slice(None)  # every row: views, no gather
+        k_hat[rows], m_hat[rows] = _mld_batch(
+            y[rows], beta[rows],
+            None if gain is None else gain_matrices(*(g[rows] for g in gain)),
+            points)
+    return k_hat, m_hat, coarse if det == "rttd" else None
 
 
 def _draw_and_screen(cfg: SimConfig, ports, trials: np.ndarray, n0: float,
                      redraw: int = 0):
     """Draw redraw attempt ``redraw`` of ``trials``; colour, select, screen.
 
-    Returns (failed, rows), rows being the trials' payload bits, unit noise,
-    coloured channels, selected columns, and the precoder gain and effective
-    channel that the precodability screen built at noise level n0. ``failed``
-    flags the trials whose selection degenerates or whose Gram fails the
-    screen.
+    Returns (degenerate, ill, rows). ``degenerate`` flags the trials whose
+    port selection degenerates and ``ill`` the others that fail the
+    precodability screen at noise level n0. ``rows`` holds the trials'
+    payload bits, unit noise and coloured channels, then what the SNR points
+    are built from: the ZF beta and effective channel H P, or the MMSE
+    factor (U, lambda).
     """
     root, pairs = ports
-    hw, bits, wu = _draw_trials(cfg, trials, redraw)
-    hb = hw if cfg.baseline else hw @ root
-    idx, failed = _select_indices(cfg, hb, pairs)
+    hb, bits, wu = _draw_trials(cfg, trials, redraw)
+    if not cfg.baseline:
+        hb = hb @ root  # coloured; the white draw is freed here
+    idx, degenerate = _select_indices(cfg, hb, pairs)
     h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-    beta, hp, _, ill_conditioned = _precode_batch(cfg, h_sel, n0)
-    return failed | ill_conditioned, (bits, wu, hb, h_sel, beta, hp)
+    beta, hp, factor, ill = _precode_batch(cfg, h_sel, n0)
+    built = (beta, hp) if factor is None else factor
+    return degenerate, ill & ~degenerate, (bits, wu, hb, *built)
 
 
 def _redraw_failed(cfg: SimConfig, ports, trials: np.ndarray,
-                   failed: np.ndarray, rows: tuple, n0: float) -> int:
+                   degenerate: np.ndarray, ill: np.ndarray, rows: tuple,
+                   n0: float) -> tuple[int, int]:
     """Re-draw the failed trials of a batch from derived sub-streams.
 
     Attempt a re-draws every trial still failed as one batch, from the
     (trial, a) streams, through the same draw, colour, select and screen
     step as the first draw, and writes the trials that pass into the
     batch's ``rows`` in place; the others go on to attempt a + 1. Returns
-    the number of redraws consumed. A trial still failed after
-    ``_MAX_REDRAWS`` attempts raises, naming the first such trial.
+    the redraws consumed as (selection, screen), each redraw counted under
+    the cause its trial failed by in the attempt before. A trial still
+    failed after ``_MAX_REDRAWS`` attempts raises, naming the first such
+    trial.
     """
-    pending = np.flatnonzero(failed)
-    total = 0
+    pending = np.flatnonzero(degenerate | ill)
+    cause = degenerate[pending]
+    selection = screen = 0
     for attempt in range(1, _MAX_REDRAWS + 1):
-        bad, new = _draw_and_screen(cfg, ports, trials[pending], n0, attempt)
-        total += pending.size
+        selection += int(np.count_nonzero(cause))
+        screen += int(cause.size - np.count_nonzero(cause))
+        deg, bad, new = _draw_and_screen(cfg, ports, trials[pending], n0,
+                                         attempt)
+        bad |= deg
         for row, fresh in zip(rows, new):
             row[pending[~bad]] = fresh[~bad]
-        pending = pending[bad]
+        pending, cause = pending[bad], deg[bad]
         if not pending.size:
-            return total
+            return selection, screen
     raise NumericalError(f"trial {trials[pending[0]]} still degenerate "
                          f"after {_MAX_REDRAWS} redraws")
 
@@ -502,41 +540,51 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
 
     The trials are drawn and screened at the tightest noise level of
     ``cfg.snr_db``, failures re-drawn; then each SNR point precodes,
-    receives and detects. Returns (counts, redraws, kept): counts[i, p] is
-    the int64 (bit errors, symbol errors, energy-detector rows) of
-    ``detectors[i]`` at point p, the last being RTTD's rows decided by its
-    energy detector (0 for the others). With ``keep``, kept holds the
-    payload bits, each point's energy ratios and each point's and
-    detector's decided bits; otherwise it is None and no array of a point
-    outlives the point.
+    receives and detects. ZF sends the same columns H P e_k at every point.
+    MMSE builds, per point, only d = lambda / (lambda + N_r n0) and beta
+    from the batch's factor, and sends beta g_k with g_k = U (d * conj(U[k,
+    :])), the row of U gathered once per batch. Returns (counts, redraws,
+    kept): counts[i, p] is the int64 (bit errors, symbol errors,
+    energy-detector rows) of ``detectors[i]`` at point p, the last being
+    RTTD's rows decided by its energy detector (0 for the others); redraws
+    is the (selection, screen) pair of ``_redraw_failed``. With ``keep``,
+    kept holds the payload bits, each point's energy ratios and each point's
+    and detector's decided bits; otherwise it is None and no array of a
+    point outlives the point.
     """
     points = build_qam(cfg.mod_order).points
     n0s = [10.0 ** (-s / 10.0) for s in cfg.snr_db]
-    failed, rows = _draw_and_screen(cfg, ports, trials, min(n0s))
-    redraws = (_redraw_failed(cfg, ports, trials, failed, rows, min(n0s))
-               if failed.any() else 0)
-    bits, wu, hb, h_sel, beta, hp = rows
-    del rows  # MMSE rebuilds beta and hp at each point
+    degenerate, ill, rows = _draw_and_screen(cfg, ports, trials, min(n0s))
+    redraws = (_redraw_failed(cfg, ports, trials, degenerate, ill, rows,
+                              min(n0s))
+               if degenerate.any() or ill.any() else (0, 0))
+    bits, wu, hb, *built = rows
     if cfg.dump_channels:
         dump_channels_csv(cfg.dump_channels, zip(trials.tolist(), hb))
     mb = cfg.symbol_bits
     k_idx, m_idx = bits_to_indices(bits, cfg.spatial_bits)
     tx = (k_idx << mb) | m_idx
     s = points[m_idx]
-    gain = None
+    sent = np.arange(k_idx.size), k_idx
     if cfg.precoder == "mmse":
-        svd = np.linalg.svd(h_sel, full_matrices=False)[:2]
+        u, lam = built
+        u_k = u[sent].conj()
+    else:
+        beta, hp = built
+        col, gain = hp[sent[0], :, k_idx], None
     counts = np.zeros((len(detectors), len(n0s), 3), dtype=np.int64)
     ratios, rx = [], []
     for p, n0 in enumerate(n0s):
         if cfg.precoder == "mmse":
-            beta, hp, gain, _ = _precode_batch(cfg, h_sel, n0, svd)
-        y = _receive_batch(hp, k_idx, s, wu, n0)
+            d, beta = mmse_scales(lam, cfg.n_r * n0)
+            col = beta[:, None] * np.einsum("brj,bj->br", u, d * u_k)
+            gain = u, d
+        y = _receive_batch(col, None, s, wu, n0)
         if keep:
             ratios.append(energy_ratio(y))
             rx.append([])
-        for i, d in enumerate(detectors):
-            k_hat, m_hat, coarse = _detect_batch(d, cfg, y, beta, gain,
+        for i, det in enumerate(detectors):
+            k_hat, m_hat, coarse = _detect_batch(det, cfg, y, beta, gain,
                                                  points)
             diff = tx ^ ((k_hat << mb) | m_hat)
             bit_errors = np.count_nonzero(np.unpackbits(diff.view(np.uint8)))
@@ -548,13 +596,14 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
     return counts, redraws, (bits, ratios, rx) if keep else None
 
 
-def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
-                 collect_ratios: bool = False):
+def _sweep(cfg: SimConfig, detectors: tuple[str, ...],
+           collect_ratios: bool = False):
     """Core sweep: per-detector, per-point error counts over all trials.
 
     Returns (counts, redraws, ratios) where counts[det][point] is
     [bit_errors, symbol_errors, med_rows], med_rows counting the RTTD
-    decisions taken by the energy detector (0 for other detectors), and
+    decisions taken by the energy detector (0 for other detectors),
+    redraws is the (selection, screen) pair of redraw counts, and
     ratios[point] is an array of energy ratios (empty unless requested).
     """
     cfg.validate()
@@ -577,8 +626,18 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
     counts = np.sum([r[0] for r in results], axis=0)
     ratios = ([np.concatenate(a) for a in zip(*(r[2][1] for r in results))]
               if collect_ratios else [np.empty(0) for _ in cfg.snr_db])
+    redraws = tuple(int(sum(c)) for c in zip(*(r[1] for r in results)))
     return ({d: counts[i].tolist() for i, d in enumerate(detectors)},
-            sum(r[1] for r in results), ratios)
+            redraws, ratios)
+
+
+def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
+                 collect_ratios: bool = False):
+    """``_sweep`` with the redraws summed over their causes: (counts,
+    redraws, ratios), the form the golden-count tests and the benchmark's
+    self-test read."""
+    counts, redraws, ratios = _sweep(cfg, detectors, collect_ratios)
+    return counts, sum(redraws), ratios
 
 
 def run_ber_sweep(cfg: SimConfig) -> SweepResult:
@@ -600,7 +659,7 @@ def run_ber_sweep_multi(cfg: SimConfig,
             raise ConfigError(f"detector must be one of {_DETECTORS}")
         if d in detectors[:i]:
             raise ConfigError(f"detector {d!r} is listed more than once")
-    totals, redraws, _ = _run_batches(cfg, tuple(detectors))
+    totals, (selection, screen), _ = _sweep(cfg, tuple(detectors))
     out = {}
     for d in detectors:
         pts = []
@@ -614,8 +673,9 @@ def run_ber_sweep_multi(cfg: SimConfig,
                                 ci_low=lo, ci_high=hi))
         med_rows = tuple(t[2] for t in totals[d]) if d == "rttd" else None
         out[d] = SweepResult(variant=replace(cfg, detector=d).variant,
-                             points=tuple(pts), redraws=redraws,
-                             med_rows=med_rows)
+                             points=tuple(pts), redraws=selection + screen,
+                             med_rows=med_rows, selection_redraws=selection,
+                             screen_redraws=screen)
     return out
 
 
@@ -642,10 +702,22 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
         cfg, _port_model(cfg), np.array([trial_index]), (cfg.detector,),
         keep=True)
     # rx[point][detector] holds the decided bits of the batch's rows
-    return TrialResult(tx_bits=bits[0], rx_bits=rx[0][0][0], redraws=redraws)
+    return TrialResult(tx_bits=bits[0], rx_bits=rx[0][0][0],
+                       redraws=sum(redraws))
 
 
-def ratio_histograms(cfg: SimConfig) -> list[RatioHistogram]:
+@dataclass(frozen=True)
+class RatioSweep:
+    """The energy-ratio histogram of every SNR point, with the sweep's
+    redraws split by cause as in :class:`SweepResult`."""
+
+    histograms: tuple[RatioHistogram, ...]
+    redraws: int
+    selection_redraws: int
+    screen_redraws: int
+
+
+def run_ratio_sweep(cfg: SimConfig) -> RatioSweep:
     """Histogram of the receive energy ratio at each configured SNR point.
 
     Requires the MMSE precoder (the ratio statistic is defined for it). All
@@ -655,14 +727,20 @@ def ratio_histograms(cfg: SimConfig) -> list[RatioHistogram]:
     cfg.validate()
     if cfg.precoder != "mmse":
         raise ConfigError("the energy-ratio histogram requires the MMSE precoder")
-    _, _, ratios = _run_batches(cfg, (), collect_ratios=True)
+    _, (selection, screen), ratios = _sweep(cfg, (), collect_ratios=True)
     out = []
     for snr, arr in zip(cfg.snr_db, ratios):
         counts, edges = np.histogram(arr, bins=cfg.bins, range=(0.0, 1.0))
         out.append(RatioHistogram(snr_db=float(snr), bin_edges=edges,
                                   counts=counts, total=int(arr.size),
                                   median=float(np.median(arr))))
-    return out
+    return RatioSweep(histograms=tuple(out), redraws=selection + screen,
+                      selection_redraws=selection, screen_redraws=screen)
+
+
+def ratio_histograms(cfg: SimConfig) -> list[RatioHistogram]:
+    """The histograms of :func:`run_ratio_sweep`, one per SNR point."""
+    return list(run_ratio_sweep(cfg).histograms)
 
 
 # ---------------------------------------------------------------------------

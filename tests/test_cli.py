@@ -124,6 +124,21 @@ def test_manifest_records_stream_version(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["ber", "ratio-hist"])
+def test_manifest_splits_redraws_by_cause(command, tmp_path, capsys):
+    # the first ports of a 0.05-wavelength aperture never degenerate in
+    # selection, but some of their MMSE Grams fail the screen at 120 dB
+    out = tmp_path / "run.csv"
+    code, _, _ = run_cli([command, "--trials", "200", "--snr", "120",
+                          "--w1", "0.05", "--w2", "0.05", "--portsel",
+                          "first", "--precoder", "mmse", "--seed", "5",
+                          "--out", str(out)], capsys)
+    assert code == 0
+    manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+    assert manifest["selection_redraws"] == 0
+    assert manifest["screen_redraws"] == manifest["redraws"] > 0
+
+
+@pytest.mark.parametrize("command", ["ber", "ratio-hist"])
 def test_manifest_records_trials_per_second(command, tmp_path, capsys):
     out = tmp_path / "run.csv"
     code, _, _ = run_cli([command, "--trials", "30", "--snr", "0:5:10",

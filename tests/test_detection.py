@@ -7,8 +7,8 @@ from conftest import random_channel
 from farsm.detection import energy_ratio, med, mld, mld_generic
 from farsm.errors import ConfigError
 from farsm.modulation import build_qam
-from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
-                             zf_precoder)
+from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_factor,
+                             mmse_precoder, mmse_scales, zf_precoder)
 from farsm.simulate import SimConfig, _detect_batch
 
 
@@ -164,9 +164,12 @@ def test_rttd_gamma_extremes():
 
 
 def test_rttd_mmse_route():
-    _, p, gain, points = _mmse_setup(6)
+    h, p, gain, points = _mmse_setup(6)
+    # the detect stage takes the gain matrices as their factor (U, d)
+    u, lam = mmse_factor(h[None])
+    factor = u, mmse_scales(lam, 4 * NoiseModel.from_snr_db(8.0).n0)[0]
     y = np.zeros((1, 4), dtype=complex)
     y[0, 0] = p.beta * gain[0, 0].real * points[2]
-    k_hat, m_hat, coarse = _rttd(y, p.beta, points, 0.6, gain=gain[None])
+    k_hat, m_hat, coarse = _rttd(y, p.beta, points, 0.6, gain=factor)
     assert coarse[0]
     assert (k_hat[0], m_hat[0]) == (0, 2)

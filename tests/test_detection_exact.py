@@ -12,6 +12,7 @@ import pytest
 
 from farsm.detection import med, mld, mld_generic
 from farsm.modulation import build_qam
+from farsm.precoding import gain_matrices
 
 ORDERS = (16, 64)
 
@@ -202,7 +203,8 @@ def _engine_rows(monkeypatch, n_r, order, precoder, trials=48):
     detect = simulate._detect_batch
 
     def spy(det, cfg, y, beta, gain, points):
-        got.append((y, beta, gain))
+        # MMSE hands over the factor (U, d) of the gain matrices
+        got.append((y, beta, None if gain is None else gain_matrices(*gain)))
         return detect(det, cfg, y, beta, gain, points)
 
     monkeypatch.setattr(simulate, "_detect_batch", spy)

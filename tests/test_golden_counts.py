@@ -12,7 +12,10 @@ here, and keeps the old ones.
 Version 1 drew one stream per trial. Its BER counts were recorded before
 the RTTD gating and the once-per-batch MMSE Gram, its histograms before
 MMSE precoding moved to one SVD per batch; that route changes the MMSE
-gains in their last digits and no count pinned here. Version 2 draws one
+gains in their last digits and no count pinned here. Neither does the
+factor route that followed it (the screen and each point's sent column
+g_k and diagonal G[k, k] taken from that SVD's U and eigenvalues), which
+moves receive vectors y in their last digits. Version 2 draws one
 stream per block of 256 trials. The retired tables still check something:
 every count of the current version must lie within a two-run band of its
 version-1 count, since both are estimates of the same error rate.

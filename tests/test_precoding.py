@@ -1,3 +1,6 @@
+import os
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,3 +104,84 @@ def test_transmit_noise_is_stream_stable():
     w = (y1 - y0) / 0.2
     y2 = _receive_batch(hp, k, s, wu, 1.0)
     assert np.allclose(y0 + w, y2, atol=1e-9)
+
+
+def _mp_mmse(h, c, k, j):
+    """beta, beta g_k and beta G[j, j] of one channel from a 50-digit
+    evaluation of G = H H^H (H H^H + c I)^-1 and beta = sqrt(N_r / tr(H H^H
+    (H H^H + c I)^-2)), as floats."""
+    with mp.workdps(50):
+        hm = mp.matrix(h.tolist())
+        gram = hm * hm.H
+        inv = (gram + mp.mpf(c) * mp.eye(h.shape[0])) ** -1
+        g = gram * inv
+        g_inv = g * inv
+        beta = mp.sqrt(h.shape[0] / mp.re(sum(g_inv[i, i]
+                                              for i in range(h.shape[0]))))
+        return (float(beta),
+                np.array([complex(beta * g[i, k]) for i in range(h.shape[0])]),
+                float(beta * mp.re(g[j, j])), float(beta) * np.array(
+                    [[complex(g[r, q]) for q in range(h.shape[0])]
+                     for r in range(h.shape[0])]))
+
+
+def test_factor_route_matches_50_digit_oracle_on_ill_conditioned_channels(
+        monkeypatch):
+    # the first ports of a 0.05-wavelength aperture, at 90 and 120 dB: the
+    # screen passes Grams of condition up to 1e12, and 2 of the 128 trials
+    # are redrawn. Inverting the formed regularized Gram misses this oracle
+    # by up to about 4e-6 relative; the SVD route by about 2e-11.
+    from farsm import simulate
+
+    got = {"hb": [], "k": [], "col": [], "beta": [], "y": [], "scale": []}
+    dump, indices = simulate.dump_channels_csv, simulate.bits_to_indices
+    receive, detect = simulate._receive_batch, simulate._detect_batch
+    symbols = simulate.med_symbols
+
+    def spy_indices(bits, spatial_bits):
+        got["k"].append(indices(bits, spatial_bits)[0])
+        return indices(bits, spatial_bits)
+
+    def spy_receive(cols, k_idx, s, wu, n0):
+        got["col"].append(cols)
+        return receive(cols, k_idx, s, wu, n0)
+
+    def spy_detect(det, cfg, y, beta, gain, points):
+        got["y"].append(y)
+        got["beta"].append(beta)
+        return detect(det, cfg, y, beta, gain, points)
+
+    def spy_symbols(yk, scale, points):
+        got["scale"].append(scale)
+        return symbols(yk, scale, points)
+
+    monkeypatch.setattr(simulate, "dump_channels_csv",
+                        lambda path, rows: got["hb"].extend(h for _, h in rows))
+    monkeypatch.setattr(simulate, "bits_to_indices", spy_indices)
+    monkeypatch.setattr(simulate, "_receive_batch", spy_receive)
+    monkeypatch.setattr(simulate, "_detect_batch", spy_detect)
+    monkeypatch.setattr(simulate, "med_symbols", spy_symbols)
+    cfg = SimConfig(w1=0.05, w2=0.05, precoder="mmse", portsel="first",
+                    detector="med", mod_order=16, trials=128,
+                    snr_db=(90.0, 120.0), master_seed=5,
+                    dump_channels=os.devnull)
+    assert simulate.run_ber_sweep(cfg).redraws == 2
+    monkeypatch.undo()
+    # the channels after redraws, as the sweep dumps them
+    h_sel = np.array(got["hb"])[:, :, :cfg.n_a]
+    k_sent = got["k"][0]
+    for p, snr in enumerate(cfg.snr_db):
+        noise = NoiseModel.from_snr_db(snr)
+        k_med = np.argmax(np.abs(got["y"][p]) ** 2, axis=1)
+        for t in range(cfg.trials):
+            beta, col, scale, hp = _mp_mmse(h_sel[t], cfg.n_r * noise.n0,
+                                            k_sent[t], k_med[t])
+            assert got["beta"][p][t] == pytest.approx(beta, rel=1e-9)
+            assert (np.linalg.norm(got["col"][p][t] - col)
+                    <= 1e-9 * np.linalg.norm(col))
+            assert got["scale"][p][t] == pytest.approx(scale, rel=1e-9)
+            # the one-channel views of the same route
+            ref = mmse_precoder(h_sel[t], noise)
+            assert ref.beta == pytest.approx(beta, rel=1e-9)
+            gain = ref.beta * effective_gain_matrix(h_sel[t], noise)
+            assert np.linalg.norm(gain - hp) <= 1e-9 * np.linalg.norm(hp)

@@ -10,13 +10,17 @@ from farsm.channel import SeededRng
 from farsm.detection import energy_ratio, med, mld
 from farsm.errors import ConfigError, NumericalError
 from farsm.modulation import build_qam
-from farsm.precoding import NoiseModel, effective_gain_matrix, mmse_precoder
-from farsm.simulate import (PURPOSE_BENCH, BerPoint, SimConfig, _detect_batch,
-                            _draw_trials, _port_model, _precode_batch,
-                            _receive_batch, _run_batches, _select_indices,
-                            portsel_benchmark, ratio_histograms, run_ber_sweep,
-                            run_ber_sweep_multi, run_trial, stream_id,
-                            wilson_interval, worker_count, write_ber_csv)
+from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
+                             mmse_scales)
+from farsm.simulate import (PURPOSE_BENCH, STREAM_VERSION, BerPoint,
+                            SimConfig, _detect_batch, _draw_trials,
+                            _port_model, _precode_batch, _receive_batch,
+                            _run_batches, _select_indices, portsel_benchmark,
+                            ratio_histograms, run_ber_sweep,
+                            run_ber_sweep_multi, run_ratio_sweep, run_trial,
+                            stream_id, wilson_interval, worker_count,
+                            write_ber_csv)
+from test_golden_counts import CONFIGS, GOLDEN
 
 FAST = dict(snr_db=(2.0,), portsel="tmd")
 
@@ -295,6 +299,33 @@ def test_mmse_run_trial_matches_sweep_counts_with_redraws():
     assert redraws == sweep.redraws
 
 
+REDRAW_CASES = {
+    # golden case, 6 redraws: the first ports never degenerate in selection
+    "mmse-first-golden": (CONFIGS["mmse-first-redraws-16qam"], "screen"),
+    "zf-first": (dict(w1=0.05, w2=0.05, portsel="first", trials=600,
+                      snr_db=(0.0, 90.0), master_seed=5), "screen"),
+    # at 0.0015 wavelengths most MCE-TMD selections degenerate
+    "zf-mce-tmd": (dict(w1=0.0015, w2=0.0015, portsel="mce-tmd", trials=300,
+                        snr_db=(0.0, 90.0), master_seed=5), "both"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDRAW_CASES))
+def test_redraws_are_split_by_cause(name):
+    shape, causes = REDRAW_CASES[name]
+    cfg = SimConfig(**shape)
+    sweep = run_ber_sweep(cfg)
+    assert sweep.selection_redraws + sweep.screen_redraws == sweep.redraws
+    assert sweep.screen_redraws > 0
+    assert (sweep.selection_redraws > 0) == (causes == "both")
+    if name == "mmse-first-golden":
+        assert sweep.redraws == GOLDEN[STREAM_VERSION][
+            "mmse-first-redraws-16qam"][0] == 6
+        ratios = run_ratio_sweep(cfg)
+        assert (ratios.redraws, ratios.selection_redraws,
+                ratios.screen_redraws) == (sweep.redraws, 0, sweep.redraws)
+
+
 @pytest.mark.parametrize("portsel,first_failed", [("tmd", 1), ("first", 0)])
 def test_redraw_exhaustion_names_the_first_failed_trial(portsel, first_failed):
     # at a thousandth of a wavelength every channel is near rank one; under
@@ -308,7 +339,9 @@ def test_redraw_exhaustion_names_the_first_failed_trial(portsel, first_failed):
 
 
 def _detector_batch(precoder, rows, seed=3):
-    """Precoded 16-QAM receive vectors at 5 dB over random 4 x 6 channels."""
+    """Precoded 16-QAM receive vectors at 5 dB over random 4 x 6 channels,
+    with the gain matrices (None for ZF) and their factor (U, d) as the
+    detect stage takes it."""
     g = np.random.Generator(np.random.Philox(seed))
     h_sel = (g.standard_normal((rows, 4, 6))
              + 1j * g.standard_normal((rows, 4, 6))) / np.sqrt(2.0)
@@ -318,10 +351,15 @@ def _detector_batch(precoder, rows, seed=3):
     k_idx = g.integers(0, 4, rows)
     s = points[g.integers(0, 16, rows)]
     n0 = 10.0 ** -0.5
-    beta, hp, gain, failed = _precode_batch(SimConfig(precoder=precoder),
-                                            h_sel, n0)
+    cfg = SimConfig(precoder=precoder)
+    svd = np.linalg.svd(h_sel, full_matrices=False)[:2]
+    factor = svd[0], mmse_scales(svd[1] ** 2, 4 * n0)[0]
+    if precoder == "zf":
+        svd = factor = None
+    beta, hp, gain, failed = _precode_batch(cfg, h_sel, n0, svd)
     assert not failed.any()
-    return _receive_batch(hp, k_idx, s, wu, n0), beta, gain, points
+    return (_receive_batch(hp, k_idx, s, wu, n0), beta, gain, factor,
+            points)
 
 
 @pytest.mark.parametrize("precoder", ["zf", "mmse"])
@@ -333,12 +371,12 @@ def _detector_batch(precoder, rows, seed=3):
 ])
 def test_gated_rttd_equals_both_branches_on_the_whole_batch(
         precoder, rows, gamma, branches):
-    y, beta, gain, points = _detector_batch(precoder, rows)
+    y, beta, gain, factor, points = _detector_batch(precoder, rows)
     cfg = SimConfig(precoder=precoder, detector="rttd", gamma=gamma)
     coarse = energy_ratio(y) < gamma
     k_med, m_med = med(y, beta, gain, points)
     k_mld, m_mld = mld(y, beta, gain, points)
-    k_hat, m_hat, mask = _detect_batch("rttd", cfg, y, beta, gain, points)
+    k_hat, m_hat, mask = _detect_batch("rttd", cfg, y, beta, factor, points)
     assert np.array_equal(mask, coarse)
     assert np.array_equal(k_hat, np.where(coarse, k_med, k_mld))
     assert np.array_equal(m_hat, np.where(coarse, m_med, m_mld))
@@ -376,6 +414,42 @@ def test_mmse_svd_route_matches_scalar_precoder(rows, n_r, n_a, snr_db):
     _assert_close(hp, h_sel @ p)
     power = np.einsum("bij,bij->b", p, p.conj()).real
     np.testing.assert_allclose(power, n_r, rtol=1e-9)
+
+
+def test_mmse_sweep_factors_each_batch_once(monkeypatch):
+    # the golden redraw case: one batch of 400 trials, 6 of them redrawn
+    calls = {"svd": [], "solve": 0, "gain_rows": 0, "ml_rows": 0}
+    svd, gains, ml = np.linalg.svd, simulate.gain_matrices, simulate._mld_batch
+
+    def counted_svd(a, *args, **kwargs):
+        calls["svd"].append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        raise AssertionError("the MMSE sweep solves nothing")
+
+    def counted_gains(u, d):
+        calls["gain_rows"] += u.shape[0]
+        return gains(u, d)
+
+    def counted_ml(y, *args):
+        calls["ml_rows"] += y.shape[0]
+        return ml(y, *args)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(simulate, "gain_matrices", counted_gains)
+    monkeypatch.setattr(simulate, "_mld_batch", counted_ml)
+    cfg = SimConfig(**CONFIGS["mmse-first-redraws-16qam"])
+    sweep = run_ber_sweep_multi(cfg, ("med", "rttd"))["rttd"]
+    assert sweep.redraws == 6 and calls["solve"] == 0
+    # one SVD of the batch, then one per redraw attempt on its trials only
+    assert calls["svd"][0] == cfg.trials
+    assert sum(calls["svd"][1:]) == sweep.redraws
+    # gain matrices are formed only for the rows the ML search decides
+    rows = cfg.trials * len(cfg.snr_db)
+    assert 0 < calls["gain_rows"] == calls["ml_rows"] < rows
 
 
 def test_rttd_reports_energy_detector_rows_per_point():
