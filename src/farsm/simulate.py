@@ -263,10 +263,13 @@ class SweepResult:
 
     variant: str
     points: tuple[BerPoint, ...]
-    redraws: int
+    selection_redraws: int
+    screen_redraws: int
     med_rows: tuple[int, ...] | None = None
-    selection_redraws: int = 0
-    screen_redraws: int = 0
+
+    @property
+    def redraws(self) -> int:
+        return self.selection_redraws + self.screen_redraws
 
 
 @dataclass(frozen=True)
@@ -404,7 +407,10 @@ def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float, svd=None):
 
     Given ``svd = np.linalg.svd(h_sel, full_matrices=False)[:2]`` (MMSE),
     it returns the whole precoder at n0, unscreened: gain = G = U diag(d)
-    U^H and hp = beta G. The sweep forms only parts of it (``_run_batch``).
+    U^H and hp = beta G. The sweep forms only parts of it (``_run_batch``)
+    and never calls this form; it is kept as the batched precoder that
+    ``test_mmse_svd_route_matches_scalar_precoder`` checks against
+    ``precoding.mmse_precoder``.
     """
     n_r = h_sel.shape[1]
     if cfg.precoder == "mmse":
@@ -673,9 +679,8 @@ def run_ber_sweep_multi(cfg: SimConfig,
                                 ci_low=lo, ci_high=hi))
         med_rows = tuple(t[2] for t in totals[d]) if d == "rttd" else None
         out[d] = SweepResult(variant=replace(cfg, detector=d).variant,
-                             points=tuple(pts), redraws=selection + screen,
-                             med_rows=med_rows, selection_redraws=selection,
-                             screen_redraws=screen)
+                             points=tuple(pts), selection_redraws=selection,
+                             screen_redraws=screen, med_rows=med_rows)
     return out
 
 
@@ -712,9 +717,12 @@ class RatioSweep:
     redraws split by cause as in :class:`SweepResult`."""
 
     histograms: tuple[RatioHistogram, ...]
-    redraws: int
     selection_redraws: int
     screen_redraws: int
+
+    @property
+    def redraws(self) -> int:
+        return self.selection_redraws + self.screen_redraws
 
 
 def run_ratio_sweep(cfg: SimConfig) -> RatioSweep:
@@ -734,8 +742,8 @@ def run_ratio_sweep(cfg: SimConfig) -> RatioSweep:
         out.append(RatioHistogram(snr_db=float(snr), bin_edges=edges,
                                   counts=counts, total=int(arr.size),
                                   median=float(np.median(arr))))
-    return RatioSweep(histograms=tuple(out), redraws=selection + screen,
-                      selection_redraws=selection, screen_redraws=screen)
+    return RatioSweep(histograms=tuple(out), selection_redraws=selection,
+                      screen_redraws=screen)
 
 
 def ratio_histograms(cfg: SimConfig) -> list[RatioHistogram]:

@@ -15,7 +15,11 @@ MMSE precoding moved to one SVD per batch; that route changes the MMSE
 gains in their last digits and no count pinned here. Neither does the
 factor route that followed it (the screen and each point's sent column
 g_k and diagonal G[k, k] taken from that SVD's U and eigenvalues), which
-moves receive vectors y in their last digits. Version 2 draws one
+moves receive vectors y in their last digits. Its screen reads the
+condition from the factor instead of a solve of the formed matrix, so a
+channel whose condition lies within rounding of the screen's bound could
+be redrawn where it was not before, or the reverse; on these cases and the
+seeds checked against the solve route no redraw moved. Version 2 draws one
 stream per block of 256 trials. The retired tables still check something:
 every count of the current version must lie within a two-run band of its
 version-1 count, since both are estimates of the same error rate.

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import random_channel
 from farsm.errors import SingularChannelError
 from farsm.modulation import build_qam
-from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
-                             zf_precoder)
+from farsm.precoding import (MAX_CONDITION, NoiseModel, _condition_exceeded,
+                             effective_gain_matrix, mmse_factor,
+                             mmse_precoder, mmse_screen, zf_precoder)
 from farsm.simulate import SimConfig, _draw_trials, _receive_batch
 
 
@@ -185,3 +186,27 @@ def test_factor_route_matches_50_digit_oracle_on_ill_conditioned_channels(
             assert ref.beta == pytest.approx(beta, rel=1e-9)
             gain = ref.beta * effective_gain_matrix(h_sel[t], noise)
             assert np.linalg.norm(gain - hp) <= 1e-9 * np.linalg.norm(hp)
+
+
+def test_screen_bound_decides_as_forming_every_row():
+    # the first ports of a 0.05-wavelength aperture at 120 dB, some of which
+    # the bound sends on to the formed R and some of which fail there, and
+    # i.i.d. channels, which the bound passes
+    from farsm import simulate
+
+    cfg = SimConfig(w1=0.05, w2=0.05, portsel="first", trials=512)
+    hb = _draw_trials(cfg, np.arange(cfg.trials))[0]
+    hb = (hb @ simulate._port_model(cfg)[0])[:, :, :cfg.n_a]
+    g = np.random.Generator(np.random.Philox(2))
+    iid = (g.standard_normal((512, 4, 4))
+           + 1j * g.standard_normal((512, 4, 4))) / np.sqrt(2.0)
+    u, lam = mmse_factor(np.concatenate([hb, iid]))
+    c = cfg.n_r * NoiseModel.from_snr_db(120.0).n0
+    w = (lam + c)[:, None, :]
+    uh = u.conj().transpose(0, 2, 1)
+    formed = _condition_exceeded((u * w) @ uh, (u / w) @ uh)
+    assert np.array_equal(mmse_screen(u, lam, c), formed)
+    bound = cfg.n_r * w.max(axis=2)[:, 0] / w.min(axis=2)[:, 0]
+    checked = ~(bound <= MAX_CONDITION / 2)
+    assert 0 < formed[:512].sum() < checked[:512].sum() < 512
+    assert not checked[512:].any()

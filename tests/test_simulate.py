@@ -10,8 +10,8 @@ from farsm.channel import SeededRng
 from farsm.detection import energy_ratio, med, mld
 from farsm.errors import ConfigError, NumericalError
 from farsm.modulation import build_qam
-from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
-                             mmse_scales)
+from farsm.precoding import (NoiseModel, effective_gain_matrix, gain_matrices,
+                             mmse_factor, mmse_precoder, mmse_scales)
 from farsm.simulate import (PURPOSE_BENCH, STREAM_VERSION, BerPoint,
                             SimConfig, _detect_batch, _draw_trials,
                             _port_model, _precode_batch, _receive_batch,
@@ -311,11 +311,21 @@ REDRAW_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(REDRAW_CASES))
-def test_redraws_are_split_by_cause(name):
+def test_redraws_are_split_by_cause(name, monkeypatch):
     shape, causes = REDRAW_CASES[name]
     cfg = SimConfig(**shape)
+    # the trials drawn again, counted where they are drawn
+    redrawn = []
+    draw = simulate._draw_and_screen
+
+    def counted_draw(cfg, ports, trials, n0, redraw=0):
+        if redraw:
+            redrawn.append(trials.size)
+        return draw(cfg, ports, trials, n0, redraw)
+
+    monkeypatch.setattr(simulate, "_draw_and_screen", counted_draw)
     sweep = run_ber_sweep(cfg)
-    assert sweep.selection_redraws + sweep.screen_redraws == sweep.redraws
+    assert sweep.selection_redraws + sweep.screen_redraws == sum(redrawn)
     assert sweep.screen_redraws > 0
     assert (sweep.selection_redraws > 0) == (causes == "both")
     if name == "mmse-first-golden":
@@ -351,13 +361,15 @@ def _detector_batch(precoder, rows, seed=3):
     k_idx = g.integers(0, 4, rows)
     s = points[g.integers(0, 16, rows)]
     n0 = 10.0 ** -0.5
-    cfg = SimConfig(precoder=precoder)
-    svd = np.linalg.svd(h_sel, full_matrices=False)[:2]
-    factor = svd[0], mmse_scales(svd[1] ** 2, 4 * n0)[0]
     if precoder == "zf":
-        svd = factor = None
-    beta, hp, gain, failed = _precode_batch(cfg, h_sel, n0, svd)
-    assert not failed.any()
+        beta, hp, gain, failed = _precode_batch(SimConfig(), h_sel, n0)
+        assert not failed.any()
+        factor = None
+    else:
+        u, lam = mmse_factor(h_sel)
+        d, beta = mmse_scales(lam, 4 * n0)
+        factor, gain = (u, d), gain_matrices(u, d)
+        hp = beta[:, None, None] * gain
     return (_receive_batch(hp, k_idx, s, wu, n0), beta, gain, factor,
             points)
 
