@@ -10,7 +10,9 @@ Three strategies pick N_a of the N fluid-antenna ports per channel draw:
   port whose removal grows tr((H H^H)^(-1)) the least. The growth caused by
   removing column h from an active set with inverse Gram A is
   ||A h||^2 / (1 - h^H A h), and the inverse Gram is maintained across
-  removals by a rank-one (Sherman-Morrison) downdate instead of refactoring.
+  removals by a rank-one (Sherman-Morrison) downdate instead of refactoring;
+  the growths of the remaining ports follow by rank-one recurrences, so no
+  step rescores the ports.
 * ``mce_tmd_select``: a cheaper two-stage variant. Stage one walks a static,
   geometry-ranked list of port pairs and repeatedly removes the weaker member
   of the most channel-correlated pair within the leading window, until N_b
@@ -597,40 +599,56 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
 
     Returns (indices (B, n_a) 0-based ascending, failed (B,)).
 
-    Each step scores every port with V = A H for the inverse Gram A: num =
-    sum_r |v_rn|^2, den = 1 - sum_r Re(conj(h_rn) v_rn) and cost num / den,
-    then applies the rank-one update of smw_downdate for the cheapest port.
+    Each step removes the active port of least cost num_n / den_n, with
+    num_n = ||A h_n||^2 and den_n = 1 - h_n^H A h_n for the inverse Gram A
+    of the active ports (tmd_trace_metric); a tie goes to the smallest
+    index, and a port with den_n <= REMOVAL_EPS (or NaN) is not removable.
+    The scores are computed once, from V = A H after the screen, and then
+    carried across removals by rank-one recurrences instead of being
+    rescored. Removing port j, with d = den_j, v = A h_j (so ||v||^2 =
+    num_j), u = A v, w_n = (v^H h_n) / d and p_n = u^H h_n:
+
+        den_n <- den_n - d |w_n|^2
+        num_n <- num_n + 2 Re(conj(p_n) w_n) + |w_n|^2 ||v||^2
+        A     <- A + v v^H / d                        (smw_downdate)
+
+    A step thus costs two batched matvecs (v, u), two vector-matrix
+    products (w = (v / d)^H H and u^H H) and (B, N) elementwise work; the
+    last removal updates nothing. The carried scores equal rescored ones
+    only up to rounding, so where two costs tie within rounding the pick can
+    differ from that of a walk that rescores every port at every step, such
+    as the tests' oracle built on tmd_trace_metric and smw_downdate.
+
     A row whose Gram fails the screen of _screened_hermitian_inverse is
     failed. A step with no finite cost fails its row too, but on a row that
     passed the screen that takes rounding: with k > N_r active ports the
     leverages h_n^H A h_n sum to tr(A H H^H) = N_r, so the dens sum to
     k - N_r >= 1 and one of them is >= 1/k, far above REMOVAL_EPS. The test
-    stays as a guard against rounding.
-
-    The steps work in buffers allocated once per call. num and den are sums
-    over float64 views with exactly the additions einsum("brn,brn->bn")
-    makes on conj(V) V and conj(H) V, in its order: re^2 + im^2 (or the re
-    and im products) per entry, then the rows r = 0, 1, ... Another order
-    moves the last bit of some costs, and with it seeded selections.
+    stays as a guard against rounding. A failed row sheds its first active
+    port at each step, so every row returns n_a indices.
     """
-    b, _, n = hb.shape
+    b, n_r, n = hb.shape
     hb = np.ascontiguousarray(hb)
-    act = np.ones((b, n), dtype=bool)
     inv, failed = _screened_hermitian_inverse(
         hb @ hb.conj().transpose(0, 2, 1))
+    # initial scores over float64 views (B, N_r, 2N): re and im products
+    # of each entry added, then the receive rows in order
+    hf, vf = hb.view(np.float64), (inv @ hb).view(np.float64)
+    terms = vf * vf
+    num = (terms[..., 0::2] + terms[..., 1::2]).sum(axis=1)
+    np.multiply(hf, vf, out=terms)
+    den = 1.0 - (terms[..., 0::2] + terms[..., 1::2]).sum(axis=1)
+    act = np.ones((b, n), dtype=bool)
     rows = np.arange(b)
-    v = np.empty_like(hb)
-    hf, vf = hb.view(np.float64), v.view(np.float64)  # (B, N_r, 2N)
-    prod = np.empty(vf.shape)
-    terms = np.empty(hb.shape, dtype=np.float64)
-    num, den, cost = (np.empty((b, n)) for _ in range(3))
+    cost, w2, t = (np.empty((b, n)) for _ in range(3))
     skip = np.empty((b, n), dtype=bool)
+    v, u = (np.empty((b, n_r, 1), dtype=complex) for _ in range(2))
+    wh, uh = (np.empty((b, 1, n), dtype=complex) for _ in range(2))
+    # float64 views (B, 2N) of w and u^H H, re and im interleaved
+    wf, uf = wh.view(np.float64)[:, 0], uh.view(np.float64)[:, 0]
+    prod = np.empty((b, 2 * n))
     outer = np.empty_like(inv)
-    for _ in range(n - n_a):
-        np.matmul(inv, hb, out=v)
-        _pair_row_sums(np.multiply(vf, vf, out=prod), terms, num)
-        _pair_row_sums(np.multiply(hf, vf, out=prod), terms, den)
-        np.subtract(1.0, den, out=den)
+    for left in range(n - n_a, 0, -1):
         # cost = num / den on active ports with den > REMOVAL_EPS (NaN
         # fails the test too), inf elsewhere
         np.greater(den, REMOVAL_EPS, out=skip)
@@ -643,26 +661,30 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
         failed |= bad
         # dead rows still must shed exactly one active port to keep counts
         j[bad] = np.argmax(act[bad], axis=1)
-        vj = v[rows, :, j]  # (B, N_r)
-        dj = den[rows, j]
-        dj[~(np.abs(dj) > REMOVAL_EPS)] = 1.0  # dead rows only
-        np.multiply(vj[:, :, None], vj.conj()[:, None, :], out=outer)
-        np.divide(outer, dj[:, None, None], out=outer)
-        inv += outer
         act[rows, j] = False
+        if left == 1:
+            break
+        dj, vn = den[rows, j], num[rows, j]
+        dj[~(np.abs(dj) > REMOVAL_EPS)] = 1.0  # dead rows only
+        np.matmul(inv, hb[rows, :, j, None], out=v)
+        np.matmul(inv, v, out=u)
+        x = v / dj[:, None, None]
+        np.matmul(x.conj().transpose(0, 2, 1), hb, out=wh)
+        np.matmul(u.conj().transpose(0, 2, 1), hb, out=uh)
+        np.multiply(wf, wf, out=prod)
+        np.add(prod[:, 0::2], prod[:, 1::2], out=w2)  # |w_n|^2
+        np.multiply(w2, dj[:, None], out=t)
+        den -= t
+        np.multiply(uf, wf, out=prod)
+        np.add(prod[:, 0::2], prod[:, 1::2], out=t)  # Re(conj(p_n) w_n)
+        t *= 2.0
+        num += t
+        np.multiply(w2, vn[:, None], out=t)
+        num += t
+        np.matmul(x, v.conj().transpose(0, 2, 1), out=outer)
+        inv += outer
     idx = np.nonzero(act)[1].reshape(b, n_a)
     return idx, failed
-
-
-def _pair_row_sums(prod: np.ndarray, terms: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """out[b, n] = sum_r (prod[b, r, 2n] + prod[b, r, 2n + 1]) for N_r >= 2,
-    the rows added in order r = 0, 1, ...; ``terms`` (B, N_r, N) is scratch."""
-    np.add(prod[..., 0::2], prod[..., 1::2], out=terms)
-    np.add(terms[:, 0], terms[:, 1], out=out)
-    for r in range(2, terms.shape[1]):
-        out += terms[:, r]
-    return out
 
 
 def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,

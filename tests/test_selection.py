@@ -20,6 +20,7 @@ from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
                              initial_trace_state, mce_tmd_select,
                              optimal_select, smw_downdate, tmd_select,
                              tmd_trace_metric)
+from farsm.simulate import SimConfig, _draw_trials, _port_model
 
 
 def gram_trace_inverse(h, ports):
@@ -339,6 +340,24 @@ def test_batch_tmd_degenerate_rows(draw_channel):
     # first active port and keeps the last n_a
     zero = 3 * list(degenerate).index("zero") + 1
     assert idx[zero].tolist() == list(range(n - n_a, n))
+
+
+@pytest.mark.parametrize("w", [0.05, 0.1])
+def test_batch_tmd_equals_scalar_on_ill_conditioned_draws(w):
+    # engine draws on a small aperture: the 16 ports are strongly
+    # correlated, so the removal denominators den_n that _batch_tmd carries
+    # across its 12 removals shrink furthest and rounding builds up most
+    cfg = SimConfig(w1=w, w2=w, master_seed=31).validate()
+    hb = _draw_trials(cfg, np.arange(128))[0] @ _port_model(cfg)[0]
+    idx, failed = _batch_tmd(hb, cfg.n_a)
+    for b, h in enumerate(hb):
+        try:
+            ref = greedy_trace_walk(h, cfg.n_a)
+        except SingularChannelError:
+            assert failed[b], b
+            continue
+        assert not failed[b], b
+        assert [int(i) + 1 for i in idx[b]] == ref, b
 
 
 @pytest.mark.parametrize("kind,n0", [("zf", 1.0), ("mmse", 0.0316)])
