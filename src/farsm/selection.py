@@ -632,12 +632,16 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
     inv, failed = _screened_hermitian_inverse(
         hb @ hb.conj().transpose(0, 2, 1))
     # initial scores over float64 views (B, N_r, 2N): re and im products
-    # of each entry added, then the receive rows in order
-    hf, vf = hb.view(np.float64), (inv @ hb).view(np.float64)
-    terms = vf * vf
-    num = (terms[..., 0::2] + terms[..., 1::2]).sum(axis=1)
-    np.multiply(hf, vf, out=terms)
-    den = 1.0 - (terms[..., 0::2] + terms[..., 1::2]).sum(axis=1)
+    # of each entry added, then the receive rows in order; the buffers go
+    # before the loop, which would otherwise raise the sweep's peak memory
+    vf = (inv @ hb).view(np.float64)
+    terms = hb.view(np.float64) * vf
+    np.add(terms[..., 0::2], terms[..., 1::2], out=terms[..., 0::2])
+    den = 1.0 - terms[..., 0::2].sum(axis=1)
+    np.multiply(vf, vf, out=terms)
+    np.add(terms[..., 0::2], terms[..., 1::2], out=terms[..., 0::2])
+    num = terms[..., 0::2].sum(axis=1)
+    del vf, terms
     act = np.ones((b, n), dtype=bool)
     rows = np.arange(b)
     cost, w2, t = (np.empty((b, n)) for _ in range(3))
