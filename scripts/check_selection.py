@@ -20,9 +20,9 @@ the precoder. The report gives, per case, precoder and selector, the
 trials, the failed trials (change side), the trials whose selected ports
 differ ("moved") and those whose failure flag differs ("flags"), and the
 wall seconds each tree spent selecting that row. One block of all cases
-took about 6.5 minutes per tree on a 2-core VM, 4 of them in the nr8 MMSE
-exhaustive row and 1.2 in the nr8 ZF exhaustive row. The exit status is 1
-when any differ.
+took 5.5 to 6.5 minutes per tree on a 2-core VM, 3.5 to 4 of them in the
+nr8 MMSE exhaustive row and 1 to 1.4 in the nr8 ZF exhaustive row. The
+exit status is 1 when any differ.
 """
 
 from __future__ import annotations
