@@ -13,7 +13,7 @@ revisions can be compared:
 * one ``run_ber_sweep_multi`` pass scored by MLD, MED and RTTD: per
   detector and SNR point the bit and symbol errors, RTTD's energy-detector
   rows, and the redraws;
-* ``ratio_histograms`` on the MMSE cases (the engine defines the ratio
+* ``run_ratio_sweep`` on the MMSE cases (the engine defines the ratio
   histogram for MMSE only): every bin count, and each point's median;
 * ``run_trial`` on the first 16 trials at every SNR point:
   the transmitted and decided bits and the redraws.
@@ -91,7 +91,7 @@ def fingerprint(trials: str, seed: str, out: str) -> None:
         if cfg.precoder == "mmse":
             got["histograms"] = [
                 {"counts": h.counts.tolist(), "median": h.median}
-                for h in simulate.ratio_histograms(cfg)]
+                for h in simulate.run_ratio_sweep(cfg).histograms]
         got["run_trial"] = [
             [snr, t, _bits(r.tx_bits), _bits(r.rx_bits), r.redraws]
             for snr in cfg.snr_db for t in range(RUN_TRIALS)

@@ -18,11 +18,15 @@ streams. Every case below runs every port selector of the tree's
 selects at 10 dB), the others once, since only exhaustive selection reads
 the precoder. The report gives, per case, precoder and selector, the
 trials, the failed trials (change side), the trials whose selected ports
-differ ("moved") and those whose failure flag differs ("flags"), and the
-wall seconds each tree spent selecting that row. One block of all cases
-took 5.5 to 6.5 minutes per tree on a 2-core VM, 3.5 to 4 of them in the
-nr8 MMSE exhaustive row and 1 to 1.4 in the nr8 ZF exhaustive row. The
-exit status is 1 when any differ.
+differ ("moved") and those whose failure flag differs ("flags"), and then
+the wall seconds of each tree's selection subprocesses, in total. One block of all
+cases took 5.5 to 6.5 minutes per tree on a 2-core VM, 3.5 to 4 of them in
+the nr8 MMSE exhaustive row. The exit status is 1 when any differ.
+
+The seconds are one wall-clock run per tree and say nothing about a
+selector's speed: unchanged code has moved by up to 40% between two such
+runs. A speed claim needs ``scripts/bench_pair.py``, which runs the two
+trees in alternating pairs.
 """
 
 from __future__ import annotations
@@ -96,7 +100,6 @@ def select_all(cases: str, block: str, stacks_dir: str, out_dir: str) -> None:
                                    portsel=portsel)
                 pairs = simulate._port_model(cfg)[1]
                 idx, failed = [], []
-                t0 = time.perf_counter()
                 for lo in range(0, BLOCK, BATCH):
                     i, f = simulate._select_indices(
                         cfg, hb[lo:lo + BATCH], pairs)
@@ -105,7 +108,6 @@ def select_all(cases: str, block: str, stacks_dir: str, out_dir: str) -> None:
                 np.savez(Path(out_dir) / f"{case}_{precoder}_{portsel}.npz",
                          idx=np.concatenate(idx),
                          failed=np.concatenate(failed), case=case,
-                         seconds=time.perf_counter() - t0,
                          precoder=precoder, portsel=portsel,
                          source=simulate.__file__)
 
@@ -142,6 +144,7 @@ def main(argv=None) -> int:
     parent_rev = git("rev-parse", args.parent)
 
     totals: dict[str, list] = {}
+    seconds = {"parent": 0.0, "change": 0.0}
     with tempfile.TemporaryDirectory(prefix="check-selection-") as tmp:
         parent_tree = Path(tmp) / "tree"
         export_rev(parent_rev, parent_tree)
@@ -157,36 +160,36 @@ def main(argv=None) -> int:
                 _imported(np.load(dirs["stacks"] / f"{case}.npz"), "stacks",
                           ROOT)
             for side, tree in trees.items():
+                t0 = time.perf_counter()
                 run_tree(tree, "select_all", ",".join(cases), block,
                          dirs["stacks"], dirs[side])
+                seconds[side] += time.perf_counter() - t0
             for path in sorted(dirs["change"].glob("*.npz")):
                 chg = np.load(path)
                 par = np.load(dirs["parent"] / path.name)
                 for side, data in (("parent", par), ("change", chg)):
                     _imported(data, side, trees[side])
-                row = totals.setdefault(path.stem, [0, 0, 0, 0, 0.0, 0.0])
+                row = totals.setdefault(path.stem, [0, 0, 0, 0])
                 row[0] += len(chg["failed"])
                 row[1] += int(chg["failed"].sum())
                 row[2] += int(np.any(chg["idx"] != par["idx"], axis=1).sum())
                 row[3] += int((chg["failed"] != par["failed"]).sum())
-                row[4] += float(par["seconds"])
-                row[5] += float(chg["seconds"])
             shutil.rmtree(work)
     print(f"parent {parent_rev}, change: working tree on "
           f"{git('rev-parse', 'HEAD')}, channels drawn by the working tree, "
           f"{args.blocks} x {BLOCK} trials per row, master seeds from "
           f"{FIRST_SEED}")
     print(f"{'case':6s} {'precoder':8s} {'portsel':8s} {'trials':>7s} "
-          f"{'failed':>6s} {'moved':>6s} {'flags':>6s} {'parent_s':>8s} "
-          f"{'change_s':>8s}")
+          f"{'failed':>6s} {'moved':>6s} {'flags':>6s}")
     moved_total = 0
-    for stem, (trials, failed, moved, flags, par_s, chg_s) in sorted(
-            totals.items()):
+    for stem, (trials, failed, moved, flags) in sorted(totals.items()):
         case, precoder, portsel = stem.split("_")
         moved_total += moved + flags
         print(f"{case:6s} {precoder:8s} {portsel:8s} {trials:7d} "
-              f"{failed:6d} {moved:6d} {flags:6d} {par_s:8.1f} {chg_s:8.1f}")
+              f"{failed:6d} {moved:6d} {flags:6d}")
     print(f"moved selections and flags: {moved_total}")
+    print(f"seconds selecting, one run per tree: parent "
+          f"{seconds['parent']:.1f}, change {seconds['change']:.1f}")
     return 1 if moved_total else 0
 
 

@@ -4,7 +4,7 @@ gamma. Writes results/ratio_calibration.csv."""
 import time
 from pathlib import Path
 
-from farsm.simulate import SimConfig, ratio_histograms
+from farsm.simulate import SimConfig, run_ratio_sweep
 
 TRIALS = 500_000
 SNR = (-5.0, 0.0, 5.0, 10.0, 15.0)
@@ -12,7 +12,7 @@ SNR = (-5.0, 0.0, 5.0, 10.0, 15.0)
 cfg = SimConfig(precoder="mmse", portsel="tmd", snr_db=SNR, trials=TRIALS,
                 master_seed=11, bins=50)
 t0 = time.perf_counter()
-hists = ratio_histograms(cfg)
+hists = run_ratio_sweep(cfg).histograms
 print(f"{len(SNR)} SNR points, {TRIALS} trials each: "
       f"{time.perf_counter() - t0:.1f}s")
 

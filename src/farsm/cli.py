@@ -390,8 +390,9 @@ def _theory_channels(cfg: SimConfig,
     """Channel draws for the theory commands, plus the redraws they took.
 
     Draw d reads stream_id(d, purpose=PURPOSE_THEORY). A draw whose ZF Gram
-    on the first N_a ports or on all N ports fails the ``MAX_CONDITION``
-    screen is redrawn from stream_id(d, attempt, PURPOSE_THEORY), at most
+    on the first N_a ports or on all N ports fails the engine's ZF screen
+    (``zf_precoder``, the one-channel view of the engine's precoder) is
+    redrawn from stream_id(d, attempt, PURPOSE_THEORY), at most
     ``_MAX_REDRAWS`` times. The screen does not depend on the noise, so it
     runs once per draw, before any SNR point, and a draw that passes is
     never replaced.

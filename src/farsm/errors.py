@@ -10,11 +10,4 @@ class NumericalError(RuntimeError):
 
 
 class SingularChannelError(NumericalError):
-    """Effective channel matrix is singular or too ill conditioned to invert.
-
-    Carries the offending condition-number estimate when one is available.
-    """
-
-    def __init__(self, message: str, condition: float | None = None):
-        super().__init__(message)
-        self.condition = condition
+    """Effective channel matrix is singular or too ill conditioned to invert."""

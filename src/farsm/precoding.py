@@ -24,7 +24,10 @@ accurate; inverting the formed Gram loses them to rounding.
 that route on a stack of channels. The engine factors a batch once and
 forms, at each SNR point, only the parts of G its receiver reads;
 ``mmse_precoder`` and ``effective_gain_matrix`` are one-channel views of the
-same route.
+same route, as ``zf_precoder`` is of ``zf_precoders``. Every route decides
+precodability by one of two screens of the 1-norm condition number:
+``_screened_hermitian_inverse`` for formed inverses, ``mmse_screen`` for
+SVD factors.
 """
 
 from __future__ import annotations
@@ -72,15 +75,6 @@ class Precoder:
 
     matrix: np.ndarray
     beta: float
-
-
-def _checked_hermitian_inverse(m: np.ndarray, what: str) -> np.ndarray:
-    """Invert a Hermitian positive-definite matrix, guarding conditioning."""
-    cond = float(np.linalg.cond(m))
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise SingularChannelError(
-            f"{what} is singular or ill conditioned (cond ~ {cond:.3e})", cond)
-    return np.linalg.solve(m, np.eye(m.shape[0], dtype=m.dtype))
 
 
 def _condition_exceeded(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
@@ -162,25 +156,42 @@ def gain_matrices(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (u * d[:, None, :]) @ u.conj().transpose(0, 2, 1)
 
 
-def _screened_factor(h_active: np.ndarray, noise: NoiseModel):
-    """(U, lambda, c) of one channel as a stack of one, through the screen
-    at c = N_r N_0; a failing channel raises SingularChannelError."""
-    u, lam = mmse_factor(h_active[None])
-    c = h_active.shape[0] * noise.n0
+def zf_precoders(h: np.ndarray):
+    """ZF precoders of a stack h (B, N_r, N_a): (beta (B,), P (B, N_a, N_r),
+    failed (B,)), failed by the screen of _screened_hermitian_inverse or by
+    a beta that is not finite."""
+    n_r = h.shape[1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gram = h @ h.conj().transpose(0, 2, 1)
+        inv, failed = _screened_hermitian_inverse(gram)
+        beta = np.sqrt(n_r / np.trace(inv, axis1=1, axis2=2).real)
+        p = beta[:, None, None] * (inv @ h).conj().transpose(0, 2, 1)
+    return beta, p, failed | ~np.isfinite(beta)
+
+
+def _screened_factor(h_active: np.ndarray, c: float):
+    """(U, lambda, V^H) of one channel H = U diag(sqrt(lambda)) V^H as stacks
+    of one, through mmse_screen at c; a failing channel raises
+    SingularChannelError. Zero columns pad H to N_r columns, so lambda holds
+    all N_r eigenvalues of H H^H."""
+    n_r, n_a = h_active.shape
+    h = np.pad(h_active, ((0, 0), (0, max(n_r - n_a, 0))))
+    u, sigma, vh = np.linalg.svd(h[None], full_matrices=False)
+    lam = sigma ** 2
     if mmse_screen(u, lam, c)[0]:
         raise SingularChannelError(
-            "regularized channel Gram matrix is singular or ill conditioned")
-    return u, lam, c
+            "channel Gram matrix is singular or ill conditioned")
+    return u, lam, vh
 
 
 def zf_precoder(h_active: np.ndarray) -> Precoder:
-    """Zero-forcing precoder for the active-port channel."""
-    n_r = h_active.shape[0]
-    gram = h_active @ h_active.conj().T
-    inv = _checked_hermitian_inverse(gram, "channel Gram matrix")
-    beta = float(np.sqrt(n_r / np.trace(inv).real))
-    matrix = beta * (h_active.conj().T @ inv)
-    return Precoder(matrix=matrix, beta=beta)
+    """Zero-forcing precoder for the active-port channel, the one-channel
+    view of zf_precoders; a failing channel raises SingularChannelError."""
+    beta, p, failed = zf_precoders(h_active[None])
+    if failed[0]:
+        raise SingularChannelError(
+            "channel Gram matrix is singular or ill conditioned")
+    return Precoder(matrix=p[0], beta=float(beta[0]))
 
 
 def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:
@@ -188,7 +199,8 @@ def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:
 
     P = beta H^H U diag(1 / (lambda + N_r N_0)) U^H, from the stacked route.
     """
-    u, lam, c = _screened_factor(h_active, noise)
+    c = h_active.shape[0] * noise.n0
+    u, lam, _ = _screened_factor(h_active, c)
     beta = float(mmse_scales(lam, c)[1][0])
     inv = (u[0] / (lam[0] + c)) @ u[0].conj().T
     return Precoder(matrix=beta * (h_active.conj().T @ inv), beta=beta)
@@ -200,5 +212,6 @@ def effective_gain_matrix(h_active: np.ndarray, noise: NoiseModel) -> np.ndarray
     The MMSE effective channel is beta * G; detectors use its columns (and
     its diagonal for the low-complexity path).
     """
-    u, lam, c = _screened_factor(h_active, noise)
+    c = h_active.shape[0] * noise.n0
+    u, lam, _ = _screened_factor(h_active, c)
     return gain_matrices(u, mmse_scales(lam, c)[0])[0]

@@ -48,7 +48,6 @@ from farsm.channel import restrict_to_ports
 from farsm.correlation import SortedPairArrays
 from farsm.errors import ConfigError, NumericalError, SingularChannelError
 from farsm.precoding import (MAX_CONDITION, NoiseModel,
-                             _checked_hermitian_inverse,
                              _screened_hermitian_inverse, mmse_precoder,
                              zf_precoder)
 
@@ -161,9 +160,11 @@ def _subset_capacities(h: np.ndarray, subsets: np.ndarray, kind: str,
     precoded channel is beta G, G = U diag(g) U^H: ZF has g = 1 and
     beta^2 = N_r / sum 1 / lambda; MMSE has g = lambda / (lambda + c) and
     beta^2 = N_r / sum lambda / (lambda + c)^2. The capacity is
-    sum log2(1 + beta^2 g^2 / c). A candidate scores -inf where
-    capacity_of_set raises: when the Gram its precoder inverts (H_I H_I^H,
-    plus c I under MMSE) has a 2-norm condition above MAX_CONDITION.
+    sum log2(1 + beta^2 g^2 / c). A candidate scores -inf by the rule of
+    the engine's kernel, _minor_capacities, applied to its own lambda: under
+    ZF where the Gram's bound tr(W) tr(W^-1) exceeds MAX_CONDITION
+    (_trace_bound_exceeded), and under both precoders where the capacity is
+    not finite.
     """
     if kind not in ("zf", "mmse"):
         raise ValueError(f"unknown precoder kind {kind!r}")
@@ -174,14 +175,16 @@ def _subset_capacities(h: np.ndarray, subsets: np.ndarray, kind: str,
                         compute_uv=False) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "zf":
-            d = lam
-            beta2 = n_r / np.sum(1.0 / lam, axis=1)
+            tr_inv = np.sum(1.0 / lam, axis=1)
+            beta2 = n_r / tr_inv
             cap = n_r * np.log2(1.0 + beta2 / c)
+            bad = (_trace_bound_exceeded(lam.sum(axis=1), tr_inv, 1.0)
+                   | ~np.isfinite(cap))
         else:
             d = lam + c
             beta2 = n_r / np.sum(lam / d ** 2, axis=1)
             cap = np.log2(1.0 + beta2[:, None] * (lam / d) ** 2 / c).sum(axis=1)
-        bad = ~(d[:, 0] / d[:, -1] <= MAX_CONDITION) | ~np.isfinite(cap)
+            bad = ~np.isfinite(cap)
     cap[bad] = -np.inf
     return cap
 
@@ -204,12 +207,16 @@ class TraceState:
 
 
 def initial_trace_state(h: np.ndarray, ports: PortSet | None = None) -> TraceState:
-    """Factor the Gram of the given ports (default: all) into a TraceState."""
+    """Invert the Gram of the given ports (default: all) into a TraceState;
+    a Gram failing _batch_tmd's screen raises SingularChannelError."""
     active = tuple(ports) if ports is not None else tuple(range(1, h.shape[1] + 1))
-    h_act = restrict_to_ports(h, active)
-    gram = h_act @ h_act.conj().T
-    inv = _checked_hermitian_inverse(gram, "active-port Gram matrix")
-    return TraceState(inverse=inv, active=active)
+    h_act = restrict_to_ports(h, active)[None]
+    inv, failed = _screened_hermitian_inverse(
+        h_act @ h_act.conj().transpose(0, 2, 1))
+    if failed[0]:
+        raise SingularChannelError(
+            "active-port Gram matrix is singular or ill conditioned")
+    return TraceState(inverse=inv[0], active=active)
 
 
 def tmd_trace_metric(state: TraceState, port: int, h: np.ndarray) -> float:
@@ -551,6 +558,12 @@ def _subset_sums(table: np.ndarray, n: int, n_a: int, k: int) -> np.ndarray:
     return acc
 
 
+def _trace_bound_exceeded(tr_w, e_below, det):
+    """The exhaustive search's ZF screen: tr(W) tr(W^-1) = tr_w e_below / det
+    exceeds MAX_CONDITION (overstating cond(W) by up to N_r^2) or is NaN."""
+    return ~(tr_w * e_below <= MAX_CONDITION * det)
+
+
 def _minor_capacities(hb: np.ndarray, n_a: int, kind: str, n0: float,
                       work: tuple[np.ndarray, ...] | None = None
                       ) -> np.ndarray:
@@ -558,9 +571,11 @@ def _minor_capacities(hb: np.ndarray, n_a: int, kind: str, n0: float,
     of channels ``hb`` (B, N_r, N).
 
     Candidates that cannot be precoded score -inf: under ZF those whose
-    Gram condition bound tr(W) tr(W^-1) exceeds MAX_CONDITION. Agrees
-    with capacity_of_set to 1e-8 relative up to N_r = 8. ``work`` is a
-    _minor_workspace for at least B trials, allocated when omitted.
+    Gram condition bound tr(W) tr(W^-1) exceeds MAX_CONDITION
+    (_trace_bound_exceeded), and those whose capacity terms are not
+    positive or not finite. Agrees with capacity_of_set to 1e-8 relative
+    up to N_r = 8. ``work`` is a _minor_workspace for at least B trials,
+    allocated when omitted.
     """
     n_r, n = hb.shape[1:]
     if kind == "zf":
@@ -578,9 +593,8 @@ def _minor_capacities(hb: np.ndarray, n_a: int, kind: str, n0: float,
             det, e_below = es[n_r], es[n_r - 1]
             cap, bad = _zf_capacity(det, e_below, n0, n_r)
             # a sum of squares is never exactly 0, so det > 0 cannot flag
-            # a singular Gram; tr(W) tr(W^-1) overstates cond(W) by at most
-            # a factor N_r^2
-            bad |= ~(es[1] * e_below <= MAX_CONDITION * det)
+            # a singular Gram
+            bad |= _trace_bound_exceeded(es[1], e_below, det)
         else:
             cap, bad = _mmse_capacity([es[k] for k in range(1, n_r + 1)],
                                       n0, n_r)

@@ -59,9 +59,8 @@ from farsm.detection import energy_ratio, med_symbols, ratio_of, strongest
 # tracer patches to count the rows that reach it
 from farsm.detection import mld as _mld_batch
 from farsm.modulation import bits_to_indices, build_qam, indices_to_bits
-from farsm.precoding import (NoiseModel, _screened_hermitian_inverse,
-                             gain_matrices, mmse_factor, mmse_scales,
-                             mmse_screen)
+from farsm.precoding import (NoiseModel, gain_matrices, mmse_factor,
+                             mmse_scales, mmse_screen, zf_precoders)
 from farsm.selection import (_batch_mce_tmd, _batch_optimal, _batch_tmd,
                              mce_tmd_select, optimal_select, tmd_select)
 
@@ -393,42 +392,26 @@ def _select_indices(cfg: SimConfig, hb: np.ndarray,
     return _batch_optimal(hb, cfg.n_a, cfg.precoder, n0_sel)
 
 
-def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float, svd=None):
+def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
     """Batched precoder quantities: (beta (B,), hp, gain, failed).
 
-    Without ``svd`` this is the precodability screen at noise level n0, and
-    it returns what the SNR points are built from. ZF inverts and screens
-    the Gram, and its precoder serves every point: hp = H P (B, N_r, N_r),
-    gain None. MMSE takes one SVD and returns its factor (U, lambda) of H
-    H^H = U diag(lambda) U^H as ``gain``, hp None; the screen reads the
-    same factor (``precoding.mmse_screen``), so nothing is solved.
-    ``failed`` flags the trials that fail the screen or whose beta is not
-    finite.
-
-    Given ``svd = np.linalg.svd(h_sel, full_matrices=False)[:2]`` (MMSE),
-    it returns the whole precoder at n0, unscreened: gain = G = U diag(d)
-    U^H and hp = beta G. The sweep forms only parts of it (``_run_batch``)
-    and never calls this form; it is kept as the batched precoder that
-    ``test_mmse_svd_route_matches_scalar_precoder`` checks against
-    ``precoding.mmse_precoder``.
+    This is the precodability screen at noise level n0, and it returns what
+    the SNR points are built from. ZF inverts and screens the Gram
+    (``precoding.zf_precoders``), and its precoder serves every point: hp =
+    H P (B, N_r, N_r), gain None. MMSE takes one SVD and returns its factor
+    (U, lambda) of H H^H = U diag(lambda) U^H as ``gain``, hp None; the
+    screen reads the same factor (``precoding.mmse_screen``), so nothing is
+    solved. ``failed`` flags the trials that fail the screen or whose beta
+    is not finite.
     """
-    n_r = h_sel.shape[1]
     if cfg.precoder == "mmse":
-        if svd is None:
-            u, lam = mmse_factor(h_sel)
-            beta = mmse_scales(lam, n_r * n0)[1]
-            failed = mmse_screen(u, lam, n_r * n0) | ~np.isfinite(beta)
-            return beta, None, (u, lam), failed
-        u, lam = svd[0], svd[1] ** 2
-        d, beta = mmse_scales(lam, n_r * n0)
-        gain = gain_matrices(u, d)
-        return beta, beta[:, None, None] * gain, gain, ~np.isfinite(beta)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gram = h_sel @ h_sel.conj().transpose(0, 2, 1)
-        inv, failed = _screened_hermitian_inverse(gram)
-        beta = np.sqrt(n_r / np.trace(inv, axis1=1, axis2=2).real)
-        p = beta[:, None, None] * (inv @ h_sel).conj().transpose(0, 2, 1)
-    return beta, h_sel @ p, None, failed | ~np.isfinite(beta)
+        n_r = h_sel.shape[1]
+        u, lam = mmse_factor(h_sel)
+        beta = mmse_scales(lam, n_r * n0)[1]
+        failed = mmse_screen(u, lam, n_r * n0) | ~np.isfinite(beta)
+        return beta, None, (u, lam), failed
+    beta, p, failed = zf_precoders(h_sel)
+    return beta, h_sel @ p, None, failed
 
 
 def _receive_batch(hp: np.ndarray, k_idx: np.ndarray | None, s: np.ndarray,
@@ -744,11 +727,6 @@ def run_ratio_sweep(cfg: SimConfig) -> RatioSweep:
                                   median=float(np.median(arr))))
     return RatioSweep(histograms=tuple(out), selection_redraws=selection,
                       screen_redraws=screen)
-
-
-def ratio_histograms(cfg: SimConfig) -> list[RatioHistogram]:
-    """The histograms of :func:`run_ratio_sweep`, one per SNR point."""
-    return list(run_ratio_sweep(cfg).histograms)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ import numpy as np
 
 from farsm.channel import restrict_to_ports
 from farsm.errors import NumericalError, SingularChannelError
-from farsm.precoding import (MAX_CONDITION, NoiseModel,
-                             _checked_hermitian_inverse)
+from farsm.precoding import (NoiseModel, _screened_factor,
+                             _screened_hermitian_inverse)
 from farsm.selection import PortSet, capacity_of_set
 
 _AGREEMENT_ATOL = 1e-9
@@ -66,27 +66,25 @@ def _removal_update(h: np.ndarray, pair: NestedSetPair,
     Both come from one SVD H_out = U diag(s) V^H, without forming the Gram:
     B = U diag(1/d) U^H with d = s^2 + shift, and with V_r the columns of
     V^H at the removed ports, H_rem = U diag(s) V_r, so B H_rem =
-    U diag(s/d) V_r and the core is I - V_r^H diag(s^2/d) V_r.
+    U diag(s/d) V_r and the core is I - V_r^H diag(s^2/d) V_r. The SVD is
+    screened by mmse_screen at ``shift``, so without a shift an outer set
+    of fewer than N_r ports fails; the core is inverted through
+    _screened_hermitian_inverse.
     """
-    n_r = h.shape[0]
-    _, s, vh = np.linalg.svd(restrict_to_ports(h, pair.outer),
-                             full_matrices=False)
-    lam = np.zeros(n_r)  # eigenvalues of H_out H_out^H, zero past rank N_out
-    lam[:s.size] = s ** 2
+    _, lam, vh = _screened_factor(restrict_to_ports(h, pair.outer), shift)
+    lam, vh = lam[0], vh[0]
     d = lam + shift
-    cond = d[0] / d[-1] if d[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > MAX_CONDITION:
-        raise SingularChannelError(
-            "outer-set Gram matrix is singular or ill conditioned "
-            f"(cond ~ {cond:.3e})", cond)
     removed = set(pair.removed)
     vr = vh[:, [i for i, p in enumerate(pair.outer) if p in removed]]
-    w = (lam / d)[:s.size, None]
+    w = (lam / d)[:, None]
     core = np.eye(vr.shape[1]) - vr.conj().T @ (w * vr)
-    core_inv = _checked_hermitian_inverse(core, "removal update core")
+    core_inv, failed = _screened_hermitian_inverse(core[None])
+    if failed[0]:
+        raise SingularChannelError(
+            "removal update core is singular or ill conditioned")
     # tr(D) = tr(core^-1 (B H_rem)^H (B H_rem))
-    bh_gram = vr.conj().T @ ((w / d[:s.size, None]) * vr)
-    return float(np.sum(1.0 / d)), float(np.trace(core_inv @ bh_gram).real)
+    bh_gram = vr.conj().T @ ((w / d[:, None]) * vr)
+    return float(np.sum(1.0 / d)), float(np.trace(core_inv[0] @ bh_gram).real)
 
 
 def zf_capacity_loss(h: np.ndarray, pair: NestedSetPair,
@@ -119,15 +117,13 @@ def zf_capacity_loss_bound(h: np.ndarray, pair: NestedSetPair) -> float:
 
 
 def mmse_mse(h: np.ndarray, ports: PortSet, noise: NoiseModel) -> float:
-    """Symbol MSE of the MMSE design over the given port set."""
+    """Symbol MSE of the MMSE design over the given port set: c sum 1 /
+    (lambda + c), c = N_r N_0, from the screened factor of the precoder."""
     if noise.n0 <= 0:
         raise ValueError("MSE needs a positive noise power")
-    h_sel = restrict_to_ports(h, ports)
-    n_r = h.shape[0]
-    c = n_r * noise.n0
-    reg = h_sel @ h_sel.conj().T + c * np.eye(n_r)
-    inv = _checked_hermitian_inverse(reg, "regularized Gram matrix")
-    return float(c * np.trace(inv).real)
+    c = h.shape[0] * noise.n0
+    lam = _screened_factor(restrict_to_ports(h, ports), c)[1]
+    return float(c * np.sum(1.0 / (lam + c)))
 
 
 def mmse_mse_difference(h: np.ndarray, pair: NestedSetPair,

@@ -25,8 +25,8 @@ from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
                              zf_precoder)
 from farsm.selection import (PortSet, initial_trace_state, smw_downdate,
                              tmd_select, tmd_trace_metric)
-from farsm.simulate import (SimConfig, _receive_batch, ratio_histograms,
-                            run_ber_sweep, run_ber_sweep_multi)
+from farsm.simulate import (SimConfig, _receive_batch, run_ber_sweep,
+                            run_ber_sweep_multi, run_ratio_sweep)
 from farsm.theory import (NestedSetPair, mmse_mse, mmse_mse_difference,
                           zf_capacity_loss, zf_capacity_loss_bound)
 
@@ -272,7 +272,7 @@ def test_ratio_histogram_skew_directions(announce):
                   budget_s=120):
         cfg = SimConfig(precoder="mmse", portsel="tmd",
                         snr_db=(-5.0, 10.0), trials=1_000_000, master_seed=11)
-        low, high = ratio_histograms(cfg)
+        low, high = run_ratio_sweep(cfg).histograms
         assert low.total == high.total == 1_000_000
         assert low.median > 0.5, low.median
         assert high.median < 0.5, high.median

@@ -30,7 +30,7 @@ import math
 import pytest
 
 from farsm.simulate import (STREAM_VERSION, SimConfig, _run_batches,
-                            ratio_histograms, run_ber_sweep_multi)
+                            run_ber_sweep_multi, run_ratio_sweep)
 
 DETECTORS = ("mld", "med", "rttd")
 
@@ -265,7 +265,7 @@ GOLDEN_HISTOGRAMS = {
 def test_golden_ratio_histograms(name):
     redraws, expected = GOLDEN_HISTOGRAMS[STREAM_VERSION][name]
     cfg = SimConfig(**HISTOGRAM_CONFIGS[name])
-    hists = ratio_histograms(cfg)
+    hists = run_ratio_sweep(cfg).histograms
     assert [h.snr_db for h in hists] == [e[0] for e in expected]
     for h, (snr, median, lead) in zip(hists, expected):
         counts = h.counts.tolist()

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -39,8 +40,9 @@ def test_zf_inverts_the_channel(seed, n_r, extra):
 
 @settings(max_examples=50)
 @given(seed=st.integers(0, 10_000), n_r=st.sampled_from((2, 4)),
-       extra=st.integers(0, 4), snr_db=st.floats(-10, 30))
+       extra=st.integers(-1, 4), snr_db=st.floats(-10, 30))
 def test_mmse_power_normalization(seed, n_r, extra, snr_db):
+    # extra = -1: fewer ports than receive antennas, still N_r of power
     h = random_channel(seed, n_r, n_r + extra)
     p = mmse_precoder(h, NoiseModel.from_snr_db(snr_db))
     power = np.trace(p.matrix @ p.matrix.conj().T).real
@@ -210,3 +212,44 @@ def test_screen_bound_decides_as_forming_every_row():
     checked = ~(bound <= MAX_CONDITION / 2)
     assert 0 < formed[:512].sum() < checked[:512].sum() < 512
     assert not checked[512:].any()
+
+
+def _raising_rows(route, channels):
+    """(B,) flags: ``route`` raises SingularChannelError on the channel."""
+    failed = np.zeros(len(channels), dtype=bool)
+    for b, h in enumerate(channels):
+        try:
+            route(h)
+        except SingularChannelError:
+            failed[b] = True
+    return failed
+
+
+def test_scalar_routes_fail_on_exactly_the_engines_rows():
+    # engine draws of a 0.05-wavelength aperture: about 2% of the Grams of
+    # the first 4 ports fail the ZF screen. Each one-channel route must
+    # fail on exactly the rows that the engine's screen of its form flags.
+    from farsm import simulate
+    from farsm.selection import _batch_tmd, initial_trace_state
+
+    cfg = SimConfig(w1=0.05, w2=0.05, portsel="first", trials=8192)
+    hb = _draw_trials(cfg, np.arange(cfg.trials))[0]
+    hb = hb @ simulate._port_model(cfg)[0]
+    h_sel = hb[:, :, :cfg.n_a]
+    zf = simulate._precode_batch(cfg, h_sel, 1.0)[3]
+    assert 0 < zf.sum() < cfg.trials
+    assert np.array_equal(_raising_rows(zf_precoder, h_sel), zf)
+
+    # TMD from all 16 ports, where no Gram fails, and on the first 4 alone
+    for stack in (hb, h_sel):
+        tmd = _batch_tmd(stack, cfg.n_a)[1]
+        assert np.array_equal(_raising_rows(initial_trace_state, stack), tmd)
+    assert tmd.sum() == zf.sum()
+
+    noise = NoiseModel.from_snr_db(120.0)
+    h_sel = h_sel[:4096]
+    mmse = simulate._precode_batch(replace(cfg, precoder="mmse"), h_sel,
+                                   noise.n0)[3]
+    assert 0 < mmse.sum() < len(h_sel)
+    assert np.array_equal(
+        _raising_rows(lambda h: mmse_precoder(h, noise), h_sel), mmse)

@@ -304,11 +304,9 @@ def test_batch_tmd_equals_scalar_across_shapes(n_r, n1, n2, n_a):
 
 
 def test_batch_tmd_degenerate_rows(draw_channel):
-    # healthy draws interleaved with channels whose Gram is singular. The
-    # stack screen (1-norm condition) and initial_trace_state's check
-    # (2-norm) differ
-    # by at most a factor N_r, so only clear-cut rows are used: every
-    # degenerate row has a Gram condition far beyond MAX_CONDITION.
+    # healthy draws interleaved with channels whose Gram is singular, with
+    # a condition far beyond MAX_CONDITION; initial_trace_state screens
+    # with the stack's screen, so it fails on the same rows
     n_a, n = 4, 16
     degenerate = {
         "rank-one": np.tile(random_channel(1, 4, 1), (1, n)),

@@ -16,8 +16,8 @@ from farsm.simulate import (PURPOSE_BENCH, STREAM_VERSION, BerPoint,
                             SimConfig, _detect_batch, _draw_trials,
                             _port_model, _precode_batch, _receive_batch,
                             _run_batches, _select_indices, portsel_benchmark,
-                            ratio_histograms, run_ber_sweep,
-                            run_ber_sweep_multi, run_ratio_sweep, run_trial,
+                            run_ber_sweep, run_ber_sweep_multi,
+                            run_ratio_sweep, run_trial,
                             stream_id, wilson_interval, worker_count,
                             write_ber_csv)
 from test_golden_counts import CONFIGS, GOLDEN
@@ -410,17 +410,17 @@ def test_mmse_svd_route_matches_scalar_precoder(rows, n_r, n_a, snr_db):
     h_sel = (g.standard_normal((rows, n_r, n_a))
              + 1j * g.standard_normal((rows, n_r, n_a))) / np.sqrt(2.0)
     noise = NoiseModel.from_snr_db(snr_db)
-    svd = np.linalg.svd(h_sel, full_matrices=False)[:2]
-    beta, hp, gain, failed = _precode_batch(SimConfig(precoder="mmse"),
-                                            h_sel, noise.n0, svd)
-    assert not failed.any()
+    u, lam = mmse_factor(h_sel)
+    d, beta = mmse_scales(lam, n_r * noise.n0)
+    gain = gain_matrices(u, d)
+    hp = beta[:, None, None] * gain
+    assert np.isfinite(beta).all()
     for b in range(rows):
         ref = mmse_precoder(h_sel[b], noise)
         assert beta[b] == pytest.approx(ref.beta, rel=1e-9)
         _assert_close(gain[b], effective_gain_matrix(h_sel[b], noise))
         _assert_close(hp[b], h_sel[b] @ ref.matrix)
     # P = beta H^H U diag(1 / (lambda + N_r N_0)) U^H from the same factors
-    u, lam = svd[0], svd[1] ** 2
     inv = (u / (lam + n_r * noise.n0)[:, None, :]) @ u.conj().transpose(0, 2, 1)
     p = beta[:, None, None] * (h_sel.conj().transpose(0, 2, 1) @ inv)
     _assert_close(hp, h_sel @ p)
@@ -524,7 +524,7 @@ def test_noiseless_mode_is_error_free():
 def test_ratio_histograms_counts_and_edges():
     cfg = SimConfig(trials=2000, snr_db=(-5.0, 10.0), precoder="mmse",
                     portsel="tmd", bins=20)
-    hists = ratio_histograms(cfg)
+    hists = run_ratio_sweep(cfg).histograms
     assert len(hists) == 2
     for h in hists:
         assert h.counts.sum() == h.total == 2000
@@ -539,14 +539,14 @@ def test_ratio_histograms_counts_and_edges():
 def test_ratio_histograms_single_point():
     cfg = SimConfig(precoder="mmse", portsel="tmd", bins=10, snr_db=(-5.0,),
                     trials=800)
-    (h,) = ratio_histograms(cfg)
+    (h,) = run_ratio_sweep(cfg).histograms
     assert h.snr_db == -5.0
     assert h.total == 800
 
 
 def test_ratio_histogram_requires_mmse():
     with pytest.raises(ConfigError, match="MMSE"):
-        ratio_histograms(SimConfig(trials=10, precoder="zf", portsel="tmd"))
+        run_ratio_sweep(SimConfig(trials=10, precoder="zf", portsel="tmd"))
 
 
 def test_baseline_has_no_selection_and_higher_errors():
