@@ -20,7 +20,8 @@ revisions can be compared:
 
 The cases cover ZF and MMSE; exhaustive, TMD, MCE-TMD and ``first``
 selection, the last at a 0.05-wavelength aperture where trials are
-redrawn; the fixed-antenna baseline; N_r = 8; and the noiseless +inf dB
+redrawn and at 0.5 wavelengths, where the MMSE factor takes both its eigh
+and its SVD route; the fixed-antenna baseline; N_r = 8; and the noiseless +inf dB
 point. The report lists, per case, what differs. The exit status is 1 when
 any count, redraw, histogram bin or ``run_trial`` bit differs. Medians are
 reported with their largest relative difference but do not set the exit
@@ -57,6 +58,10 @@ CASES = {
     "mmse-first-redraws": dict(w1=0.05, w2=0.05, precoder="mmse",
                                portsel="first", mod_order=16,
                                snr_db=(0.0, 30.0, 90.0, 120.0)),
+    # about half the Grams lie above precoding.EIGH_MAX_RATIO: both factor
+    # routes
+    "mmse-first-w0.5": dict(w1=0.5, w2=0.5, precoder="mmse", portsel="first",
+                            mod_order=16, snr_db=(0.0, 30.0, 90.0, 120.0)),
     "zf-baseline": dict(baseline=True, mod_order=16),
     "mmse-baseline": dict(baseline=True, precoder="mmse", mod_order=64),
     "mmse-nr8": dict(n_r=8, n_a=8, precoder="mmse", portsel="tmd",

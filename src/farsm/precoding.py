@@ -17,17 +17,20 @@ diagonal that approaches identity as the noise vanishes.
 
 With H H^H = U diag(lambda) U^H the noise enters only through lambda:
 G = U diag(d) U^H with d = lambda / (lambda + N_r N_0), and beta_MMSE =
-sqrt(N_r / sum lambda / (lambda + N_r N_0)^2). U and lambda = sigma^2 come
-from one SVD of H, which keeps the small eigenvalues that set G at high SNR
-accurate; inverting the formed Gram loses them to rounding.
-``mmse_factor``, ``mmse_scales``, ``mmse_screen`` and ``gain_matrices`` are
-that route on a stack of channels. The engine factors a batch once and
-forms, at each SNR point, only the parts of G its receiver reads;
-``mmse_precoder`` and ``effective_gain_matrix`` are one-channel views of the
-same route, as ``zf_precoder`` is of ``zf_precoders``. Every route decides
-precodability by one of two screens of the 1-norm condition number:
+sqrt(N_r / sum lambda / (lambda + N_r N_0)^2). The factor comes from eigh
+of the formed Gram where its eigenvalue ratio lambda_max / lambda_min is at
+most EIGH_MAX_RATIO, and from one SVD of H (lambda = sigma^2) elsewhere:
+forming the Gram squares the condition, and above that ratio rounding
+takes the small eigenvalues that set G at high SNR, which the SVD keeps
+(``mmse_factor`` derives the bound). ``mmse_factor``, ``mmse_scales``,
+``mmse_screen`` and ``gain_matrices`` are that route on a stack of
+channels. The engine factors a batch once and forms, at each SNR point,
+only the parts of G its receiver reads; ``mmse_precoder`` and
+``effective_gain_matrix`` are its views on a stack of one, as
+``zf_precoder`` is of ``zf_precoders``. Every route decides precodability
+by one of two screens of the 1-norm condition number:
 ``_screened_hermitian_inverse`` for formed inverses, ``mmse_screen`` for
-SVD factors.
+factors.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from farsm.errors import SingularChannelError
 # Gram (or regularized Gram) condition numbers beyond this are treated as
 # singular and surface as SingularChannelError.
 MAX_CONDITION = 1e12
+
+# mmse_factor takes eigh of the formed Gram on rows whose eigenvalue ratio
+# lambda_max / lambda_min is at most this, and the SVD of H on the others.
+EIGH_MAX_RATIO = 1e4
 
 
 @dataclass(frozen=True)
@@ -108,11 +115,50 @@ def _screened_hermitian_inverse(gram: np.ndarray):
     return inv, failed | _condition_exceeded(gram, inv)
 
 
+def _padded_svd(h: np.ndarray):
+    """Thin SVD (U, sigma, V^H) of a stack h (B, N_r, N_a), with zero columns
+    padding H to N_r columns, so sigma holds N_r values also when N_a <
+    N_r."""
+    n_r, n_a = h.shape[1:]
+    h = np.pad(h, ((0, 0), (0, 0), (0, max(n_r - n_a, 0))))
+    return np.linalg.svd(h, full_matrices=False)
+
+
 def mmse_factor(h: np.ndarray):
-    """(U (B, N_r, N_r), lambda (B, N_r)) with H H^H = U diag(lambda) U^H,
-    from one SVD of each channel of the stack h (B, N_r, N_a), N_a >= N_r."""
-    u, sigma = np.linalg.svd(h, full_matrices=False)[:2]
-    return u, sigma ** 2
+    """(U (B, N_r, N_r), lambda (B, N_r)) with H H^H = U diag(lambda) U^H
+    for a stack of channels h (B, N_r, N_a), lambda descending.
+
+    Each row takes eigh of its formed Gram, reordered to descending as the
+    SVD returns it, so later sums over the eigenvalues keep their order.
+    Rows whose computed ratio lambda_max / lambda_min is not at most
+    EIGH_MAX_RATIO (NaN and lambda_min <= 0 included) take the SVD of H
+    instead (``_padded_svd``), so lambda holds all N_r eigenvalues also
+    when N_a < N_r.
+
+    The bound. Forming the Gram and eigh are backward stable: the factor is
+    exact for H H^H + E with ||E||_2 <= k eps lambda_max, where k grows as a
+    low power of N_r and N_a (Golub & Van Loan, 4th ed., sections 8.1 and
+    8.6). beta, G and its entries are smooth functions of R = H H^H + c I,
+    c = N_r N_0, whose relative change under E is at most about ||E||_2 /
+    (lambda_min + c) <= k eps lambda_max / lambda_min. That is worst at c
+    = 0 (+inf dB), where beta = sqrt(N_r / sum 1 / lambda) follows the
+    relative error of lambda_min. The engine's results are checked against
+    a 50-digit oracle at 1e-9 relative; at the ratio 1e4, eps times the
+    ratio is 2.2e-12, which leaves a factor 450 for k. On 512 draws of the
+    first 4 ports of a 0.5-wavelength aperture, the k of beta at c = 0 was
+    at most 0.5. The SVD works on H itself, so its error in lambda_min
+    grows only as the square root of the ratio (Demmel & Veselic, SIAM J.
+    Matrix Anal. Appl. 13(4), 1992).
+    """
+    lam, u = np.linalg.eigh(h @ h.conj().transpose(0, 2, 1))
+    lam = np.ascontiguousarray(lam[:, ::-1])
+    u = np.ascontiguousarray(u[:, :, ::-1])
+    svd = np.flatnonzero(~((lam[:, 0] <= EIGH_MAX_RATIO * lam[:, -1])
+                           & (lam[:, -1] > 0)))
+    if svd.size:
+        us, sigma = _padded_svd(h[svd])[:2]
+        u[svd], lam[svd] = us, sigma ** 2
+    return u, lam
 
 
 def mmse_scales(lam: np.ndarray, c: float):
@@ -169,19 +215,22 @@ def zf_precoders(h: np.ndarray):
     return beta, p, failed | ~np.isfinite(beta)
 
 
-def _screened_factor(h_active: np.ndarray, c: float):
-    """(U, lambda, V^H) of one channel H = U diag(sqrt(lambda)) V^H as stacks
-    of one, through mmse_screen at c; a failing channel raises
-    SingularChannelError. Zero columns pad H to N_r columns, so lambda holds
-    all N_r eigenvalues of H H^H."""
-    n_r, n_a = h_active.shape
-    h = np.pad(h_active, ((0, 0), (0, max(n_r - n_a, 0))))
-    u, sigma, vh = np.linalg.svd(h[None], full_matrices=False)
-    lam = sigma ** 2
+def _screened(u: np.ndarray, lam: np.ndarray, c: float):
+    """(u, lam) of a stack of one, or SingularChannelError if it fails
+    mmse_screen at c."""
     if mmse_screen(u, lam, c)[0]:
         raise SingularChannelError(
             "channel Gram matrix is singular or ill conditioned")
-    return u, lam, vh
+    return u, lam
+
+
+def _screened_factor(h_active: np.ndarray, c: float):
+    """(U, lambda, V^H) of one channel H = U diag(sqrt(lambda)) V^H as stacks
+    of one, from its SVD through mmse_screen at c, for the theory routes
+    that need V^H; a failing channel raises SingularChannelError. lambda
+    holds all N_r eigenvalues of H H^H (``_padded_svd``)."""
+    u, sigma, vh = _padded_svd(h_active[None])
+    return (*_screened(u, sigma ** 2, c), vh)
 
 
 def zf_precoder(h_active: np.ndarray) -> Precoder:
@@ -197,10 +246,12 @@ def zf_precoder(h_active: np.ndarray) -> Precoder:
 def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:
     """MMSE (regularized) precoder; degenerates to ZF as the noise vanishes.
 
-    P = beta H^H U diag(1 / (lambda + N_r N_0)) U^H, from the stacked route.
+    P = beta H^H U diag(1 / (lambda + N_r N_0)) U^H, from mmse_factor on a
+    stack of one; a channel that fails mmse_screen raises
+    SingularChannelError.
     """
     c = h_active.shape[0] * noise.n0
-    u, lam, _ = _screened_factor(h_active, c)
+    u, lam = _screened(*mmse_factor(h_active[None]), c)
     beta = float(mmse_scales(lam, c)[1][0])
     inv = (u[0] / (lam[0] + c)) @ u[0].conj().T
     return Precoder(matrix=beta * (h_active.conj().T @ inv), beta=beta)
@@ -213,5 +264,5 @@ def effective_gain_matrix(h_active: np.ndarray, noise: NoiseModel) -> np.ndarray
     its diagonal for the low-complexity path).
     """
     c = h_active.shape[0] * noise.n0
-    u, lam, _ = _screened_factor(h_active, c)
+    u, lam = _screened(*mmse_factor(h_active[None]), c)
     return gain_matrices(u, mmse_scales(lam, c)[0])[0]

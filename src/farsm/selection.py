@@ -27,7 +27,8 @@ through it on the gathered survivor columns. ``TraceState``,
 ``tmd_trace_metric`` and ``smw_downdate`` spell the rule out one port at a
 time and are its oracle. Stage one has two walks: ``mce_tmd_select`` reads
 the whole ranked pair list and is the oracle of ``_batch_mce_stage1``, which
-scores only the prefix a window can reach, from one H^H H per trial. The
+scores, from one H^H H per trial, only a prefix that ``_stage1_depth`` sizes
+from the pair list alone so that every window ends inside it. The
 engine's exhaustive search (``_batch_optimal``) gets each candidate's Gram
 polynomials from principal-minor tables of H^H H, a tile of trials per numpy
 call; each table entry is a sum of squared magnitudes |det H[R, J]|^2,
@@ -705,21 +706,41 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
     return idx, failed
 
 
+def _stage1_depth(pf: np.ndarray, ps: np.ndarray, n: int, n_b: int) -> int:
+    """The ranked pairs stage one reads: the least prefix length P for which
+    P minus the sum of the N - n_b - 1 largest port degrees (pairs holding
+    the port) among the first P pairs is at least n_b, capped at the list
+    length. The pair list (0-based members pf, ps) alone sets it.
+
+    Removal r sees r <= N - n_b - 1 removed ports, which killed at most
+    the sum of their degrees among the first P pairs, so at least n_b of
+    them are live and the window of every removal ends inside the prefix.
+    """
+    hits = np.zeros((pf.size, n), dtype=np.intp)
+    hits[np.arange(pf.size), pf] += 1
+    hits[np.arange(pf.size), ps] += 1
+    degrees = np.sort(np.cumsum(hits, axis=0), axis=1)
+    killed = degrees[:, n_b + 1:].sum(axis=1)  # the N - n_b - 1 largest
+    enough = np.arange(1, pf.size + 1) - killed >= n_b
+    return int(np.argmax(enough)) + 1 if enough.any() else pf.size
+
+
 def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,
                       n_b: int) -> np.ndarray:
     """Stage-one survivor masks (B, N) for a stack of channels.
 
     Same walk as mce_tmd_select, all trials at once: each removal scores
     the first n_b live entries of the ranked pair list and takes the first
-    maximum among them. Only a prefix of the list is read: the window of
-    removal r (0-based) ends after n_b live pairs, and the r earlier
-    removals killed at most N - 1 pairs each, so no window reaches past
-    pair n_b + (N - n_b - 1)(N - 1).
+    maximum among them. Only the prefix that _stage1_depth sizes from the
+    pair list is scored; every window ends inside it, whatever the
+    channel, so the walk is exact. On the 4x4 grid at n_b = 12 that is 24
+    of the 120 pairs.
     """
     b, _, n = hb.shape
-    depth = min(pairs.first.size, n_b + (n - n_b - 1) * (n - 1))
-    pf = pairs.first[:depth].astype(np.intp) - 1
-    ps = pairs.second[:depth].astype(np.intp) - 1
+    pf = pairs.first.astype(np.intp) - 1
+    ps = pairs.second.astype(np.intp) - 1
+    depth = _stage1_depth(pf, ps, n, n_b)
+    pf, ps = pf[:depth], ps[:depth]
     gram = hb.conj().transpose(0, 2, 1) @ hb  # as mce_tmd_select's h^H h
     inner = np.abs(gram[:, pf, ps])
     norms2 = gram.diagonal(axis1=1, axis2=2).real

@@ -24,10 +24,12 @@ once per redraw attempt for the trials still failed, as one batch, writing
 the trials that pass back into the batch in place, and redraws are
 counted by cause (a degenerate selection or a failed screen). The ZF
 precoder does not depend on the noise level, so the screen's serves every
-SNR point. MMSE factors the selected channels once in that step, one SVD
-H H^H = U diag(lambda) U^H that the screen reads too (a redraw factors only
-its own trials), and each SNR point forms from U and the rescaled
-eigenvalues only what its receiver reads: the sent column g_k of G, the
+SNR point. MMSE factors the selected channels once in that step, H H^H =
+U diag(lambda) U^H by eigh of the formed Gram, or by the SVD of H on the
+rows too ill conditioned for that (``precoding.mmse_factor``); the screen
+reads the same factor (a redraw factors only its own trials), and each SNR
+point forms from U and the rescaled eigenvalues only what its receiver
+reads: the sent column g_k of G, the
 diagonal entries G[k, k] of the energy detector's rows, and G itself on
 the rows that reach the joint ML search. One detect stage serves MLD (no
 energy-detector rows), MED (all rows) and RTTD, which runs the joint ML
@@ -398,10 +400,10 @@ def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
     This is the precodability screen at noise level n0, and it returns what
     the SNR points are built from. ZF inverts and screens the Gram
     (``precoding.zf_precoders``), and its precoder serves every point: hp =
-    H P (B, N_r, N_r), gain None. MMSE takes one SVD and returns its factor
-    (U, lambda) of H H^H = U diag(lambda) U^H as ``gain``, hp None; the
-    screen reads the same factor (``precoding.mmse_screen``), so nothing is
-    solved. ``failed`` flags the trials that fail the screen or whose beta
+    H P (B, N_r, N_r), gain None. MMSE factors the batch once
+    (``precoding.mmse_factor``) and returns the factor (U, lambda) of H H^H
+    = U diag(lambda) U^H as ``gain``, hp None; the screen reads the same
+    factor (``precoding.mmse_screen``), so nothing is solved. ``failed`` flags the trials that fail the screen or whose beta
     is not finite.
     """
     if cfg.precoder == "mmse":

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import random_channel
 from farsm.errors import SingularChannelError
 from farsm.modulation import build_qam
-from farsm.precoding import (MAX_CONDITION, NoiseModel, _condition_exceeded,
+from farsm.precoding import (EIGH_MAX_RATIO, MAX_CONDITION, NoiseModel,
+                             _condition_exceeded,
                              effective_gain_matrix, mmse_factor,
                              mmse_precoder, mmse_screen, zf_precoder)
 from farsm.simulate import SimConfig, _draw_trials, _receive_batch
@@ -188,6 +189,72 @@ def test_factor_route_matches_50_digit_oracle_on_ill_conditioned_channels(
             assert ref.beta == pytest.approx(beta, rel=1e-9)
             gain = ref.beta * effective_gain_matrix(h_sel[t], noise)
             assert np.linalg.norm(gain - hp) <= 1e-9 * np.linalg.norm(hp)
+
+
+def test_eigh_route_matches_50_digit_oracle_near_its_bound(monkeypatch):
+    # the first ports of a 0.5-wavelength aperture: about half the Grams
+    # have an eigenvalue ratio above EIGH_MAX_RATIO, so the batch factor
+    # takes both routes. Each must meet the oracle at 1e-9 relative at 90
+    # and 120 dB and at +inf, where the error of eigh is largest.
+    from farsm import simulate
+
+    got = {"hb": [], "k": [], "col": [], "beta": [], "y": [], "scale": [],
+           "svd": []}
+    dump, indices = simulate.dump_channels_csv, simulate.bits_to_indices
+    receive, detect = simulate._receive_batch, simulate._detect_batch
+    symbols, svd = simulate.med_symbols, np.linalg.svd
+
+    def spy_indices(bits, spatial_bits):
+        got["k"].append(indices(bits, spatial_bits)[0])
+        return indices(bits, spatial_bits)
+
+    def spy_receive(cols, k_idx, s, wu, n0):
+        got["col"].append(cols)
+        return receive(cols, k_idx, s, wu, n0)
+
+    def spy_detect(det, cfg, y, beta, gain, points):
+        got["y"].append(y)
+        got["beta"].append(beta)
+        return detect(det, cfg, y, beta, gain, points)
+
+    def spy_symbols(yk, scale, points):
+        got["scale"].append(scale)
+        return symbols(yk, scale, points)
+
+    def spy_svd(a, *args, **kwargs):
+        got["svd"].append(a.copy())
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "dump_channels_csv",
+                        lambda path, rows: got["hb"].extend(h for _, h in rows))
+    monkeypatch.setattr(simulate, "bits_to_indices", spy_indices)
+    monkeypatch.setattr(simulate, "_receive_batch", spy_receive)
+    monkeypatch.setattr(simulate, "_detect_batch", spy_detect)
+    monkeypatch.setattr(simulate, "med_symbols", spy_symbols)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    cfg = SimConfig(w1=0.5, w2=0.5, precoder="mmse", portsel="first",
+                    detector="med", mod_order=16, trials=128,
+                    snr_db=(90.0, 120.0, float("inf")), master_seed=5,
+                    dump_channels=os.devnull)
+    assert simulate.run_ber_sweep(cfg).redraws == 0
+    monkeypatch.undo()
+    h_sel = np.ascontiguousarray(np.array(got["hb"])[:, :, :cfg.n_a])
+    # the SVD saw exactly the rows whose eigh ratio exceeds the bound
+    lam = np.linalg.eigh(h_sel @ h_sel.conj().transpose(0, 2, 1))[0]
+    above = lam[:, -1] > EIGH_MAX_RATIO * lam[:, 0]
+    assert 0.25 < above.mean() < 0.75
+    assert len(got["svd"]) == 1 and np.array_equal(got["svd"][0],
+                                                   h_sel[above])
+    k_sent = got["k"][0]
+    for p, snr in enumerate(cfg.snr_db):
+        c = cfg.n_r * NoiseModel.from_snr_db(snr).n0
+        k_med = np.argmax(np.abs(got["y"][p]) ** 2, axis=1)
+        for t in range(cfg.trials):
+            beta, col, scale, _ = _mp_mmse(h_sel[t], c, k_sent[t], k_med[t])
+            assert got["beta"][p][t] == pytest.approx(beta, rel=1e-9)
+            assert (np.linalg.norm(got["col"][p][t] - col)
+                    <= 1e-9 * np.linalg.norm(col))
+            assert got["scale"][p][t] == pytest.approx(scale, rel=1e-9)
 
 
 def test_screen_bound_decides_as_forming_every_row():

@@ -15,7 +15,8 @@ from farsm.precoding import NoiseModel
 from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
                              _batch_mce_tmd, _batch_optimal, _batch_tmd,
                              _minor_capacities, _minor_workspace,
-                             _principal_minors, _subset_capacities,
+                             _principal_minors, _stage1_depth,
+                             _subset_capacities,
                              _subset_table, capacity_of_set,
                              initial_trace_state, mce_tmd_select,
                              optimal_select, smw_downdate, tmd_select,
@@ -227,8 +228,9 @@ def _hub_channels(pairs, n, n_b, count):
     pairs share one strong direction, so removals tend to hit the ports with
     the most top-ranked pairs. This does not push a window to the prefix
     cut: on the 4x4 grid at n_b = 12 the ranking geometry, not the channel,
-    limits window depth (no removal sequence reads past pair 23 of 57), so
-    this case checks the batched route on strongly structured channels only.
+    limits window depth (no removal sequence reads past pair 23 of the 24
+    read), so this case checks the batched route on strongly structured
+    channels only.
     """
     top = np.concatenate([pairs.first[:2 * n_b], pairs.second[:2 * n_b]])
     degree = np.bincount(top - 1, minlength=n)
@@ -246,13 +248,13 @@ def _hub_channels(pairs, n, n_b, count):
 @pytest.mark.parametrize("case", ["nb-n-minus-1", "nb-na-plus-1", "hubs",
                                   "grid-4x5-na6"])
 def test_mce_tmd_prefix_bound_edges_equal_scalar(case, default_model):
-    # stage one reads only the first n_b + (N - n_b - 1)(N - 1) ranked
-    # pairs; the scalar walk reads the whole list, so it is the oracle
+    # stage one reads only the prefix _stage1_depth sizes from the pair
+    # list; the scalar walk reads the whole list, so it is the oracle
     model, n_b, n_a = default_model, 12, 4
     if case == "nb-n-minus-1":
-        n_b = 15  # the bound equals n_b: the one window is the whole prefix
+        n_b = 15  # the prefix is n_b pairs: the one window is all of it
     elif case == "nb-na-plus-1":
-        n_b = 5  # the bound (155) exceeds the 120 pairs: all are read
+        n_b = 5  # the prefix is the whole list of 120 pairs
     elif case == "grid-4x5-na6":
         model = build_correlation_model(port_coordinates(1.0, 1.0, 4, 5))
         n_b, n_a = 10, 6
@@ -268,6 +270,39 @@ def test_mce_tmd_prefix_bound_edges_equal_scalar(case, default_model):
     for b in range(len(hb)):
         ref = mce_tmd_select(hb[b], pairs, n_b, n_a)
         assert [int(i) + 1 for i in idx[b]] == list(ref), b
+
+
+def _deepest_window(pf, ps, n, n_b):
+    """The deepest 1-based position of the n_b-th live pair over every set of
+    N - n_b - 1 removed ports, by enumeration."""
+    sets = list(itertools.combinations(range(n), n - n_b - 1))
+    sets = np.array(sets, dtype=np.intp).reshape(len(sets), n - n_b - 1)
+    deepest = 0
+    for lo in range(0, len(sets), 4096):
+        chunk = sets[lo:lo + 4096]
+        removed = np.zeros((len(chunk), n), dtype=bool)
+        removed[np.arange(len(chunk))[:, None], chunk] = True
+        alive = ~(removed[:, pf] | removed[:, ps])
+        assert (alive.sum(axis=1) >= n_b).all()
+        reach = np.argmax(np.cumsum(alive, axis=1) >= n_b, axis=1) + 1
+        deepest = max(deepest, int(reach.max()))
+    return deepest
+
+
+@pytest.mark.parametrize("grid, n_b, deepest, depth", [
+    ((4, 4), 12, 23, 24), ((4, 5), 10, 67, 160), ((4, 4), 15, 15, 15),
+    ((4, 4), 5, 84, 120)])
+def test_stage1_depth_bounds_every_removal_set(grid, n_b, deepest, depth):
+    # the prefix must hold the n_b-th live pair whatever N - n_b - 1 ports
+    # the walk removed before its last removal; fewer removed ports kill
+    # fewer pairs, so these sets are the worst case
+    pairs = sorted_pair_correlations(
+        build_correlation_model(port_coordinates(1.0, 1.0, *grid)))
+    n = grid[0] * grid[1]
+    pf = pairs.first.astype(np.intp) - 1
+    ps = pairs.second.astype(np.intp) - 1
+    assert _stage1_depth(pf, ps, n, n_b) == depth
+    assert _deepest_window(pf, ps, n, n_b) == deepest <= depth
 
 
 def test_mce_tmd_validates_stage_sizes(default_model, draw_channel):

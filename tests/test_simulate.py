@@ -430,8 +430,14 @@ def test_mmse_svd_route_matches_scalar_precoder(rows, n_r, n_a, snr_db):
 
 def test_mmse_sweep_factors_each_batch_once(monkeypatch):
     # the golden redraw case: one batch of 400 trials, 6 of them redrawn
-    calls = {"svd": [], "solve": 0, "gain_rows": 0, "ml_rows": 0}
-    svd, gains, ml = np.linalg.svd, simulate.gain_matrices, simulate._mld_batch
+    calls = {"eigh": [], "svd": [], "solve": 0, "gain_rows": 0, "ml_rows": 0}
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    gains, ml = simulate.gain_matrices, simulate._mld_batch
+
+    def counted_eigh(a, *args, **kwargs):
+        if a.ndim == 3:  # not the port model's one correlation matrix
+            calls["eigh"].append(a.shape[0])
+        return eigh(a, *args, **kwargs)
 
     def counted_svd(a, *args, **kwargs):
         calls["svd"].append(a.shape[0])
@@ -449,6 +455,7 @@ def test_mmse_sweep_factors_each_batch_once(monkeypatch):
         calls["ml_rows"] += y.shape[0]
         return ml(y, *args)
 
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(simulate, "gain_matrices", counted_gains)
@@ -456,7 +463,12 @@ def test_mmse_sweep_factors_each_batch_once(monkeypatch):
     cfg = SimConfig(**CONFIGS["mmse-first-redraws-16qam"])
     sweep = run_ber_sweep_multi(cfg, ("med", "rttd"))["rttd"]
     assert sweep.redraws == 6 and calls["solve"] == 0
-    # one SVD of the batch, then one per redraw attempt on its trials only
+    # one factorization of the batch, then one per redraw attempt on its
+    # trials only: eigh of every row, and the SVD of the rows above the
+    # eigh bound, here every row of the 0.05-wavelength aperture
+    assert calls["eigh"][0] == cfg.trials
+    assert sum(calls["eigh"][1:]) == sweep.redraws
+    assert len(calls["svd"]) == len(calls["eigh"])
     assert calls["svd"][0] == cfg.trials
     assert sum(calls["svd"][1:]) == sweep.redraws
     # gain matrices are formed only for the rows the ML search decides
