@@ -21,12 +21,12 @@ revisions can be compared:
 The cases cover ZF and MMSE; exhaustive, TMD, MCE-TMD and ``first``
 selection, the last at a 0.05-wavelength aperture where trials are
 redrawn and at 0.5 wavelengths, where the MMSE factor takes both its eigh
-and its SVD route; the fixed-antenna baseline; N_r = 8; and the noiseless +inf dB
-point. The report lists, per case, what differs. The exit status is 1 when
-any count, redraw, histogram bin or ``run_trial`` bit differs. Medians are
-reported with their largest relative difference but do not set the exit
-status: a change that moves receive vectors in their last digits moves
-them by as much, and at +inf dB, where the ratio is rounding noise of
+and its SVD route; the fixed-antenna baseline; N_r = 8; and the noiseless
++inf dB point. The report lists, per case, what differs. The exit status is
+1 when any count, redraw, histogram bin or ``run_trial`` bit differs.
+Medians are reported with their largest relative difference but do not set
+the exit status: a change that moves receive vectors in their last digits
+moves them by as much, and at +inf dB, where the ratio is rounding noise of
 order 1e-30, by far more. The default run took about 15 s on a 2-core VM.
 """
 

@@ -29,12 +29,12 @@ U diag(lambda) U^H by eigh of the formed Gram, or by the SVD of H on the
 rows too ill conditioned for that (``precoding.mmse_factor``); the screen
 reads the same factor (a redraw factors only its own trials), and each SNR
 point forms from U and the rescaled eigenvalues only what its receiver
-reads: the sent column g_k of G, the
-diagonal entries G[k, k] of the energy detector's rows, and G itself on
-the rows that reach the joint ML search. One detect stage serves MLD (no
-energy-detector rows), MED (all rows) and RTTD, which runs the joint ML
-search only on the rows its ratio test sends there and reports, per point,
-how many rows the energy detector decided.
+reads: the sent column g_k of G, the diagonal entries G[k, k] of the
+energy detector's rows, and G itself on the rows that reach the joint ML
+search. One detect stage serves MLD (no energy-detector rows), MED (all
+rows) and RTTD, which runs the joint ML search only on the rows its ratio
+test sends there and reports, per point, how many rows the energy
+detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
 (default 1); the reduction is a sum of per-batch integer counters, so the
 thread count never changes results.
@@ -403,8 +403,8 @@ def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
     H P (B, N_r, N_r), gain None. MMSE factors the batch once
     (``precoding.mmse_factor``) and returns the factor (U, lambda) of H H^H
     = U diag(lambda) U^H as ``gain``, hp None; the screen reads the same
-    factor (``precoding.mmse_screen``), so nothing is solved. ``failed`` flags the trials that fail the screen or whose beta
-    is not finite.
+    factor (``precoding.mmse_screen``), so nothing is solved. ``failed``
+    flags the trials that fail the screen or whose beta is not finite.
     """
     if cfg.precoder == "mmse":
         n_r = h_sel.shape[1]

@@ -11,9 +11,9 @@ from conftest import random_channel
 from farsm.errors import SingularChannelError
 from farsm.modulation import build_qam
 from farsm.precoding import (EIGH_MAX_RATIO, MAX_CONDITION, NoiseModel,
-                             _condition_exceeded,
-                             effective_gain_matrix, mmse_factor,
-                             mmse_precoder, mmse_screen, zf_precoder)
+                             _condition_exceeded, effective_gain_matrix,
+                             mmse_factor, mmse_precoder, mmse_screen,
+                             zf_precoder)
 from farsm.simulate import SimConfig, _draw_trials, _receive_batch
 
 

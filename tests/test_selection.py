@@ -16,8 +16,8 @@ from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
                              _batch_mce_tmd, _batch_optimal, _batch_tmd,
                              _minor_capacities, _minor_workspace,
                              _principal_minors, _stage1_depth,
-                             _subset_capacities,
-                             _subset_table, capacity_of_set,
+                             _subset_capacities, _subset_table,
+                             capacity_of_set,
                              initial_trace_state, mce_tmd_select,
                              optimal_select, smw_downdate, tmd_select,
                              tmd_trace_metric)
