@@ -21,7 +21,8 @@ revisions can be compared:
 The cases cover ZF and MMSE; exhaustive, TMD, MCE-TMD and ``first``
 selection, the last at a 0.05-wavelength aperture where trials are
 redrawn and at 0.5 wavelengths, where the MMSE factor takes both its eigh
-and its SVD route; the fixed-antenna baseline; N_r = 8; and the noiseless
+and its SVD route; exhaustive ZF at 0.05 wavelengths, where the selection
+screen rejects candidates; the fixed-antenna baseline; N_r = 8; and the noiseless
 +inf dB point. The report lists, per case, what differs. The exit status is
 1 when any count, redraw, histogram bin or ``run_trial`` bit differs.
 Medians are reported with their largest relative difference but do not set
@@ -49,6 +50,10 @@ CASES = {
     "zf-tmd": dict(portsel="tmd"),
     "mmse-tmd": dict(precoder="mmse", portsel="tmd", mod_order=16),
     "zf-optimal": dict(portsel="optimal", mod_order=16),
+    # on the 0.05-wavelength aperture some of the exhaustive ZF candidates
+    # fail the selection screen tr(W) tr(W^-1) > 1e12
+    "zf-optimal-w0.05": dict(w1=0.05, w2=0.05, portsel="optimal",
+                             mod_order=16),
     "mmse-optimal": dict(precoder="mmse", portsel="optimal",
                          select_snr_db=10.0, mod_order=16),
     "zf-mce-tmd": dict(portsel="mce-tmd", mod_order=64),

@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 scripts/check_selection.py --parent HEAD
-    python3 scripts/check_selection.py --parent HEAD --blocks 3 --case w1
+    python3 scripts/check_selection.py --parent HEAD --blocks 3 --case w1,nr2
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as scripts/bench_pair.py does. The working tree draws the channel
@@ -135,12 +135,18 @@ def main(argv=None) -> int:
                     help="git revision to compare against (default HEAD)")
     ap.add_argument("--blocks", type=int, default=1,
                     help=f"blocks of {BLOCK} trials per case (default 1)")
-    ap.add_argument("--case", action="append", choices=sorted(CASES),
-                    help="run only this case (repeatable; default all)")
+    ap.add_argument("--case", action="append",
+                    help="run only these cases, a comma-separated list of "
+                    f"{', '.join(CASES)} (repeatable; default all)")
     args = ap.parse_args(argv)
     if args.blocks < 1:
         ap.error("--blocks must be at least 1")
-    cases = args.case or list(CASES)
+    cases = list(dict.fromkeys(
+        c for arg in args.case or [",".join(CASES)] for c in arg.split(",")))
+    unknown = [c for c in cases if c not in CASES]
+    if unknown:
+        ap.error(f"unknown case(s) {', '.join(unknown)}; choose from "
+                 f"{', '.join(CASES)}")
     parent_rev = git("rev-parse", args.parent)
 
     totals: dict[str, list] = {}

@@ -33,6 +33,12 @@ engine's exhaustive search (``_batch_optimal``) gets each candidate's Gram
 polynomials from principal-minor tables of H^H H, a tile of trials per numpy
 call; each table entry is a sum of squared magnitudes |det H[R, J]|^2,
 formed by elementwise squares and row sums in the tile's own buffers.
+Under MMSE it takes each trial's first capacity maximum. Under ZF the
+capacity falls as tr(W^-1) grows, so it ranks the candidates by tr(W^-1) =
+e_{N_r-1} / e_{N_r} alone and applies the condition screen only to each
+trial's winner; a trial whose winner fails screens every candidate. The
+first minimum that passes is the first over the screened candidates too, so
+the search stays exact (see the principal-minor section below).
 ``_subset_capacities`` is its reference.
 """
 
@@ -63,12 +69,13 @@ _EXHAUSTIVE_MAX_PORTS = 20
 # within this count, 560 KiB per table; the workspace holds four. Larger
 # tiles spread the fixed cost of each numpy call over more trials, until
 # the tables fall out of cache. At N_r = 4, N = 16 a tile is 16 trials.
-# Under ZF on a 2-core AMD EPYC VM with numpy 2.4, a 256-trial search took
-# 43% longer at 6 trials per tile, 18% at 8, 10% at 12, 3% at 20 and the
-# same at 24 (medians of 40 interleaved calls). Peak memory grows with the
-# tile: the zf-optimal benchmark peaked 1.1 MB higher at 16 than at 12, and
-# 2.6 MB (5.9%) higher than with 6-trial tiles and the einsum level sums.
-# At N_r = 8 a tile is one trial.
+# Re-timed once the ZF search ranked by tr(W^-1) and stopped forming
+# capacities: on a 2-core Intel Xeon VM with numpy 2.4, a 256-trial ZF
+# search took 12% longer at 6 trials per tile, 5% at 8, 2% at 12, 4% at 20,
+# 5% at 24 and 21% at 32 (paired medians of 40 interleaved calls). Peak
+# memory grows with the tile: before the re-timing, the zf-optimal
+# benchmark peaked 1.1 MB higher at 16 than at 12. At N_r = 8 a tile is
+# one trial.
 _OPTIMAL_TILE_MINORS = 35_840
 
 
@@ -367,6 +374,22 @@ def mce_tmd_select(h: np.ndarray, pairs: SortedPairArrays, n_b: int,
 # are indexed in colexicographic order, where the 0-based subset
 # j_1 < ... < j_k has rank sum_t C(j_t, t), so dropping the largest element
 # only drops its own term.
+#
+# Under ZF the engine never forms the capacities. The capacity
+# N_r log2(1 + 1 / (N_0 tr(W^-1))) falls as tr(W^-1) grows, so
+# _batch_optimal ranks the candidates by the key tr(W^-1) = e_{N_r-1} /
+# e_{N_r}, reads only levels N_r - 1 and N_r (and the squared column norms
+# of level 1, for tr(W)), and takes each trial's first minimum. It screens
+# that winner alone (_zf_winners): its tr(W) is the sum of its ports'
+# norms, its bound tr(W) tr(W^-1) is _trace_bound_exceeded's, and
+# _zf_scores rejects it as _minor_capacities would. This is exact: the
+# candidates that pass the screen are a subset of the trial's candidates,
+# so if the first minimum of all of them passes, it is also the first
+# minimum of those that pass. A trial whose winner fails screens every
+# candidate and takes the first minimum of what is left. The one
+# difference from the first maximum of the capacity is a tie that the
+# log2 merges but the key separates, and that needs keys within a few
+# ulps of each other.
 
 def _shifted_elementary(es: list[np.ndarray], c: float, n: int) -> list[np.ndarray]:
     """Elementary symmetric polynomials of {sigma_i + c} from those of
@@ -391,21 +414,6 @@ def _charpoly_eval(es: list[np.ndarray], x: complex, n: int) -> np.ndarray:
     for j in range(2, n + 1):
         acc += e_ext[n - j] * ((-x) ** j)
     return acc
-
-
-def _zf_capacity(det, e_below, n0: float, n_r: int):
-    """ZF capacity from e_{N_r} (``det``) and e_{N_r-1} (``e_below``).
-
-    Returns (capacity, bad), bad marking a Gram that is not positive
-    definite. Call under np.errstate(divide/invalid="ignore").
-    """
-    tr_inv = e_below / det
-    cap = np.multiply(tr_inv, n0)
-    np.divide(1.0, cap, out=cap)
-    cap += 1.0
-    np.log2(cap, out=cap)
-    cap *= n_r
-    return cap, ~(det > 0) | ~(tr_inv > 0)
 
 
 def _mmse_capacity(es: list[np.ndarray], n0: float, n_r: int):
@@ -565,41 +573,71 @@ def _trace_bound_exceeded(tr_w, e_below, det):
     return ~(tr_w * e_below <= MAX_CONDITION * det)
 
 
+def _zf_sums(hb: np.ndarray, n_a: int, work: tuple[np.ndarray, ...]):
+    """The ZF search's inputs for a stack of channels ``hb`` (B, N_r, N):
+    the level-1 table (N, B), each port's squared column norm, and the
+    (S, B) e_{N_r-1} and e_{N_r} of the candidates _subset_table(N, n_a)."""
+    n_r, n = hb.shape[1:]
+    tables = _principal_minors(hb, {1, n_r - 1, n_r}, work)
+    return (tables[1], _subset_sums(tables[n_r - 1], n, n_a, n_r - 1),
+            _subset_sums(tables[n_r], n, n_a, n_r))
+
+
+def _zf_scores(e_below, det, tr_w, n0: float, n_r: int):
+    """(key, capacity, rejected) of ZF candidates from e_{N_r-1}
+    (``e_below``), e_{N_r} (``det``) and tr(W) (``tr_w``), arrays of one
+    shape.
+
+    key = tr(W^-1) = e_below / det, and the capacity N_r log2(1 + 1 /
+    (N_0 key)) falls as the key grows. A candidate is rejected where
+    det > 0 fails, where 1/key is not finite and > 0 (the key is NaN, not
+    > 0, too small to invert, or +inf, an overflow that the bound rejects
+    anyway), where the capacity is not finite, and where the bound
+    tr(W) tr(W^-1) exceeds MAX_CONDITION (_trace_bound_exceeded). A sum of
+    squares is rarely exactly 0, so det > 0 alone cannot flag a singular
+    Gram; the bound does. Call under np.errstate(divide/invalid="ignore").
+    """
+    key = e_below / det
+    cap = np.multiply(key, n0)
+    np.divide(1.0, cap, out=cap)
+    cap += 1.0
+    np.log2(cap, out=cap)
+    cap *= n_r
+    inv = 1.0 / key
+    rejected = (~(det > 0) | ~(inv > 0) | ~(inv < np.inf) | ~np.isfinite(cap)
+                | _trace_bound_exceeded(tr_w, e_below, det))
+    return key, cap, rejected
+
+
 def _minor_capacities(hb: np.ndarray, n_a: int, kind: str, n0: float,
                       work: tuple[np.ndarray, ...] | None = None
                       ) -> np.ndarray:
     """(B, S) capacities of the candidates _subset_table(N, n_a) for a stack
     of channels ``hb`` (B, N_r, N).
 
-    Candidates that cannot be precoded score -inf: under ZF those whose
-    Gram condition bound tr(W) tr(W^-1) exceeds MAX_CONDITION
-    (_trace_bound_exceeded), and those whose capacity terms are not
-    positive or not finite. Agrees with capacity_of_set to 1e-8 relative
-    up to N_r = 8. ``work`` is a _minor_workspace for at least B trials,
-    allocated when omitted.
+    Candidates that cannot be precoded score -inf: under ZF those that
+    _zf_scores rejects, among them every candidate whose Gram condition
+    bound tr(W) tr(W^-1) exceeds MAX_CONDITION, and under MMSE those whose
+    capacity terms are not positive or not finite. Agrees with
+    capacity_of_set to 1e-8 relative up to N_r = 8. ``work`` is a
+    _minor_workspace for at least B trials, allocated when omitted.
     """
     n_r, n = hb.shape[1:]
-    if kind == "zf":
-        levels = {1, n_r - 1, n_r}
-    elif kind == "mmse":
-        levels = set(range(1, n_r + 1))
-    else:
+    if kind not in ("zf", "mmse"):
         raise ValueError(f"unknown precoder kind {kind!r}")
     if work is None:
         work = _minor_workspace(n_r, n, hb.shape[0])
-    tables = _principal_minors(hb, levels, work)
-    es = {k: _subset_sums(tables[k], n, n_a, k) for k in sorted(levels)}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "zf":
-            det, e_below = es[n_r], es[n_r - 1]
-            cap, bad = _zf_capacity(det, e_below, n0, n_r)
-            # a sum of squares is never exactly 0, so det > 0 cannot flag
-            # a singular Gram
-            bad |= _trace_bound_exceeded(es[1], e_below, det)
-        else:
-            cap, bad = _mmse_capacity([es[k] for k in range(1, n_r + 1)],
-                                      n0, n_r)
-    bad |= ~np.isfinite(cap)
+    if kind == "zf":
+        norms2, e_below, det = _zf_sums(hb, n_a, work)
+        tr_w = _subset_sums(norms2, n, n_a, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, cap, bad = _zf_scores(e_below, det, tr_w, n0, n_r)
+    else:
+        tables = _principal_minors(hb, set(range(1, n_r + 1)), work)
+        es = [_subset_sums(tables[k], n, n_a, k) for k in range(1, n_r + 1)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cap, bad = _mmse_capacity(es, n0, n_r)
+        bad |= ~np.isfinite(cap)
     cap[bad] = -np.inf
     return cap.T
 
@@ -775,8 +813,10 @@ def _batch_optimal(hb: np.ndarray, n_a: int, kind: str, n0_sel: float):
     """Exhaustive selection on a stack of channels.
 
     Returns (indices (B, n_a) 0-based, failed (B,)). Trials are scored in
-    tiles sized by _OPTIMAL_TILE_MINORS; a trial with no finite candidate
-    is failed and gets the first subset.
+    tiles sized by _OPTIMAL_TILE_MINORS; a trial with no candidate left is
+    failed and gets the first subset. Under MMSE a trial takes the first
+    maximum of _minor_capacities; under ZF, the first minimum of tr(W^-1)
+    among the candidates _zf_scores does not reject (_zf_winners).
     """
     b, n_r, n = hb.shape
     subsets = _subset_table(n, n_a)
@@ -787,10 +827,52 @@ def _batch_optimal(hb: np.ndarray, n_a: int, kind: str, n0_sel: float):
     idx = np.empty((b, n_a), dtype=np.intp)
     failed = np.empty(b, dtype=bool)
     for lo in range(0, b, tile):
-        scores = _minor_capacities(hb[lo:lo + tile], n_a, kind, n0_sel, work)
-        # first max = lexicographically smallest
-        best = np.argmax(scores, axis=1)
-        bad = ~np.isfinite(np.take_along_axis(scores, best[:, None], 1)[:, 0])
+        hs = hb[lo:lo + tile]
+        if kind == "zf":
+            best, bad = _zf_winners(hs, n_a, n0_sel, work)
+        else:
+            scores = _minor_capacities(hs, n_a, kind, n0_sel, work)
+            # first max = lexicographically smallest
+            best = np.argmax(scores, axis=1)
+            bad = ~np.isfinite(np.take_along_axis(scores, best[:, None],
+                                                  1)[:, 0])
         failed[lo:lo + tile] = bad
         idx[lo:lo + tile] = subsets[np.where(bad, 0, best)]
     return idx, failed
+
+
+def _zf_winners(hb: np.ndarray, n_a: int, n0: float,
+                work: tuple[np.ndarray, ...]):
+    """(best (B,), failed (B,)): the first minimum of the ZF key among the
+    candidates _subset_table(N, n_a) that _zf_scores does not reject.
+
+    Only the first minimum of the raw key on each row is screened. If it
+    passes, it is the row's answer: no key after it is smaller and none
+    before it is as small (argmin returns a row's first NaN, and NaN is
+    rejected), so screening the others cannot move it. A row whose winner
+    is rejected screens every candidate and takes the first minimum of
+    the rest; a row with none left is failed.
+    """
+    n_r, n = hb.shape[1:]
+    norms2, e_below, det = _zf_sums(hb, n_a, work)
+    cols = np.arange(hb.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the keys as (B, S), so argmin runs along contiguous rows
+        best = np.argmin(np.divide(e_below.T, det.T, order="C"), axis=1)
+        # tr(W) of each winner, its ports' norms added in _subset_sums'
+        # order so the screen decides as _minor_capacities' does
+        ports = _subset_table(n, n_a)[best]
+        tr_w = norms2[ports[:, 0], cols]
+        for t in range(1, n_a):
+            tr_w = tr_w + norms2[ports[:, t], cols]
+        redo = np.flatnonzero(_zf_scores(e_below[best, cols], det[best, cols],
+                                         tr_w, n0, n_r)[2])
+        failed = np.zeros(hb.shape[0], dtype=bool)
+        if redo.size:
+            key, _, rejected = _zf_scores(
+                e_below[:, redo], det[:, redo],
+                _subset_sums(norms2[:, redo], n, n_a, 1), n0, n_r)
+            key[rejected] = np.inf
+            best[redo] = np.argmin(key, axis=0)
+            failed[redo] = rejected[best[redo], np.arange(redo.size)]
+    return best, failed

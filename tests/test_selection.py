@@ -483,6 +483,35 @@ def test_batch_optimal_is_tiling_invariant(kind, n0, draw_channel):
         assert not failed.any()
 
 
+@pytest.mark.parametrize("tile", ["one trial", "full"])
+def test_batch_optimal_screens_every_candidate_when_the_winner_fails(
+        tile, draw_channel, monkeypatch):
+    # one column scaled by 1e5 to 1e8: the subsets holding it have the
+    # least tr(W^-1) of their row, and on most rows the ZF bound
+    # tr(W) tr(W^-1) > 1e12 rejects them, so _batch_optimal must screen
+    # every candidate there
+    rows = 50
+    hb = np.stack([draw_channel(s + 700) for s in range(rows)])
+    hb[np.arange(rows), :, np.arange(rows) % 16] *= (
+        10.0 ** np.linspace(5, 8, rows))[:, None]
+    subsets = _subset_table(16, 4)
+    winner_fails = 0
+    for h in hb:
+        lam = np.linalg.svd(np.moveaxis(h[:, subsets], 0, 1),
+                            compute_uv=False) ** 2
+        winner = np.argmin(np.sum(1.0 / lam, axis=1))
+        scores = _subset_capacities(h, subsets, "zf", 1.0)
+        winner_fails += not np.isfinite(scores[winner])
+    assert winner_fails >= rows // 2
+    if tile == "one trial":
+        monkeypatch.setattr("farsm.selection._OPTIMAL_TILE_MINORS", 1)
+    idx, failed = _batch_optimal(hb, 4, "zf", 1.0)
+    assert not failed.any()
+    for b in range(rows):
+        ref = optimal_select(hb[b], 4, "zf", NoiseModel(1.0))
+        assert [int(i) + 1 for i in idx[b]] == list(ref), b
+
+
 def test_selection_prefers_low_correlation(default_model, draw_channel):
     # across many draws the exhaustive choice should beat the naive first-4
     # set on capacity essentially always
