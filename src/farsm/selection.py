@@ -819,60 +819,71 @@ def _batch_optimal(hb: np.ndarray, n_a: int, kind: str, n0_sel: float):
     among the candidates _zf_scores does not reject (_zf_winners).
     """
     b, n_r, n = hb.shape
-    subsets = _subset_table(n, n_a)
     widest = max(math.comb(n_r, k) * math.comb(n, k)
                  for k in range(1, n_r + 1))
     tile = max(1, _OPTIMAL_TILE_MINORS // widest)
     work = _minor_workspace(n_r, n, min(tile, b))
-    idx = np.empty((b, n_a), dtype=np.intp)
-    failed = np.empty(b, dtype=bool)
-    for lo in range(0, b, tile):
-        hs = hb[lo:lo + tile]
-        if kind == "zf":
-            best, bad = _zf_winners(hs, n_a, n0_sel, work)
-        else:
-            scores = _minor_capacities(hs, n_a, kind, n0_sel, work)
+    if kind == "zf":
+        best, failed = _zf_winners(hb, n_a, n0_sel, tile, work)
+    else:
+        best = np.empty(b, dtype=np.intp)
+        failed = np.empty(b, dtype=bool)
+        for lo in range(0, b, tile):
+            scores = _minor_capacities(hb[lo:lo + tile], n_a, kind, n0_sel,
+                                       work)
             # first max = lexicographically smallest
-            best = np.argmax(scores, axis=1)
-            bad = ~np.isfinite(np.take_along_axis(scores, best[:, None],
-                                                  1)[:, 0])
-        failed[lo:lo + tile] = bad
-        idx[lo:lo + tile] = subsets[np.where(bad, 0, best)]
-    return idx, failed
+            top = np.argmax(scores, axis=1)
+            best[lo:lo + tile] = top
+            failed[lo:lo + tile] = ~np.isfinite(
+                scores[np.arange(top.size), top])
+    return _subset_table(n, n_a)[np.where(failed, 0, best)], failed
 
 
-def _zf_winners(hb: np.ndarray, n_a: int, n0: float,
+def _zf_winners(hb: np.ndarray, n_a: int, n0: float, tile: int,
                 work: tuple[np.ndarray, ...]):
     """(best (B,), failed (B,)): the first minimum of the ZF key among the
-    candidates _subset_table(N, n_a) that _zf_scores does not reject.
+    candidates _subset_table(N, n_a) that _zf_scores does not reject,
+    ``tile`` trials per _zf_sums call.
 
-    Only the first minimum of the raw key on each row is screened. If it
-    passes, it is the row's answer: no key after it is smaller and none
-    before it is as small (argmin returns a row's first NaN, and NaN is
-    rejected), so screening the others cannot move it. A row whose winner
-    is rejected screens every candidate and takes the first minimum of
-    the rest; a row with none left is failed.
+    Only the first minimum of the raw key on each row is screened, all
+    rows at once after the tiles. If it passes, it is the row's answer: no
+    key after it is smaller and none before it is as small (argmin returns
+    a row's first NaN, and NaN is rejected), so screening the others
+    cannot move it. The rows whose winner is rejected are scored again,
+    every candidate screened, and take the first minimum of the rest; a
+    row with none left is failed.
     """
-    n_r, n = hb.shape[1:]
-    norms2, e_below, det = _zf_sums(hb, n_a, work)
-    cols = np.arange(hb.shape[0])
+    b, n_r, n = hb.shape
+    best = np.empty(b, dtype=np.intp)
+    e_below_best, det_best = np.empty(b), np.empty(b)
+    norms2 = np.empty((n, b))
+    for lo in range(0, b, tile):
+        rows = slice(lo, lo + tile)
+        norms2[:, rows], e_below, det = _zf_sums(hb[rows], n_a, work)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the keys as (B, S), so argmin runs along contiguous rows
+            top = np.argmin(np.divide(e_below.T, det.T, order="C"), axis=1)
+        cols = np.arange(top.size)
+        best[rows] = top
+        e_below_best[rows], det_best[rows] = e_below[top, cols], det[top, cols]
+    # tr(W) of each winner, its ports' norms added in _subset_sums' order so
+    # the screen decides as _minor_capacities' does
+    ports = _subset_table(n, n_a)[best]
+    cols = np.arange(b)
+    tr_w = norms2[ports[:, 0], cols]
+    for t in range(1, n_a):
+        tr_w = tr_w + norms2[ports[:, t], cols]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # the keys as (B, S), so argmin runs along contiguous rows
-        best = np.argmin(np.divide(e_below.T, det.T, order="C"), axis=1)
-        # tr(W) of each winner, its ports' norms added in _subset_sums'
-        # order so the screen decides as _minor_capacities' does
-        ports = _subset_table(n, n_a)[best]
-        tr_w = norms2[ports[:, 0], cols]
-        for t in range(1, n_a):
-            tr_w = tr_w + norms2[ports[:, t], cols]
-        redo = np.flatnonzero(_zf_scores(e_below[best, cols], det[best, cols],
-                                         tr_w, n0, n_r)[2])
-        failed = np.zeros(hb.shape[0], dtype=bool)
-        if redo.size:
-            key, _, rejected = _zf_scores(
-                e_below[:, redo], det[:, redo],
-                _subset_sums(norms2[:, redo], n, n_a, 1), n0, n_r)
-            key[rejected] = np.inf
-            best[redo] = np.argmin(key, axis=0)
-            failed[redo] = rejected[best[redo], np.arange(redo.size)]
+        failed = _zf_scores(e_below_best, det_best, tr_w, n0, n_r)[2]
+    redo = np.flatnonzero(failed)
+    for lo in range(0, redo.size, tile):
+        rows = redo[lo:lo + tile]
+        norms, e_below, det = _zf_sums(hb[rows], n_a, work)
+        tr_w = _subset_sums(norms, n, n_a, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            key, _, rejected = _zf_scores(e_below, det, tr_w, n0, n_r)
+        key[rejected] = np.inf
+        top = np.argmin(key, axis=0)
+        best[rows] = top
+        failed[rows] = rejected[top, np.arange(rows.size)]
     return best, failed
