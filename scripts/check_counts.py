@@ -22,13 +22,15 @@ The cases cover ZF and MMSE; exhaustive, TMD, MCE-TMD and ``first``
 selection, the last at a 0.05-wavelength aperture where trials are
 redrawn and at 0.5 wavelengths, where the MMSE factor takes both its eigh
 and its SVD route; exhaustive ZF at 0.05 wavelengths, where the selection
-screen rejects candidates; the fixed-antenna baseline; N_r = 8; and the noiseless
-+inf dB point. The report lists, per case, what differs. The exit status is
-1 when any count, redraw, histogram bin or ``run_trial`` bit differs.
-Medians are reported with their largest relative difference but do not set
-the exit status: a change that moves receive vectors in their last digits
-moves them by as much, and at +inf dB, where the ratio is rounding noise of
-order 1e-30, by far more. The default run took about 15 s on a 2-core VM.
+screen rejects candidates; TMD under ZF at 0.05 wavelengths, where the
+TMD Grams lie near the screen; the fixed-antenna baseline; N_r = 8; and
+the noiseless +inf dB point. The report lists, per case, what differs.
+The exit status is 1 when any count, redraw, histogram bin or
+``run_trial`` bit differs. Medians are reported with their largest
+relative difference but do not set the exit status: a change that moves
+receive vectors in their last digits moves them by as much, and at +inf
+dB, where the ratio is rounding noise of order 1e-30, by far more. The
+default run took about 18 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ SNR_DB = (0.0, 10.0, 20.0, 30.0)
 # SimConfig fields of each case, on top of the 4x4 one-wavelength default
 CASES = {
     "zf-tmd": dict(portsel="tmd"),
+    # strongly correlated ports: the TMD set-up runs on Grams near the
+    # screen, and the ZF sent columns lie furthest from beta e_k
+    "zf-tmd-w0.05": dict(w1=0.05, w2=0.05, portsel="tmd", mod_order=16),
     "mmse-tmd": dict(precoder="mmse", portsel="tmd", mod_order=16),
     "zf-optimal": dict(portsel="optimal", mod_order=16),
     # on the 0.05-wavelength aperture some of the exhaustive ZF candidates

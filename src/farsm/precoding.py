@@ -27,7 +27,9 @@ takes the small eigenvalues that set G at high SNR, which the SVD keeps
 channels. The engine factors a batch once and forms, at each SNR point,
 only the parts of G its receiver reads; ``mmse_precoder`` and
 ``effective_gain_matrix`` are its views on a stack of one, as
-``zf_precoder`` is of ``zf_precoders``. Every route decides precodability
+``zf_precoder`` is of ``zf_precoders``. Under ZF the engine keeps the
+screened inverse Gram and forms only the sent columns (H P) e_k
+(``zf_sent_columns``). Every route decides precodability
 by one of two screens of the 1-norm condition number:
 ``_screened_hermitian_inverse`` for formed inverses, ``mmse_screen`` for
 factors.
@@ -203,16 +205,33 @@ def gain_matrices(u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def zf_precoders(h: np.ndarray):
-    """ZF precoders of a stack h (B, N_r, N_a): (beta (B,), P (B, N_a, N_r),
-    failed (B,)), failed by the screen of _screened_hermitian_inverse or by
-    a beta that is not finite."""
+    """ZF precoders of a stack h (B, N_r, N_a) in factored form: (beta (B,),
+    A (B, N_r, N_r), failed (B,)) with A the screened inverse Gram (H
+    H^H)^(-1), so that P = beta (A H)^H. failed flags the screen of
+    _screened_hermitian_inverse and a beta that is not finite. P itself is
+    not formed: ``zf_precoder`` builds it for one channel, and
+    ``zf_sent_columns`` builds only the columns H P e_k a receiver sees."""
     n_r = h.shape[1]
     with np.errstate(invalid="ignore", divide="ignore"):
         gram = h @ h.conj().transpose(0, 2, 1)
         inv, failed = _screened_hermitian_inverse(gram)
         beta = np.sqrt(n_r / np.trace(inv, axis1=1, axis2=2).real)
-        p = beta[:, None, None] * (inv @ h).conj().transpose(0, 2, 1)
-    return beta, p, failed | ~np.isfinite(beta)
+    return beta, inv, failed | ~np.isfinite(beta)
+
+
+def zf_sent_columns(h: np.ndarray, inv: np.ndarray, beta: np.ndarray,
+                    k: np.ndarray) -> np.ndarray:
+    """The sent columns (H P) e_k = H (P e_k) (B, N_r) of the ZF precoders
+    (beta, A) of a stack h (B, N_r, N_a), for 0-based antennas k (B,).
+
+    P e_k = beta conj(e_k^T A H)^T is column k of zf_precoder's P, from row
+    k of A alone; the (N_a, N_r) precoders and the (N_r, N_r) products H P
+    are never formed. The result differs from (H P) e_k only by rounding.
+    """
+    with np.errstate(invalid="ignore"):
+        pk = (inv[np.arange(k.size), k, None, :] @ h).conj()
+        pk *= beta[:, None, None]
+        return (h @ pk.transpose(0, 2, 1))[:, :, 0]
 
 
 def _screened(u: np.ndarray, lam: np.ndarray, c: float):
@@ -236,11 +255,12 @@ def _screened_factor(h_active: np.ndarray, c: float):
 def zf_precoder(h_active: np.ndarray) -> Precoder:
     """Zero-forcing precoder for the active-port channel, the one-channel
     view of zf_precoders; a failing channel raises SingularChannelError."""
-    beta, p, failed = zf_precoders(h_active[None])
+    beta, inv, failed = zf_precoders(h_active[None])
     if failed[0]:
         raise SingularChannelError(
             "channel Gram matrix is singular or ill conditioned")
-    return Precoder(matrix=p[0], beta=float(beta[0]))
+    return Precoder(matrix=beta[0] * (inv[0] @ h_active).conj().T,
+                    beta=float(beta[0]))
 
 
 def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:

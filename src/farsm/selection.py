@@ -78,6 +78,13 @@ _EXHAUSTIVE_MAX_PORTS = 20
 # one trial.
 _OPTIMAL_TILE_MINORS = 35_840
 
+# Trials per block of the stacked work that is read once per trial, so that
+# no (B, N_r, N) temporary is made: _batch_tmd's Gram and first scores, and
+# the engine's colouring of a draw. Every trial's arithmetic is the same in
+# any block, so no result depends on it. At N_r = 4, N = 16 a block of
+# complex (N_r, N) channels is 256 KiB.
+_ROW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class PortSet:
@@ -658,8 +665,11 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
     index, and a port with den_n <= REMOVAL_EPS (or NaN) is not removable.
     The scores are computed once, from V = A H after the screen, and then
     carried across removals by rank-one recurrences instead of being
-    rescored. Removing port j, with d = den_j, v = A h_j (so ||v||^2 =
-    num_j), u = A v, w_n = (v^H h_n) / d and p_n = u^H h_n:
+    rescored. The Gram and those first scores are formed _ROW_BLOCK trials
+    at a time, so no (B, N_r, N) temporary is made; each trial's
+    arithmetic is the same in any block. Removing port j, with d = den_j,
+    v = A h_j (so ||v||^2 = num_j), u = A v, w_n = (v^H h_n) / d and p_n =
+    u^H h_n:
 
         den_n <- den_n - d |w_n|^2
         num_n <- num_n + 2 Re(conj(p_n) w_n) + |w_n|^2 ||v||^2
@@ -682,19 +692,29 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
     """
     b, n_r, n = hb.shape
     hb = np.ascontiguousarray(hb)
-    inv, failed = _screened_hermitian_inverse(
-        hb @ hb.conj().transpose(0, 2, 1))
-    # initial scores over float64 views (B, N_r, 2N): re and im products
-    # of each entry added, then the receive rows in order; the buffers go
-    # before the loop, which would otherwise raise the sweep's peak memory
-    vf = (inv @ hb).view(np.float64)
-    terms = hb.view(np.float64) * vf
-    np.add(terms[..., 0::2], terms[..., 1::2], out=terms[..., 0::2])
-    den = 1.0 - terms[..., 0::2].sum(axis=1)
-    np.multiply(vf, vf, out=terms)
-    np.add(terms[..., 0::2], terms[..., 1::2], out=terms[..., 0::2])
-    num = terms[..., 0::2].sum(axis=1)
-    del vf, terms
+    gram = np.empty((b, n_r, n_r), dtype=complex)
+    for lo in range(0, b, _ROW_BLOCK):
+        blk = hb[lo:lo + _ROW_BLOCK]
+        np.matmul(blk, blk.conj().transpose(0, 2, 1),
+                  out=gram[lo:lo + _ROW_BLOCK])
+    inv, failed = _screened_hermitian_inverse(gram)
+    den, num = np.empty((b, n)), np.empty((b, n))
+    # initial scores over float64 views (_ROW_BLOCK, N_r, 2N) of V = A H:
+    # re and im products of each entry added, then the receive rows in
+    # order; the two block buffers go before the loop
+    v = np.empty((min(b, _ROW_BLOCK), n_r, n), dtype=complex)
+    terms = np.empty((v.shape[0], n_r, 2 * n))
+    for lo in range(0, b, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        blk = hb[rows]
+        vb = np.matmul(inv[rows], blk, out=v[:blk.shape[0]]).view(np.float64)
+        tb = np.multiply(blk.view(np.float64), vb, out=terms[:blk.shape[0]])
+        np.add(tb[..., 0::2], tb[..., 1::2], out=tb[..., 0::2])
+        np.subtract(1.0, tb[..., 0::2].sum(axis=1), out=den[rows])
+        np.multiply(vb, vb, out=tb)
+        np.add(tb[..., 0::2], tb[..., 1::2], out=tb[..., 0::2])
+        tb[..., 0::2].sum(axis=1, out=num[rows])
+    del gram, v, terms
     act = np.ones((b, n), dtype=bool)
     rows = np.arange(b)
     cost, w2, t = (np.empty((b, n)) for _ in range(3))

@@ -22,16 +22,19 @@ trial on its own sub-stream. Drawing, colouring, selecting and screening
 the precoder is one step. A batch takes it once for its trials and then
 once per redraw attempt for the trials still failed, as one batch, writing
 the trials that pass back into the batch in place, and redraws are
-counted by cause (a degenerate selection or a failed screen). The ZF
-precoder does not depend on the noise level, so the screen's serves every
-SNR point. MMSE factors the selected channels once in that step, H H^H =
-U diag(lambda) U^H by eigh of the formed Gram, or by the SVD of H on the
-rows too ill conditioned for that (``precoding.mmse_factor``); the screen
-reads the same factor (a redraw factors only its own trials), and each SNR
-point forms from U and the rescaled eigenvalues only what its receiver
-reads: the sent column g_k of G, the diagonal entries G[k, k] of the
-energy detector's rows, and G itself on the rows that reach the joint ML
-search. One detect stage serves MLD (no energy-detector rows), MED (all
+counted by cause (a degenerate selection or a failed screen). The draw is
+coloured in place, a row block at a time. The ZF precoder does not depend
+on the noise level, so the screen's serves every SNR point, and the step
+keeps only beta and each trial's sent column (H P) e_k = H (P e_k), built
+from row k of the inverse Gram (``precoding.zf_sent_columns``); neither P
+nor H P is formed. MMSE factors the selected channels once in that step,
+H H^H = U diag(lambda) U^H by eigh of the formed Gram, or by the SVD of H
+on the rows too ill conditioned for that (``precoding.mmse_factor``); the
+screen reads the same factor (a redraw factors only its own trials), and
+each SNR point forms from U and the rescaled eigenvalues only what its
+receiver reads: the sent column g_k of G, the diagonal entries G[k, k] of
+the energy detector's rows, and G itself on the rows that reach the joint
+ML search. One detect stage serves MLD (no energy-detector rows), MED (all
 rows) and RTTD, which runs the joint ML search only on the rows its ratio
 test sends there and reports, per point, how many rows the energy
 detector decided.
@@ -62,9 +65,11 @@ from farsm.detection import energy_ratio, med_symbols, ratio_of, strongest
 from farsm.detection import mld as _mld_batch
 from farsm.modulation import bits_to_indices, build_qam, indices_to_bits
 from farsm.precoding import (NoiseModel, gain_matrices, mmse_factor,
-                             mmse_scales, mmse_screen, zf_precoders)
-from farsm.selection import (_batch_mce_tmd, _batch_optimal, _batch_tmd,
-                             mce_tmd_select, optimal_select, tmd_select)
+                             mmse_scales, mmse_screen, zf_precoders,
+                             zf_sent_columns)
+from farsm.selection import (_ROW_BLOCK, _batch_mce_tmd, _batch_optimal,
+                             _batch_tmd, mce_tmd_select, optimal_select,
+                             tmd_select)
 
 _BATCH = 2048
 _BLOCK = 256  # trials per first-draw stream; _BATCH is 8 blocks
@@ -395,14 +400,15 @@ def _select_indices(cfg: SimConfig, hb: np.ndarray,
 
 
 def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
-    """Batched precoder quantities: (beta (B,), hp, gain, failed).
+    """Batched precoder quantities: (beta (B,), inv, gain, failed).
 
     This is the precodability screen at noise level n0, and it returns what
     the SNR points are built from. ZF inverts and screens the Gram
-    (``precoding.zf_precoders``), and its precoder serves every point: hp =
-    H P (B, N_r, N_r), gain None. MMSE factors the batch once
+    (``precoding.zf_precoders``), and its precoder serves every point: inv
+    is the inverse Gram A (B, N_r, N_r), from which ``_draw_and_screen``
+    builds only the sent columns, gain None. MMSE factors the batch once
     (``precoding.mmse_factor``) and returns the factor (U, lambda) of H H^H
-    = U diag(lambda) U^H as ``gain``, hp None; the screen reads the same
+    = U diag(lambda) U^H as ``gain``, inv None; the screen reads the same
     factor (``precoding.mmse_screen``), so nothing is solved. ``failed``
     flags the trials that fail the screen or whose beta is not finite.
     """
@@ -412,8 +418,8 @@ def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
         beta = mmse_scales(lam, n_r * n0)[1]
         failed = mmse_screen(u, lam, n_r * n0) | ~np.isfinite(beta)
         return beta, None, (u, lam), failed
-    beta, p, failed = zf_precoders(h_sel)
-    return beta, h_sel @ p, None, failed
+    beta, inv, failed = zf_precoders(h_sel)
+    return beta, inv, None, failed
 
 
 def _receive_batch(hp: np.ndarray, k_idx: np.ndarray | None, s: np.ndarray,
@@ -479,18 +485,27 @@ def _draw_and_screen(cfg: SimConfig, ports, trials: np.ndarray, n0: float,
     port selection degenerates and ``ill`` the others that fail the
     precodability screen at noise level n0. ``rows`` holds the trials'
     payload bits, unit noise and coloured channels, then what the SNR points
-    are built from: the ZF beta and effective channel H P, or the MMSE
-    factor (U, lambda).
+    are built from: the ZF beta and sent columns (H P) e_k (B, N_r)
+    (``precoding.zf_sent_columns``), or the MMSE factor (U, lambda). The
+    draw is coloured in place, ``_ROW_BLOCK`` trials per product, so no
+    second (B, N_r, N) array is made.
     """
     root, pairs = ports
     hb, bits, wu = _draw_trials(cfg, trials, redraw)
     if not cfg.baseline:
-        hb = hb @ root  # coloured; the white draw is freed here
+        buf = np.empty((min(len(hb), _ROW_BLOCK), *hb.shape[1:]),
+                       dtype=complex)
+        for lo in range(0, len(hb), _ROW_BLOCK):
+            blk = hb[lo:lo + _ROW_BLOCK]
+            blk[...] = np.matmul(blk, root, out=buf[:len(blk)])
+        del buf
     idx, degenerate = _select_indices(cfg, hb, pairs)
     h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
-    beta, hp, factor, ill = _precode_batch(cfg, h_sel, n0)
-    built = (beta, hp) if factor is None else factor
-    return degenerate, ill & ~degenerate, (bits, wu, hb, *built)
+    beta, inv, factor, ill = _precode_batch(cfg, h_sel, n0)
+    if factor is None:
+        k = bits_to_indices(bits, cfg.spatial_bits)[0]
+        factor = beta, zf_sent_columns(h_sel, inv, beta, k)
+    return degenerate, ill & ~degenerate, (bits, wu, hb, *factor)
 
 
 def _redraw_failed(cfg: SimConfig, ports, trials: np.ndarray,
@@ -531,7 +546,8 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
 
     The trials are drawn and screened at the tightest noise level of
     ``cfg.snr_db``, failures re-drawn; then each SNR point precodes,
-    receives and detects. ZF sends the same columns H P e_k at every point.
+    receives and detects. ZF sends the same columns (H P) e_k at every
+    point, built once per batch (and per redraw) without H P itself.
     MMSE builds, per point, only d = lambda / (lambda + N_r n0) and beta
     from the batch's factor, and sends beta g_k with g_k = U (d * conj(U[k,
     :])), the row of U gathered once per batch. Returns (counts, redraws,
@@ -556,13 +572,11 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
     k_idx, m_idx = bits_to_indices(bits, cfg.spatial_bits)
     tx = (k_idx << mb) | m_idx
     s = points[m_idx]
-    sent = np.arange(k_idx.size), k_idx
     if cfg.precoder == "mmse":
         u, lam = built
-        u_k = u[sent].conj()
+        u_k = u[np.arange(k_idx.size), k_idx].conj()
     else:
-        beta, hp = built
-        col, gain = hp[sent[0], :, k_idx], None
+        (beta, col), gain = built, None
     counts = np.zeros((len(detectors), len(n0s), 3), dtype=np.int64)
     ratios, rx = [], []
     for p, n0 in enumerate(n0s):

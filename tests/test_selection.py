@@ -375,13 +375,21 @@ def test_batch_tmd_degenerate_rows(draw_channel):
     assert idx[zero].tolist() == list(range(n - n_a, n))
 
 
-@pytest.mark.parametrize("w", [0.05, 0.1])
-def test_batch_tmd_equals_scalar_on_ill_conditioned_draws(w):
+@pytest.mark.parametrize("ws, rows", [((0.05,), 128), ((0.1,), 128),
+                                      ((1.0, 0.05), 600)],
+                         ids=["0.05", "0.1", "row-blocks"])
+def test_batch_tmd_equals_scalar_on_ill_conditioned_draws(ws, rows):
     # engine draws on a small aperture: the 16 ports are strongly
     # correlated, so the removal denominators den_n that _batch_tmd carries
-    # across its 12 removals shrink furthest and rounding builds up most
-    cfg = SimConfig(w1=w, w2=w, master_seed=31).validate()
-    hb = _draw_trials(cfg, np.arange(128))[0] @ _port_model(cfg)[0]
+    # across its 12 removals shrink furthest and rounding builds up most.
+    # The 600-row stack alternates one-wavelength and 0.05-wavelength draws
+    # and spans three of the row blocks of _batch_tmd's set-up.
+    stacks = []
+    for w in ws:
+        cfg = SimConfig(w1=w, w2=w, master_seed=31).validate()
+        stacks.append(_draw_trials(cfg, np.arange(rows // len(ws)))[0]
+                      @ _port_model(cfg)[0])
+    hb = np.stack(stacks, axis=1).reshape(rows, cfg.n_r, cfg.n_ports)
     idx, failed = _batch_tmd(hb, cfg.n_a)
     for b, h in enumerate(hb):
         try:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from farsm import simulate
 from farsm.channel import SeededRng
 from farsm.detection import energy_ratio, med, mld
-from farsm.errors import ConfigError, NumericalError
-from farsm.modulation import build_qam
+from farsm.errors import ConfigError, NumericalError, SingularChannelError
+from farsm.modulation import bits_to_indices, build_qam
 from farsm.precoding import (NoiseModel, effective_gain_matrix, gain_matrices,
-                             mmse_factor, mmse_precoder, mmse_scales)
+                             mmse_factor, mmse_precoder, mmse_scales,
+                             zf_precoder, zf_sent_columns)
 from farsm.simulate import (PURPOSE_BENCH, STREAM_VERSION, BerPoint,
                             SimConfig, _detect_batch, _draw_trials,
                             _port_model, _precode_batch, _receive_batch,
@@ -362,9 +363,11 @@ def _detector_batch(precoder, rows, seed=3):
     s = points[g.integers(0, 16, rows)]
     n0 = 10.0 ** -0.5
     if precoder == "zf":
-        beta, hp, gain, failed = _precode_batch(SimConfig(), h_sel, n0)
+        beta, inv, gain, failed = _precode_batch(SimConfig(), h_sel, n0)
         assert not failed.any()
         factor = None
+        # the sent columns (H P) e_k, as the sweep builds them
+        hp, k_idx = zf_sent_columns(h_sel, inv, beta, k_idx), None
     else:
         u, lam = mmse_factor(h_sel)
         d, beta = mmse_scales(lam, 4 * n0)
@@ -395,6 +398,33 @@ def test_gated_rttd_equals_both_branches_on_the_whole_batch(
     taken = {"both": 0 < coarse.sum() < rows, "med": coarse.all(),
              "mld": not coarse.any(), "either": True}
     assert taken[branches]
+
+
+@pytest.mark.parametrize("w, portsel", [(1.0, "tmd"), (0.05, "first")])
+def test_zf_sent_columns_equal_the_one_channel_precoder(w, portsel):
+    # the sweep keeps beta and the sent column (H P) e_k = H (P e_k) of each
+    # trial, never H P; on engine draws its beta is zf_precoder's, bit for
+    # bit, and its column is zf_precoder's (H P) e_k up to rounding. At
+    # 0.05 wavelengths some Grams of the first 4 ports fail the screen, and
+    # zf_precoder raises on exactly those rows.
+    cfg = SimConfig(w1=w, w2=w, portsel=portsel, master_seed=13).validate()
+    ports = _port_model(cfg)
+    degenerate, ill, (bits, _, hb, beta, col) = simulate._draw_and_screen(
+        cfg, ports, np.arange(600), 1.0)
+    idx = _select_indices(cfg, hb, ports[1])[0]
+    h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
+    k = bits_to_indices(bits, cfg.spatial_bits)[0]
+    assert not degenerate.any()
+    assert ill.any() == (w < 1)
+    for b in range(len(h_sel)):
+        if ill[b]:
+            with pytest.raises(SingularChannelError):
+                zf_precoder(h_sel[b])
+            continue
+        ref = zf_precoder(h_sel[b])
+        assert beta[b] == ref.beta
+        assert (np.abs(col[b] - (h_sel[b] @ ref.matrix)[:, k[b]]).max()
+                <= 1e-9 * ref.beta)
 
 
 def _assert_close(got, want):
