@@ -23,14 +23,15 @@ selection, the last at a 0.05-wavelength aperture where trials are
 redrawn and at 0.5 wavelengths, where the MMSE factor takes both its eigh
 and its SVD route; exhaustive ZF at 0.05 wavelengths, where the selection
 screen rejects candidates; TMD under ZF at 0.05 wavelengths, where the
-TMD Grams lie near the screen; the fixed-antenna baseline; N_r = 8; and
-the noiseless +inf dB point. The report lists, per case, what differs.
+TMD Grams lie near the screen; the fixed-antenna baseline; N_r = 8 under
+MMSE; ZF with TMD at N_r = 2 and N_r = 8, where the ZF screen inverts 2 x 2
+and 8 x 8 Grams; and the noiseless +inf dB point. The report lists, per case, what differs.
 The exit status is 1 when any count, redraw, histogram bin or
 ``run_trial`` bit differs. Medians are reported with their largest
 relative difference but do not set the exit status: a change that moves
 receive vectors in their last digits moves them by as much, and at +inf
 dB, where the ratio is rounding noise of order 1e-30, by far more. The
-default run took about 18 s on a 2-core VM.
+default run took about 15 s on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -76,6 +77,10 @@ CASES = {
     "mmse-baseline": dict(baseline=True, precoder="mmse", mod_order=64),
     "mmse-nr8": dict(n_r=8, n_a=8, precoder="mmse", portsel="tmd",
                      mod_order=16),
+    # the ZF screen on 2 x 2 and 8 x 8 Grams, in the TMD set-up and the
+    # precoder
+    "zf-tmd-nr2": dict(n_r=2, n_a=2, portsel="tmd"),
+    "zf-tmd-nr8": dict(n_r=8, n_a=8, portsel="tmd", mod_order=16),
     "mmse-noiseless": dict(precoder="mmse", portsel="tmd", mod_order=64,
                            snr_db=(20.0, float("inf"))),
 }

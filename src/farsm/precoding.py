@@ -32,7 +32,8 @@ screened inverse Gram and forms only the sent columns (H P) e_k
 (``zf_sent_columns``). Every route decides precodability
 by one of two screens of the 1-norm condition number:
 ``_screened_hermitian_inverse`` for formed inverses, ``mmse_screen`` for
-factors.
+factors. The first is one Cholesky factor-and-invert of a whole stack, so
+a Gram's inverse and flag are the same bit for bit alone and in a batch.
 """
 
 from __future__ import annotations
@@ -88,33 +89,90 @@ class Precoder:
 
 def _condition_exceeded(m: np.ndarray, m_inv: np.ndarray) -> np.ndarray:
     """(B,) flags: the 1-norm condition number ||M||_1 ||M^-1||_1 of each
-    matrix is not finite or exceeds MAX_CONDITION."""
-    cond = (np.abs(m).sum(axis=1).max(axis=1)
-            * np.abs(m_inv).sum(axis=1).max(axis=1))
-    return ~np.isfinite(cond) | (cond > MAX_CONDITION)
+    matrix is not finite or exceeds MAX_CONDITION.
+
+    Each 1-norm adds the rows of |M| in order and takes the maximum over the
+    columns in order, both matrices of all B rows in each numpy call; the
+    sums are those of ``np.abs(m).sum(axis=1)``, bit for bit.
+    """
+    b, n = m.shape[:2]
+    a = np.empty((2, b, n, n))
+    np.abs(m, out=a[0])
+    np.abs(m_inv, out=a[1])
+    col = a[:, :, 0].copy()
+    for i in range(1, n):
+        col += a[:, :, i]
+    norm = col[..., 0].copy()
+    for j in range(1, n):
+        np.maximum(norm, col[..., j], out=norm)
+    # NaN and +inf fail the comparison
+    return ~(norm[0] * norm[1] <= MAX_CONDITION)
+
+
+# [1, -1] per plane: (re, im) planes of z taken in reverse order and times
+# this give those of -i z, i.e. (Im z, -Re z)
+_SWAP = np.array([1.0, -1.0])[:, None, None]
 
 
 def _screened_hermitian_inverse(gram: np.ndarray):
     """Inverses of a stack of Hermitian matrices (B, n, n), with a screen.
 
-    Returns (inverse, failed (B,)); failed flags matrices that cannot be
-    solved at all and those whose 1-norm condition number exceeds
-    MAX_CONDITION.
+    Returns (inverse (B, n, n), failed (B,)); failed flags the matrices
+    whose 1-norm condition number is not finite or exceeds MAX_CONDITION
+    (``_condition_exceeded``).
+
+    One Cholesky factor-and-invert of the whole stack, on float64 planes
+    (re, im) of the augmented rows [G | I], trials last. Step j divides row
+    j by the pivot sqrt(d_j) and takes conj(v_i) v, with v that row, from
+    each row i > j; the rows then hold [L^H | X] with G = L L^H and X =
+    L^-1, and G^-1 = X^H X is summed over the rows of X in order. The loops
+    run over the matrix index only: O(n) numpy calls, each on a slab of all
+    B rows. Every entry is a sum of float64 products taken elementwise, with
+    no complex multiply and no reduction, so each row of the result is the
+    same bit for bit in any stack. The inverse is exactly Hermitian and
+    depends only on the upper triangle of G and the real part of its
+    diagonal. Like LU, this is backward stable, with errors of order eps
+    cond(G) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, ch. 10). A pivot d_j that is not positive (an indefinite,
+    singular or NaN matrix) makes 1 / sqrt(d_j), and with it (G^-1)_jj,
+    NaN or infinite, which the screen flags. ``gram`` is only read.
     """
-    n = gram.shape[1]
-    eye = np.broadcast_to(np.eye(n), gram.shape)
-    failed = np.zeros(gram.shape[0], dtype=bool)
-    try:
-        inv = np.linalg.solve(gram, eye)
-    except np.linalg.LinAlgError:
-        inv = np.empty_like(gram)
-        for i in range(gram.shape[0]):
-            try:
-                inv[i] = np.linalg.solve(gram[i], np.eye(n))
-            except np.linalg.LinAlgError:
-                inv[i] = np.nan
-                failed[i] = True
-    return inv, failed | _condition_exceeded(gram, inv)
+    b, n = gram.shape[:2]
+    inv = np.empty((b, n, n), dtype=complex)
+    # the result's memory, as float64 planes, holds each product term
+    # before it holds the result: one fresh temporary fewer per term
+    scratch = inv.view(np.float64).reshape(2, n, n, b)
+    w = np.empty((2, n, 2 * n, b))
+    w[0, :, :n] = gram.real.transpose(1, 2, 0)
+    w[1, :, :n] = gram.imag.transpose(1, 2, 0)
+    w[:, :, n:] = 0.0
+    w[0].reshape(2 * n * n, b)[n::2 * n + 1] = 1.0
+    with np.errstate(all="ignore"):
+        for j in range(n - 1):
+            # row j past the pivot: G's columns j+1.. and L^-1's 0..j
+            v = w[:, j, j + 1:n + j + 1]
+            v /= np.sqrt(w[0, j, j])
+            vs = v[::-1] * _SWAP
+            # rows i > j minus conj(v_i) v, re and im products apart
+            rows = w[:, j + 1:, j + 1:n + j + 1]
+            rows -= v[:, None] * v[0, :n - 1 - j, None]
+            rows -= vs[:, None] * v[1, :n - 1 - j, None]
+        w[:, n - 1, n:] /= np.sqrt(w[0, n - 1, n - 1])
+        x = w[:, :, n:]
+        # G^-1 = sum over k of conj(x_k)^T x_k, x_k row k of L^-1, into the
+        # planes of (G^-1)^T; each term is summed before it is added, so
+        # the result is exactly Hermitian
+        acc = w[:, :, :n]
+        acc[...] = 0.0
+        for k in range(n):
+            r = x[:, k, :k + 1]
+            t = np.multiply(r[:, :, None], r[0],
+                            out=scratch[:, :k + 1, :k + 1])
+            t += (r[::-1] * _SWAP)[:, :, None] * r[1]
+            acc[:, :k + 1, :k + 1] += t
+    inv.view(np.float64).reshape(b, n, n, 2)[...] = acc.transpose(3, 2, 1, 0)
+    del w, x, acc
+    return inv, _condition_exceeded(gram, inv)
 
 
 def _padded_svd(h: np.ndarray):

@@ -422,15 +422,10 @@ def _precode_batch(cfg: SimConfig, h_sel: np.ndarray, n0: float):
     return beta, inv, None, failed
 
 
-def _receive_batch(hp: np.ndarray, k_idx: np.ndarray | None, s: np.ndarray,
-                   wu: np.ndarray, n0: float) -> np.ndarray:
-    """y = (H P) s e_k + sqrt(n0) w for a batch.
-
-    ``hp`` is the effective channels (B, N_r, N_r), whose columns ``k_idx``
-    are sent, or with ``k_idx`` None the sent columns (H P) e_k (B, N_r).
-    """
-    cols = hp if k_idx is None else np.take_along_axis(
-        hp, k_idx[:, None, None], axis=2)[:, :, 0]
+def _receive_batch(cols: np.ndarray, s: np.ndarray, wu: np.ndarray,
+                   n0: float) -> np.ndarray:
+    """y = (H P) s e_k + sqrt(n0) w for a batch, from the sent columns
+    ``cols`` = (H P) e_k (B, N_r)."""
     return cols * s[:, None] + math.sqrt(n0) * wu
 
 
@@ -584,7 +579,7 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
             d, beta = mmse_scales(lam, cfg.n_r * n0)
             col = beta[:, None] * np.einsum("brj,bj->br", u, d * u_k)
             gain = u, d
-        y = _receive_batch(col, None, s, wu, n0)
+        y = _receive_batch(col, s, wu, n0)
         if keep:
             ratios.append(energy_ratio(y))
             rx.append([])

@@ -157,8 +157,9 @@ def test_noiseless_detection_is_exact(announce):
             z = rng.standard_normal((2, rows, 4))
             wu = (z[0] + 1j * z[1]) / np.sqrt(2.0)
             for p, g in ((zf, None), (mm, np.broadcast_to(gain, (rows, 4, 4)))):
-                hp = np.broadcast_to(h_act @ p.matrix, (rows, 4, 4))
-                y = _receive_batch(hp, k, points[m], wu, 0.0)
+                # the sent column (H P) e_k of each row
+                y = _receive_batch((h_act @ p.matrix)[:, k].T, points[m], wu,
+                                   0.0)
                 beta = np.full(rows, p.beta)
                 detectors = (mld, med) if g is None else (mld,)
                 for detect in detectors:

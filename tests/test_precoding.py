@@ -11,9 +11,9 @@ from conftest import random_channel
 from farsm.errors import SingularChannelError
 from farsm.modulation import build_qam
 from farsm.precoding import (EIGH_MAX_RATIO, MAX_CONDITION, NoiseModel,
-                             _condition_exceeded, effective_gain_matrix,
-                             mmse_factor, mmse_precoder, mmse_screen,
-                             zf_precoder)
+                             _condition_exceeded, _screened_hermitian_inverse,
+                             effective_gain_matrix, mmse_factor,
+                             mmse_precoder, mmse_screen, zf_precoder)
 from farsm.simulate import SimConfig, _draw_trials, _receive_batch
 
 
@@ -88,8 +88,8 @@ def test_transmit_noiseless_hits_target_antenna():
     const = build_qam(16)
     p = zf_precoder(h)
     wu = np.ones((1, 4), dtype=complex)
-    y = _receive_batch((h @ p.matrix)[None], np.array([2]),
-                       const.points[[9]], wu, 0.0)
+    y = _receive_batch((h @ p.matrix)[None, :, 2], const.points[[9]], wu,
+                       0.0)
     expected = np.zeros((1, 4), dtype=complex)
     expected[0, 2] = p.beta * const.points[9]
     assert np.allclose(y, expected, atol=1e-10)
@@ -100,14 +100,137 @@ def test_transmit_noise_is_stream_stable():
     # every SNR point scales that same vector
     h = random_channel(34, 4, 6)
     const = build_qam(4)
-    hp = (h @ zf_precoder(h).matrix)[None]
+    col = (h @ zf_precoder(h).matrix)[None, :, 0]
     _, _, wu = _draw_trials(SimConfig(), np.array([5]))
-    k, s = np.array([0]), const.points[[2]]
-    y0 = _receive_batch(hp, k, s, wu, 0.0)
-    y1 = _receive_batch(hp, k, s, wu, 0.04)
+    s = const.points[[2]]
+    y0 = _receive_batch(col, s, wu, 0.0)
+    y1 = _receive_batch(col, s, wu, 0.04)
     w = (y1 - y0) / 0.2
-    y2 = _receive_batch(hp, k, s, wu, 1.0)
+    y2 = _receive_batch(col, s, wu, 1.0)
     assert np.allclose(y0 + w, y2, atol=1e-9)
+
+
+def _grams(h):
+    return h @ h.conj().transpose(0, 2, 1)
+
+
+def _random_grams(seed, rows, n):
+    """Hermitian positive-definite Grams (rows, n, n) of random n x (n + 2)
+    channels whose receive rows are scaled by up to 1e-4, so the largest
+    condition numbers reach about 1e8 at n = 2 and 1e10 at n = 16."""
+    g = np.random.Generator(np.random.Philox(seed))
+    h = (g.standard_normal((rows, n, n + 2))
+         + 1j * g.standard_normal((rows, n, n + 2)))
+    return _grams(h * 10.0 ** -g.uniform(0, 4, (rows, n, 1)))
+
+
+def _engine_grams(w, trials):
+    """Grams of the first 4 and of all 16 ports of engine draws on a w x w
+    wavelength aperture."""
+    from farsm import simulate
+
+    cfg = SimConfig(w1=w, w2=w, portsel="first", trials=trials)
+    hb = _draw_trials(cfg, np.arange(trials))[0] @ simulate._port_model(cfg)[0]
+    return _grams(hb[:, :, :4]), _grams(hb)
+
+
+def _lu_screen(gram):
+    """The LU screen the Cholesky inverse replaced, kept as an oracle: one
+    solve of the stack, one per row where a row is exactly singular, and the
+    1-norms by sum and max."""
+    n = gram.shape[1]
+    failed = np.zeros(gram.shape[0], dtype=bool)
+    try:
+        inv = np.linalg.solve(gram, np.broadcast_to(np.eye(n), gram.shape))
+    except np.linalg.LinAlgError:
+        inv = np.empty_like(gram)
+        for i in range(gram.shape[0]):
+            try:
+                inv[i] = np.linalg.solve(gram[i], np.eye(n))
+            except np.linalg.LinAlgError:
+                inv[i] = np.nan
+                failed[i] = True
+    cond = (np.abs(gram).sum(axis=1).max(axis=1)
+            * np.abs(inv).sum(axis=1).max(axis=1))
+    return inv, failed | ~np.isfinite(cond) | (cond > MAX_CONDITION)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+def test_hermitian_inverse_meets_the_cholesky_error_bound(n):
+    # Cholesky inversion is backward stable: each row within c n eps cond(W)
+    # of np.linalg.inv, relative, with c = 2
+    grams = [_random_grams(n, 256, n)]
+    if n == 4:
+        grams += _engine_grams(0.05, 2048)
+    for gram in grams:
+        inv, failed = _screened_hermitian_inverse(gram)
+        ok = ~failed
+        assert ok.sum() > 0.9 * len(gram)
+        ref = np.linalg.inv(gram[ok])
+        err = (np.linalg.norm(inv[ok] - ref, axis=(1, 2))
+               / np.linalg.norm(ref, axis=(1, 2)))
+        bound = 2 * n * np.finfo(float).eps * np.linalg.cond(gram[ok], 1)
+        assert (err <= bound).all()
+        assert np.array_equal(inv, inv.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_hermitian_inverse_rows_do_not_depend_on_the_stack(n):
+    # every row bit for bit as its own one-row call and as the same row of a
+    # reversed and of a strided stack, flags included
+    gram = _random_grams(10 + n, 64, n)
+    if n == 4:
+        gram = np.concatenate([gram, _engine_grams(0.05, 64)[0]])
+    inv, failed = _screened_hermitian_inverse(gram)
+    assert failed.any() if n == 4 else not failed.any()
+    for i in range(len(gram)):
+        one, one_failed = _screened_hermitian_inverse(gram[i:i + 1])
+        assert np.array_equal(one[0], inv[i])
+        assert one_failed[0] == failed[i]
+    rev, rev_failed = _screened_hermitian_inverse(gram[::-1])
+    assert np.array_equal(rev[::-1], inv)
+    assert np.array_equal(rev_failed[::-1], failed)
+    odd, odd_failed = _screened_hermitian_inverse(gram[::2])
+    assert np.array_equal(odd, inv[::2])
+    assert np.array_equal(odd_failed, failed[::2])
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_hermitian_inverse_leaves_its_input_unchanged(rows):
+    gram = _random_grams(3, rows, 4)
+    before = gram.copy()
+    _screened_hermitian_inverse(gram)
+    assert np.array_equal(gram, before)
+
+
+def test_hermitian_inverse_flags_degenerate_grams():
+    good = _random_grams(4, 1, 4)[0]
+    g = np.random.Generator(np.random.Philox(5))
+    h = g.standard_normal((4, 3)) + 1j * g.standard_normal((4, 3))
+    nan, inf = good.copy(), good.copy()
+    nan[1, 2] = nan[2, 1] = np.nan
+    inf[3, 3] = np.inf
+    stack = np.array([h @ h.conj().T,                   # rank 3
+                      np.diag([1.0, -1.0, 2.0, 3.0]),   # indefinite
+                      nan, inf, np.zeros((4, 4)), good], dtype=complex)
+    inv, failed = _screened_hermitian_inverse(stack)
+    assert failed.tolist() == [True] * 5 + [False]
+    assert np.array_equal(inv[5], _screened_hermitian_inverse(good[None])[0][0])
+    inv, failed = _screened_hermitian_inverse(np.empty((0, 4, 4), complex))
+    assert inv.shape == (0, 4, 4) and failed.shape == (0,)
+    assert failed.dtype == bool
+
+
+@pytest.mark.parametrize("w", [0.05, 0.1])
+def test_hermitian_inverse_flags_as_the_lu_screen(w):
+    # 8192 engine draws: the Grams of the first 4 ports, about 2% of which
+    # fail at 0.05 wavelengths, and of all 16 ports
+    first, every = _engine_grams(w, 8192)
+    for gram in (first, every):
+        failed = _screened_hermitian_inverse(gram)[1]
+        assert np.array_equal(failed, _lu_screen(gram)[1])
+    assert _screened_hermitian_inverse(first)[1].sum() == (146 if w == 0.05
+                                                            else 2)
 
 
 def _mp_mmse(h, c, k, j):
@@ -146,9 +269,9 @@ def test_factor_route_matches_50_digit_oracle_on_ill_conditioned_channels(
         got["k"].append(indices(bits, spatial_bits)[0])
         return indices(bits, spatial_bits)
 
-    def spy_receive(cols, k_idx, s, wu, n0):
+    def spy_receive(cols, s, wu, n0):
         got["col"].append(cols)
-        return receive(cols, k_idx, s, wu, n0)
+        return receive(cols, s, wu, n0)
 
     def spy_detect(det, cfg, y, beta, gain, points):
         got["y"].append(y)
@@ -208,9 +331,9 @@ def test_eigh_route_matches_50_digit_oracle_near_its_bound(monkeypatch):
         got["k"].append(indices(bits, spatial_bits)[0])
         return indices(bits, spatial_bits)
 
-    def spy_receive(cols, k_idx, s, wu, n0):
+    def spy_receive(cols, s, wu, n0):
         got["col"].append(cols)
-        return receive(cols, k_idx, s, wu, n0)
+        return receive(cols, s, wu, n0)
 
     def spy_detect(det, cfg, y, beta, gain, points):
         got["y"].append(y)

@@ -367,14 +367,14 @@ def _detector_batch(precoder, rows, seed=3):
         assert not failed.any()
         factor = None
         # the sent columns (H P) e_k, as the sweep builds them
-        hp, k_idx = zf_sent_columns(h_sel, inv, beta, k_idx), None
+        cols = zf_sent_columns(h_sel, inv, beta, k_idx)
     else:
         u, lam = mmse_factor(h_sel)
         d, beta = mmse_scales(lam, 4 * n0)
         factor, gain = (u, d), gain_matrices(u, d)
         hp = beta[:, None, None] * gain
-    return (_receive_batch(hp, k_idx, s, wu, n0), beta, gain, factor,
-            points)
+        cols = np.take_along_axis(hp, k_idx[:, None, None], axis=2)[:, :, 0]
+    return (_receive_batch(cols, s, wu, n0), beta, gain, factor, points)
 
 
 @pytest.mark.parametrize("precoder", ["zf", "mmse"])
