@@ -171,7 +171,7 @@ def _screened_hermitian_inverse(gram: np.ndarray):
             t += (r[::-1] * _SWAP)[:, :, None] * r[1]
             acc[:, :k + 1, :k + 1] += t
     inv.view(np.float64).reshape(b, n, n, 2)[...] = acc.transpose(3, 2, 1, 0)
-    del w, x, acc
+    del w, x, acc  # the planes go before the screen's buffers come
     return inv, _condition_exceeded(gram, inv)
 
 

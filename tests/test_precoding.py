@@ -226,11 +226,10 @@ def test_hermitian_inverse_flags_as_the_lu_screen(w):
     # 8192 engine draws: the Grams of the first 4 ports, about 2% of which
     # fail at 0.05 wavelengths, and of all 16 ports
     first, every = _engine_grams(w, 8192)
-    for gram in (first, every):
-        failed = _screened_hermitian_inverse(gram)[1]
+    flags = [_screened_hermitian_inverse(g)[1] for g in (first, every)]
+    for gram, failed in zip((first, every), flags):
         assert np.array_equal(failed, _lu_screen(gram)[1])
-    assert _screened_hermitian_inverse(first)[1].sum() == (146 if w == 0.05
-                                                            else 2)
+    assert flags[0].sum() == (146 if w == 0.05 else 2)
 
 
 def _mp_mmse(h, c, k, j):
