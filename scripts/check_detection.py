@@ -9,14 +9,15 @@ For every configuration (M in 4, 16, 64; N_r in 2, 4, 8; ZF and MMSE; TMD
 selection on the reference 4x4 grid) one sweep over SNR points from -30 dB
 to +inf runs through the engine, and each point's receive rows, as the
 engine's detect stage gets them (``simulate._detect_batch``), are decided
-by ``detection.mld``, on the gain matrices formed from the stage's MMSE
-factor, and by the stage's own energy path (``_detect_batch("med", ...)``,
-its scale beta G[k, k] taken from the factor), and by the full searches
-that score every hypothesis (the detectors' own fallbacks, run on every
-row). The energy detector's antenna, the argmax of |y|^2, is the same code
-either way; its symbol is checked against the full search on that antenna
-with the same y_k and scale. The report gives, per configuration, the rows, the rows
-where either detector's (k, m) differs from its full search, and the share
+by ``detection.mld``, on the stage's MMSE factor (U, d) of the gain
+matrices, and by the stage's own energy path (``_detect_batch("med",
+...)``, its scale beta G[k, k] taken from the factor), and by the full
+searches that score every hypothesis (the detectors' own fallbacks, run on
+every row, the ML search on the same projections). The energy detector's
+antenna, the argmax of |y|^2, is the same code either way; its symbol is
+checked against the full search on that antenna with the same y_k and
+scale. The report gives, per configuration, the rows, the rows where
+either detector's (k, m) differs from its full search, and the share
 of rows that took each detector's full-search fallback (rows the rounding
 margin could not prove). The default run took 40 to 60 s on a 2-core
 VM. The exit status is 1 when any decision differs.
@@ -33,7 +34,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from farsm import detection, precoding, simulate  # noqa: E402
+from farsm import detection, simulate  # noqa: E402
 from farsm.modulation import build_qam  # noqa: E402
 
 SNR_DB = (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0, 30.0, 40.0, float("inf"))
@@ -66,13 +67,12 @@ def check(cfg: simulate.SimConfig) -> dict:
 
     def spy(det, cfg_, y, beta, gain, points_):
         # the sweep counts errors of the sliced ML decisions, made on the
-        # gain matrices formed from the MMSE factor (U, d) the stage gets
+        # MMSE factor (U, d) the stage gets
         with np.errstate(all="ignore"):
             tally["rows"] += y.shape[0]
-            g = None if gain is None else precoding.gain_matrices(*gain)
-            decided = detection.mld(y, beta, g, points)
+            decided = detection.mld(y, beta, gain, points)
             full = originals["mld_fallback"](
-                y, beta, *detection._projections(y, g), points)
+                y, beta, *detection._projections(y, gain), points)
             tally["mld_moved"] += _differ(decided, full)
             # the stage's own energy path on every row; its symbols against
             # the full search on the same y_k and scale

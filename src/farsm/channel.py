@@ -5,9 +5,9 @@ comes from a counter-based Philox stream keyed by a 64-bit master seed plus a
 64-bit stream id. Two streams with the same key always produce the same
 values, no matter how many other streams were consumed in between; distinct
 ids give statistically independent streams. That makes streams safe to
-evaluate in any order or in parallel. The Monte Carlo engine keys one
-stream per block of trials (``farsm.simulate._draw_trials``) with the same
-128-bit key layout as ``SeededRng.generator``.
+evaluate in any order or in parallel. The Monte Carlo engine's stream per
+block of trials (``farsm.simulate._draw_trials``) is a ``SeededRng`` too,
+so every stream has the one 128-bit key layout.
 
 Channel conventions: entries are CN(0, 1) (circularly symmetric complex
 Gaussian, unit variance split evenly between real and imaginary parts). A

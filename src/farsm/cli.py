@@ -395,8 +395,10 @@ def _theory_channels(cfg: SimConfig,
     redrawn from stream_id(d, attempt, PURPOSE_THEORY), at most
     ``_MAX_REDRAWS`` times. The screen does not depend on the noise, so it
     runs once per draw, before any SNR point, and a draw that passes is
-    never replaced.
+    never replaced. The draws span the port grid whatever ``baseline``
+    says, so ``cfg`` is validated as a port-grid configuration.
     """
+    replace(cfg, baseline=False).validate()
     if draws < 1:
         raise ConfigError(f"draws must be >= 1, got {draws}")
     model = build_correlation_model(

@@ -1,27 +1,28 @@
 """Receive-side detectors for precoded receive spatial modulation.
 
 After precoding, the noiseless receive vector is beta * s_m * e_k (ZF) or
-beta * s_m * g_k (MMSE, g_k the k-th column of the effective gain matrix G).
-The detectors are stacked kernels: each takes B receive vectors ``y`` (B,
-N_r), the per-row gains ``beta`` (B,), the per-row gain matrices ``gain``
-(B, N_r, N_r) or None for ZF, and the constellation ``points``, and
-returns the 0-based (k, m) of every row as two (B,) arrays.
+beta * s_m * g_k (MMSE, g_k the k-th column of the effective gain matrix G
+= U diag(d) U^H). The kernels are stacked over B rows:
 
-* ``mld``: joint maximum-likelihood decision over all N_r x M hypotheses.
-* ``med``: maximum energy detection. The strongest receive entry names the
-  antenna; the symbol is demapped from that entry alone using the scalar
-  gain (beta, or beta * G[k, k] for MMSE).
+* ``mld``: joint maximum-likelihood decision over all N_r x M hypotheses
+  from the receive vectors ``y`` (B, N_r), the gains ``beta`` (B,), the
+  factor (U (B, N_r, N_r), d (B, N_r)) of G or None for ZF, and the
+  constellation ``points``; returns the 0-based (k, m) as two (B,) arrays.
+  G itself is never formed.
+* ``med_symbols``: the maximum energy detector's symbols, each demapped
+  from a row's strongest receive entry (``strongest``) alone with the
+  scalar gain (beta, or beta * G[k, k] for MMSE).
 * ``energy_ratio``: the second largest over the largest receive energy,
   which measures how concentrated y is.
 
-RTTD switches between the two detectors: rows whose ratio lies below gamma
-are safe for the cheap energy path, the rest go to the joint ML decision.
-Its gate is the engine's detect stage, ``farsm.simulate._detect_batch``,
-which serves MLD and MED too. It computes the energies and their argmax
+The engine's detect stage, ``farsm.simulate._detect_batch``, is the one
+implementation of MLD, MED and RTTD, which switches between the two: rows
+whose ratio lies below gamma are safe for the cheap energy path, the rest
+go to the joint ML decision. It computes the energies and their argmax
 once for the ratio test and the energy path (``strongest``, ``ratio_of``),
-hands ``med_symbols`` each energy row's strongest entry and scale, and runs
-``mld`` only on the other rows. ``mld_generic`` enumerates residuals
-explicitly and is the oracle the kernels are tested against.
+and runs ``mld`` only on the rows the energy path does not decide.
+``mld_generic`` enumerates residuals explicitly and is the oracle the
+kernels are tested against.
 
 Ties resolve to the smallest index pair (k, then m).
 
@@ -32,8 +33,8 @@ g_k^H y / (beta ||g_k||^2) (g_k = e_k and ||g_k|| = 1 under ZF), so the
 best m of each k is the point nearest z_k: a rounding per axis. ``mld``
 slices every antenna, rescores the N_r sliced pairs and takes the
 minimum: O(N_r) work per row under ZF and O(N_r^2) under MMSE (the
-projections), against O(N_r M) for the full search. ``med`` slices z =
-y_k / scale: O(N_r) per row against O(N_r + M).
+projections, from the factor), against O(N_r M) for the full search.
+``med_symbols`` slices z = y_k / scale: O(1) per row against O(M).
 
 Margin rule. Distances are in axis spacings Delta: c_k = z_k / Delta, p_m
 = s_m / Delta, amp = max |p_m|, and q_k = (amp + |Re c_k| + |Im c_k|)^2.
@@ -59,12 +60,16 @@ decision (k*, m*) only when
   hypothesis of another antenna has a computed cost above the chosen one.
 
 Then the full search's computed costs have one strict minimum, at (k*,
-m*), and ties cannot arise. ``med`` applies the first rule to its single
-antenna: its cost |y_k - scale s_m|^2 has the same error form. The guards
-also require beta Delta (or scale Delta) and, under MMSE, every ||g_k||^2
-to lie in [2^-200, 2^200] and every q_k < 2^60, so that no intermediate of
-the full search overflows or loses digits to underflow. A NaN or inf in z,
-beta, gain or y makes some q_k or beta Delta NaN or inf and fails them.
+m*), and ties cannot arise. The rule is stated for the computed z_k and
+||g_k||^2 and the full search scores those same values, so it holds for z
+taken from the factor however far its rounding moves z from G^H y.
+``med_symbols`` applies the first rule to its single antenna: its cost
+|y_k - scale s_m|^2 has the same error form. The guards also require beta
+Delta (or scale Delta) and, under MMSE, every ||g_k||^2 to lie in
+[2^-200, 2^200] and every q_k < 2^60, so that no intermediate of the full
+search overflows or loses digits to underflow. A NaN or inf in z, beta,
+the factor or y makes some q_k, ||g_k||^2 or beta Delta NaN or inf and
+fails them.
 
 Fallback. Rows that fail any guard (near a boundary, near a cost tie,
 non-finite, or of extreme magnitude), and every row when ``points`` is not
@@ -177,13 +182,17 @@ def _in_range(x, bounds) -> np.ndarray:
     return (x >= bounds[0]) & (x <= bounds[1])
 
 
-def _projections(y, gain):
-    """(z, gn): z_k = g_k^H y and gn_k = ||g_k||^2, each (B, N_r), or (None,
-    None) under ZF (``gain`` None)."""
-    if gain is None:
+def _projections(y, factor):
+    """(z, gn): z_k = g_k^H y and gn_k = ||g_k||^2, each (B, N_r), from the
+    factor (U, d) of G = U diag(d) U^H as z = U (d * (U^H y)) and gn_k =
+    sum_j |U_kj|^2 d_j^2, or (None, None) under ZF (``factor`` None)."""
+    if factor is None:
         return None, None
-    return (np.einsum("brk,br->bk", gain.conj(), y),
-            np.einsum("brk,brk->bk", gain, gain.conj()).real)
+    u, d = factor
+    w = np.einsum("brj,br->bj", u.conj(), y)
+    w *= d
+    return (np.einsum("bkj,bj->bk", u, w),
+            ((u.real ** 2 + u.imag ** 2) * (d * d)[:, None, :]).sum(axis=2))
 
 
 def _ml_search(y, beta, z, gn, points):
@@ -207,17 +216,18 @@ def _point_search(yk, scale, points):
                      ** 2, axis=1)
 
 
-def mld(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
-        points: np.ndarray):
+def mld(y: np.ndarray, beta: np.ndarray, factor, points: np.ndarray):
     """Joint ML decision: argmin over (k, m) of ||y - beta s_m c_k||^2 per row.
 
-    Under ZF (``gain`` None) c_k = e_k and the cost reduces to |y_k - beta
-    s_m|^2 - |y_k|^2; under MMSE c_k = g_k and it is |beta s_m|^2 ||g_k||^2
-    - 2 Re(conj(beta s_m) g_k^H y). Each antenna's best point is sliced from
-    its z_k, and rows the margin rule (module docstring) cannot prove go
-    through the full search. Returns (k, m), each (B,) and 0-based.
+    Under ZF (``factor`` None) c_k = e_k and the cost reduces to |y_k - beta
+    s_m|^2 - |y_k|^2; under MMSE ``factor`` is (U, d) of G = U diag(d) U^H,
+    c_k = g_k and the cost is |beta s_m|^2 ||g_k||^2 - 2 Re(conj(beta s_m)
+    g_k^H y), with the projections taken from the factor. Each antenna's
+    best point is sliced from its z_k, and rows the margin rule (module
+    docstring) cannot prove go through the full search. Returns (k, m),
+    each (B,) and 0-based.
     """
-    z, gn = _projections(y, gain)
+    z, gn = _projections(y, factor)
     grid = _grid(points)
     n, n_r = y.shape
     if grid is None:
@@ -315,20 +325,6 @@ def med_symbols(yk: np.ndarray, scale: np.ndarray, points: np.ndarray):
     if bad.size:
         m[bad] = _point_search(yk[bad], scale[bad], points)
     return m
-
-
-def med(y: np.ndarray, beta: np.ndarray, gain: np.ndarray | None,
-        points: np.ndarray):
-    """Maximum energy detection: the strongest entry of each row names k.
-
-    The symbol is the point nearest y_k / scale, scale being beta under ZF
-    (``gain`` None) and beta times the real diagonal entry G[k, k] under
-    MMSE. Returns (k, m), each (B,) and 0-based.
-    """
-    k = strongest(y)[1]
-    rows = np.arange(y.shape[0])
-    scale = beta if gain is None else beta * gain[rows, k, k].real
-    return k, med_symbols(y[rows, k], scale, points)
 
 
 def mld_generic(y: np.ndarray, effective: np.ndarray, points: np.ndarray):

@@ -22,11 +22,11 @@ of the formed Gram where its eigenvalue ratio lambda_max / lambda_min is at
 most EIGH_MAX_RATIO, and from one SVD of H (lambda = sigma^2) elsewhere:
 forming the Gram squares the condition, and above that ratio rounding
 takes the small eigenvalues that set G at high SNR, which the SVD keeps
-(``mmse_factor`` derives the bound). ``mmse_factor``, ``mmse_scales``,
-``mmse_screen`` and ``gain_matrices`` are that route on a stack of
-channels. The engine factors a batch once and forms, at each SNR point,
-only the parts of G its receiver reads; ``mmse_precoder`` and
-``effective_gain_matrix`` are its views on a stack of one, as
+(``mmse_factor`` derives the bound). ``mmse_factor``, ``mmse_scales`` and
+``mmse_screen`` are that route on a stack of channels. The engine factors
+a batch once and forms, at each SNR point, only the parts of G its
+receiver reads, never G; ``mmse_precoder`` and ``effective_gain_matrix``
+(the one place G is formed) are its views on a stack of one, as
 ``zf_precoder`` is of ``zf_precoders``. Under ZF the engine keeps the
 screened inverse Gram and forms only the sent columns (H P) e_k
 (``zf_sent_columns``). Every route decides precodability
@@ -257,11 +257,6 @@ def mmse_screen(u: np.ndarray, lam: np.ndarray, c: float) -> np.ndarray:
     return failed
 
 
-def gain_matrices(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The gain matrices G = U diag(d) U^H (B, N_r, N_r) of a factor."""
-    return (u * d[:, None, :]) @ u.conj().transpose(0, 2, 1)
-
-
 def zf_precoders(h: np.ndarray):
     """ZF precoders of a stack h (B, N_r, N_a) in factored form: (beta (B,),
     A (B, N_r, N_r), failed (B,)) with A the screened inverse Gram (H
@@ -338,9 +333,10 @@ def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:
 def effective_gain_matrix(h_active: np.ndarray, noise: NoiseModel) -> np.ndarray:
     """Hermitian G = H H^H (H H^H + N_r N_0 I)^(-1) = U diag(d) U^H.
 
-    The MMSE effective channel is beta * G; detectors use its columns (and
-    its diagonal for the low-complexity path).
+    The MMSE effective channel is beta * G. The engine's detectors read G
+    through its factor (U, d); the tests check that route against this.
     """
     c = h_active.shape[0] * noise.n0
     u, lam = _screened(*mmse_factor(h_active[None]), c)
-    return gain_matrices(u, mmse_scales(lam, c)[0])[0]
+    d = mmse_scales(lam, c)[0]
+    return ((u * d[:, None, :]) @ u.conj().transpose(0, 2, 1))[0]

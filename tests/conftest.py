@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, settings
 
 from farsm.channel import SeededRng, sample_correlated_channel
 from farsm.correlation import build_correlation_model, port_coordinates
+from farsm.simulate import SimConfig, _detect_batch
 
 # numerical cases can be slow under coverage or cold BLAS; wall-clock
 # deadlines only add flakiness here
@@ -34,3 +35,17 @@ def random_channel(seed, n_r, n_cols):
     g = np.random.Generator(np.random.Philox(seed))
     return (g.standard_normal((n_r, n_cols))
             + 1j * g.standard_normal((n_r, n_cols))) / np.sqrt(2.0)
+
+
+def gain_matrices(u, d):
+    """The gain matrices G = U diag(d) U^H (B, N_r, N_r) of a factor (U, d),
+    the reference the factor-based detectors are checked against; the
+    engine never forms them."""
+    return (u * d[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
+def stage_med(y, beta, factor, points):
+    """MED's (k, m): the engine's detect stage with every row on its energy
+    path, the one maximum energy detector."""
+    return _detect_batch("med", SimConfig(detector="med"), y, beta, factor,
+                         points)[:2]

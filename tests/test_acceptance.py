@@ -17,12 +17,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import stage_med
 from farsm.channel import SeededRng, restrict_to_ports, sample_correlated_channel
 from farsm.correlation import build_correlation_model, port_coordinates
-from farsm.detection import med, mld
+from farsm.detection import mld
 from farsm.modulation import build_qam
-from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_precoder,
-                             zf_precoder)
+from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_factor,
+                             mmse_precoder, mmse_scales, zf_precoder)
 from farsm.selection import (PortSet, initial_trace_state, smw_downdate,
                              tmd_select, tmd_trace_metric)
 from farsm.simulate import (SimConfig, _receive_batch, run_ber_sweep,
@@ -152,16 +153,20 @@ def test_noiseless_detection_is_exact(announce):
             h_act = restrict_to_ports(h, tmd_select(h, 4))
             zf = zf_precoder(h_act)
             mm = mmse_precoder(h_act, design)
-            gain = effective_gain_matrix(h_act, design)
+            # the gain matrix as its factor (U, d), as the detectors take it
+            u, lam = mmse_factor(h_act[None])
+            d = mmse_scales(lam, 4 * design.n0)[0]
+            factor = (np.broadcast_to(u, (rows, 4, 4)),
+                      np.broadcast_to(d, (rows, 4)))
             # unit noise is drawn and scaled by sqrt(n0) = 0
             z = rng.standard_normal((2, rows, 4))
             wu = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-            for p, g in ((zf, None), (mm, np.broadcast_to(gain, (rows, 4, 4)))):
+            for p, g in ((zf, None), (mm, factor)):
                 # the sent column (H P) e_k of each row
                 y = _receive_batch((h_act @ p.matrix)[:, k].T, points[m], wu,
                                    0.0)
                 beta = np.full(rows, p.beta)
-                detectors = (mld, med) if g is None else (mld,)
+                detectors = (mld, stage_med) if g is None else (mld,)
                 for detect in detectors:
                     k_hat, m_hat = detect(y, beta, g, points)
                     assert np.array_equal(k_hat, k)

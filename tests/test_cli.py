@@ -299,6 +299,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+@pytest.mark.parametrize("command", ["capacity-loss", "mse", "portsel-bench"])
+def test_port_grid_commands_check_ports_of_a_baseline_config(
+        command, tmp_path, capsys):
+    # validate() lets the baseline draw N_a > N antennas, but these commands
+    # always run on the port grid
+    path = tmp_path / "c.json"
+    path.write_text('{"baseline": true, "n_a": 20}')
+    code, _, err = run_cli([command, "--config", str(path)], capsys)
+    assert code == 2
+    assert "error: N_a=20 exceeds the port count N=16" in err
+
+
 def test_numerical_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_ber_sweep",
                         lambda cfg: (_ for _ in ()).throw(

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_channel
-from farsm.detection import energy_ratio, med, mld, mld_generic
+from conftest import random_channel, stage_med
+from farsm.detection import energy_ratio, mld, mld_generic
 from farsm.errors import ConfigError
 from farsm.modulation import build_qam
 from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_factor,
@@ -19,11 +19,15 @@ def _zf_setup(seed, n_r=4, order=16):
 
 
 def _mmse_setup(seed, snr_db=8.0, n_r=4, order=16):
+    """(H, precoder, G, factor, points); the detectors take G as its factor
+    (U, d), here stacks of one."""
     h = random_channel(seed, n_r, n_r + 3)
     noise = NoiseModel.from_snr_db(snr_db)
     p = mmse_precoder(h, noise)
     g = effective_gain_matrix(h, noise)
-    return h, p, g, build_qam(order).points
+    u, lam = mmse_factor(h[None])
+    factor = u, mmse_scales(lam, n_r * noise.n0)[0]
+    return h, p, g, factor, build_qam(order).points
 
 
 def _rows(beta, rows):
@@ -62,14 +66,15 @@ def test_mld_matches_exhaustive_reference_under_zf(seed, nseed):
 @settings(max_examples=30)
 @given(seed=st.integers(0, 3000), nseed=st.integers(0, 1000))
 def test_mld_matches_exhaustive_reference_under_mmse(seed, nseed):
-    _, p, gain, points = _mmse_setup(seed)
+    _, p, gain, (u, d), points = _mmse_setup(seed)
     effective = p.beta * gain
     # no all-zero row: its exact tie among the inner points is broken by
     # the rounding of s_m g_k, which differs between kernel and oracle
     y = _noisy_stack(effective, points, nseed)
     rows = y.shape[0]
     k_hat, m_hat = mld(y, _rows(p.beta, rows),
-                       np.broadcast_to(gain, (rows, 4, 4)), points)
+                       (np.broadcast_to(u, (rows, 4, 4)),
+                        np.broadcast_to(d, (rows, 4))), points)
     _assert_matches_oracle(y, effective, points, k_hat, m_hat)
 
 
@@ -92,16 +97,16 @@ def test_mld_tie_breaks_to_smallest_pair():
 def test_med_picks_strongest_antenna():
     _, p, points = _zf_setup(2)
     y = np.array([[0.1 + 0j, 0.2, p.beta * points[5], 0.05]])
-    k_hat, m_hat = med(y, _rows(p.beta, 1), None, points)
+    k_hat, m_hat = stage_med(y, _rows(p.beta, 1), None, points)
     assert (k_hat[0], m_hat[0]) == (2, 5)
 
 
 def test_med_mmse_uses_diagonal_gain():
-    _, p, gain, points = _mmse_setup(3)
+    _, p, gain, factor, points = _mmse_setup(3)
     k = 2
     y = np.zeros((1, 4), dtype=complex)
     y[0, k] = p.beta * gain[k, k].real * points[7]
-    k_hat, m_hat = med(y, _rows(p.beta, 1), gain[None], points)
+    k_hat, m_hat = stage_med(y, _rows(p.beta, 1), factor, points)
     assert (k_hat[0], m_hat[0]) == (k, 7)
 
 
@@ -159,15 +164,12 @@ def test_rttd_gamma_extremes():
     assert not fine_coarse.any() and coarse.all()
     for got, want in zip(always_fine, mld(y, beta, None, points)):
         assert np.array_equal(got, want)
-    for got, want in zip(always_coarse, med(y, beta, None, points)):
+    for got, want in zip(always_coarse, stage_med(y, beta, None, points)):
         assert np.array_equal(got, want)
 
 
 def test_rttd_mmse_route():
-    h, p, gain, points = _mmse_setup(6)
-    # the detect stage takes the gain matrices as their factor (U, d)
-    u, lam = mmse_factor(h[None])
-    factor = u, mmse_scales(lam, 4 * NoiseModel.from_snr_db(8.0).n0)[0]
+    _, p, gain, factor, points = _mmse_setup(6)
     y = np.zeros((1, 4), dtype=complex)
     y[0, 0] = p.beta * gain[0, 0].real * points[2]
     k_hat, m_hat, coarse = _rttd(y, p.beta, points, 0.6, gain=factor)

@@ -4,15 +4,17 @@ Ties go to the smallest index pair (k, then m). A tie here is one in the
 computed costs, not only in exact arithmetic: each boundary case checks
 that the detector's own cost expression gives both candidates the same
 value before it asserts the pick. Rows with a non-finite or zero gain or
-receive entry must return what the full ML / energy search returns.
+receive entry must return what the full ML / energy search returns. The
+MMSE gain G = U diag(d) U^H enters as its factor (U, d), as the engine
+hands it over; MED is the engine's detect stage (``stage_med``).
 """
 
 import numpy as np
 import pytest
 
-from farsm.detection import med, mld, mld_generic
+from conftest import gain_matrices, stage_med
+from farsm.detection import mld, mld_generic
 from farsm.modulation import build_qam
-from farsm.precoding import gain_matrices
 
 ORDERS = (16, 64)
 
@@ -59,7 +61,7 @@ def test_med_equal_energies_pick_smallest_k():
     y = np.array([[1.0 + 0j, 1j, 0.1, 0.0],
                   [0.1, 1j, -1.0, 0.0],
                   [0.5, 0.5j, -0.5, -0.5j]])
-    k, _ = med(y, np.ones(3), None, points)
+    k, _ = stage_med(y, np.ones(3), None, points)
     assert k.tolist() == [0, 1, 0]
 
 
@@ -71,7 +73,7 @@ def test_med_symbol_boundary_picks_smaller_m(order):
         assert cost[lo] == cost[hi] == cost.min()
         y = np.zeros((1, 4), dtype=complex)
         y[0, 1] = yk
-        k, m = med(y, np.array([beta]), None, points)
+        k, m = stage_med(y, np.array([beta]), None, points)
         assert (k[0], m[0]) == (1, lo)
 
 
@@ -89,11 +91,12 @@ def test_mld_zf_symbol_boundary_picks_smaller_m(order):
 def test_mld_equal_antennas_pick_smallest_pair(order, precoder):
     points = build_qam(order).points
     beta, g = 0.8, 0.9
-    gain = None if precoder == "zf" else np.broadcast_to(
-        g * np.eye(4), (3, 4, 4))
-    u = beta * points[order - 3] * (1.0 if gain is None else g)
+    # G = g I as its factor (I, g)
+    factor = None if precoder == "zf" else (
+        np.broadcast_to(np.eye(4), (3, 4, 4)), np.full((3, 4), g))
+    u = beta * points[order - 3] * (1.0 if factor is None else g)
     y = np.array([[u, u, 0, 0], [0, u, 0, u], [0, 0, -u, -u]])
-    k, m = mld(y, np.full(3, beta), gain, points)
+    k, m = mld(y, np.full(3, beta), factor, points)
     assert k.tolist() == [0, 1, 2]
     assert m[:2].tolist() == [order - 3] * 2
 
@@ -107,15 +110,16 @@ def test_mld_mmse_symbol_boundary_picks_smaller_m(order):
     inner = levels[levels.size // 2]
     lo, hi = sorted((_point(points, inner, q), _point(points, -inner, q)))
     beta, g = 0.8, 0.9
-    gain = g * np.eye(4)[None]
+    factor = np.eye(4)[None], np.full((1, 4), g)  # G = g I
     y = np.array([[0.0, 0.0, 1j * beta * g * q, 0.0]])
-    k, m = mld(y, np.array([beta]), gain, points)
+    k, m = mld(y, np.array([beta]), factor, points)
     assert (k[0], m[0]) == (2, lo)
 
 
 def _bad_rows(order, n_r=4):
     """Eight rows around a clean symbol on antenna 1: NaN or inf entries in
-    y (rows 0-5), beta = 0 (row 6), a non-finite gain diagonal (rows 6, 7)."""
+    y (rows 0-5), beta = 0 (row 6), a non-finite eigenvalue d_j of the gain
+    factor (U, d) (rows 6, 7), U a random unitary matrix."""
     points = build_qam(order).points
     g = np.random.Generator(np.random.Philox(7))
     b = 0.7
@@ -131,17 +135,20 @@ def _bad_rows(order, n_r=4):
     beta = np.full(8, b)
     beta[6] = 0.0
     shape = (8, n_r, n_r)
-    gain = np.eye(n_r) * 0.9 + 0.05 * (
-        g.standard_normal(shape) + 1j * g.standard_normal(shape))
-    gain[7, 1, 1] = nan
-    gain[6, 2, 2] = inf
-    return y, beta, gain, points
+    u = np.linalg.qr(g.standard_normal(shape)
+                     + 1j * g.standard_normal(shape))[0]
+    d = 0.9 + 0.05 * g.standard_normal((8, n_r))
+    d[7, 1] = nan
+    d[6, 2] = inf
+    return y, beta, (u, d), points
 
 
-# what the full searches return on _bad_rows, the same at M = 16 and 64
+# what the full searches return on _bad_rows, the same at M = 16 and 64.
+# Under MMSE every entry of U (d * (U^H y)) reads every entry of y and d,
+# so a non-finite one makes every antenna's cost NaN: the first, (0, 0).
 BAD_ROW_DECISIONS = {
     ("mld", "zf"): ([0, 2, 1, 3, 0, 1, 0, 1], [0, 0, 0, 0, 0, 0, 0, 5]),
-    ("mld", "mmse"): ([0, 0, 0, 0, 0, 0, 2, 1], [0] * 8),
+    ("mld", "mmse"): ([0] * 8, [0] * 8),
     ("med", "zf"): ([0, 2, 1, 3, 0, 1, 1, 1], [0, 0, 0, 0, 0, 0, 0, 5]),
     ("med", "mmse"): ([0, 2, 1, 3, 0, 1, 1, 1], [0] * 8),
 }
@@ -150,10 +157,10 @@ BAD_ROW_DECISIONS = {
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("detector,precoder", sorted(BAD_ROW_DECISIONS))
 def test_nonfinite_rows_keep_full_search_decisions(order, detector, precoder):
-    y, beta, gain, points = _bad_rows(order)
-    fn = {"mld": mld, "med": med}[detector]
+    y, beta, factor, points = _bad_rows(order)
+    fn = {"mld": mld, "med": stage_med}[detector]
     with np.errstate(all="ignore"):
-        k, m = fn(y, beta, None if precoder == "zf" else gain, points)
+        k, m = fn(y, beta, None if precoder == "zf" else factor, points)
     want_k, want_m = BAD_ROW_DECISIONS[detector, precoder]
     assert k.tolist() == want_k and m.tolist() == want_m
 
@@ -162,15 +169,17 @@ def test_nonfinite_rows_keep_full_search_decisions(order, detector, precoder):
 # Sliced decisions against the full searches on engine rows
 # ---------------------------------------------------------------------------
 
-def _full_mld(y, beta, gain, points):
-    """Joint ML by scoring all N_r x M hypotheses (the full search)."""
+def _full_mld(y, beta, factor, points):
+    """Joint ML by scoring all N_r x M hypotheses (the full search), on the
+    projections z = U (d * (U^H y)) and ||g_k||^2 = sum_j |U_kj|^2 d_j^2."""
     m_count = points.size
-    if gain is None:
+    if factor is None:
         d = y[:, :, None] - beta[:, None, None] * points[None, None, :]
         cost = (d.real ** 2 + d.imag ** 2) - (np.abs(y) ** 2)[:, :, None]
     else:
-        z = np.einsum("brk,br->bk", gain.conj(), y)
-        gn = np.einsum("brk,brk->bk", gain, gain.conj()).real
+        u, d = factor
+        z = np.einsum("bkj,bj->bk", u, d * np.einsum("brj,br->bj", u.conj(), y))
+        gn = ((u.real ** 2 + u.imag ** 2) * (d * d)[:, None, :]).sum(axis=2)
         c = beta[:, None] * points[None, :]
         cost = (np.abs(c) ** 2)[:, None, :] * gn[:, :, None] - 2.0 * np.real(
             np.conj(c)[:, None, :] * z[:, :, None])
@@ -178,14 +187,15 @@ def _full_mld(y, beta, gain, points):
     return flat // m_count, flat % m_count
 
 
-def _full_med(y, beta, gain, points):
-    """Energy detection scoring all M points on the strongest entry."""
+def _full_med(y, beta, factor, points):
+    """Energy detection scoring all M points on the strongest entry, with
+    the scale beta G[k, k] = beta sum_j |U_kj|^2 d_j under MMSE."""
     k = np.argmax(np.abs(y) ** 2, axis=1)
     yk = np.take_along_axis(y, k[:, None], axis=1)[:, 0]
     scale = beta
-    if gain is not None:
-        diag = np.diagonal(gain, axis1=1, axis2=2).real
-        scale = beta * np.take_along_axis(diag, k[:, None], axis=1)[:, 0]
+    if factor is not None:
+        uk = factor[0][np.arange(k.size), k]
+        scale = beta * ((uk.real ** 2 + uk.imag ** 2) * factor[1]).sum(axis=1)
     m = np.argmin(np.abs(yk[:, None] - scale[:, None] * points[None, :]) ** 2,
                   axis=1)
     return k, m
@@ -195,16 +205,16 @@ SNR_GRID = (-30.0, 0.0, 15.0, 30.0, float("inf"))
 
 
 def _engine_rows(monkeypatch, n_r, order, precoder, trials=48):
-    """(y, beta, gain) of every SNR point of a small TMD sweep, as the engine
-    hands them to its detect stage."""
+    """(y, beta, factor) of every SNR point of a small TMD sweep, as the
+    engine hands them to its detect stage: MMSE's factor (U, d) of the gain
+    matrices, None under ZF."""
     from farsm import simulate
 
     got = []
     detect = simulate._detect_batch
 
     def spy(det, cfg, y, beta, gain, points):
-        # MMSE hands over the factor (U, d) of the gain matrices
-        got.append((y, beta, None if gain is None else gain_matrices(*gain)))
+        got.append((y, beta, gain))
         return detect(det, cfg, y, beta, gain, points)
 
     monkeypatch.setattr(simulate, "_detect_batch", spy)
@@ -215,24 +225,26 @@ def _engine_rows(monkeypatch, n_r, order, precoder, trials=48):
     return got
 
 
-def _adversarial(y, beta, gain, points):
+def _adversarial(y, beta, factor, points):
     """Rows derived from engine rows: slicer inputs on decision boundaries,
-    zero and duplicated entries, extreme magnitudes and non-finite values."""
+    zero and duplicated entries, extreme magnitudes and non-finite values,
+    in y, beta and the factor (U, d)."""
     levels, q = _levels(points)
     mids = (levels[:-1] + levels[1:]) / 2
     n, n_r = y.shape
     y, beta = y.copy(), beta.copy()
-    gain = None if gain is None else gain.copy()
+    u, d = (None, None) if factor is None else (f.copy() for f in factor)
     rows = np.arange(n)
     k = rows % n_r
     # boundary between in-phase levels, and between quadrature levels
     z = np.where(rows % 2, mids[rows % mids.size] + 1j * q,
                  levels[rows % levels.size] + 1j * mids[rows % mids.size])
     half = rows[: n // 2]
-    if gain is None:
+    if factor is None:
         y[half, k[half]] = beta[half] * z[half]
     else:
-        y[half] = (beta[half, None] * gain[half, :, k[half]]
+        gain = gain_matrices(u[half], d[half])
+        y[half] = (beta[half, None] * gain[np.arange(half.size), :, k[half]]
                    * z[half, None])
     y[n // 2::7] = 0.0
     y[n // 2 + 1::7, 1] = y[n // 2 + 1::7, 0]
@@ -245,10 +257,14 @@ def _adversarial(y, beta, gain, points):
     y[n // 2 + 6::17, -1] = np.inf
     beta[n // 2 + 7::17] = 0.0
     beta[n // 2 + 8::17] = np.nan
-    if gain is not None:
-        gain[n // 2 + 9::17, 1, 1] = np.inf
-        gain[n // 2 + 10::17, 0, 0] = np.nan
-    return y, beta, gain
+    if factor is None:
+        return y, beta, None
+    d[n // 2 + 9::17, 1] = np.inf
+    d[n // 2 + 10::17, 0] = np.nan
+    u[n // 2 + 11::17, 1, 1] = np.inf
+    u[n // 2 + 12::17, 0, -1] = np.nan
+    d[n // 2 + 13::17] *= 2.0 ** 600
+    return y, beta, (u, d)
 
 
 def _same(got, want):
@@ -260,16 +276,18 @@ def _same(got, want):
 @pytest.mark.parametrize("order", (4, 16, 64))
 def test_sliced_detectors_equal_full_search(monkeypatch, order, n_r, precoder):
     points = build_qam(order).points
-    for y, beta, gain in _engine_rows(monkeypatch, n_r, order, precoder):
-        sets = [(y, beta, gain), _adversarial(y, beta, gain, points)]
+    for y, beta, factor in _engine_rows(monkeypatch, n_r, order, precoder):
+        sets = [(y, beta, factor), _adversarial(y, beta, factor, points)]
         for rows in sets:
             with np.errstate(all="ignore"):
                 assert _same(mld(*rows, points), _full_mld(*rows, points))
-                assert _same(med(*rows, points), _full_med(*rows, points))
+                assert _same(stage_med(*rows, points),
+                             _full_med(*rows, points))
         # the oracle on a sample of clean rows
         eye = np.eye(n_r)
-        k_hat, m_hat = mld(y[:6], beta[:6], None if gain is None else gain[:6],
-                           points)
+        head = None if factor is None else tuple(f[:6] for f in factor)
+        k_hat, m_hat = mld(y[:6], beta[:6], head, points)
+        gain = None if head is None else gain_matrices(*head)
         for b in range(6):
             effective = beta[b] * (eye if gain is None else gain[b])
             assert (k_hat[b], m_hat[b]) == mld_generic(y[b], effective, points)

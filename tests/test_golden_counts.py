@@ -29,8 +29,8 @@ import math
 
 import pytest
 
-from farsm.simulate import (STREAM_VERSION, SimConfig, _run_batches,
-                            run_ber_sweep_multi, run_ratio_sweep)
+from farsm.simulate import (STREAM_VERSION, SimConfig, run_ber_sweep_multi,
+                            run_ratio_sweep)
 
 DETECTORS = ("mld", "med", "rttd")
 
@@ -265,10 +265,11 @@ GOLDEN_HISTOGRAMS = {
 def test_golden_ratio_histograms(name):
     redraws, expected = GOLDEN_HISTOGRAMS[STREAM_VERSION][name]
     cfg = SimConfig(**HISTOGRAM_CONFIGS[name])
-    hists = run_ratio_sweep(cfg).histograms
+    sweep = run_ratio_sweep(cfg)
+    hists = sweep.histograms
     assert [h.snr_db for h in hists] == [e[0] for e in expected]
     for h, (snr, median, lead) in zip(hists, expected):
         counts = h.counts.tolist()
         assert counts == lead + [0] * (cfg.bins - len(lead)), snr
         assert h.median == pytest.approx(median, rel=1e-6), snr
-    assert _run_batches(cfg, ())[1] == redraws
+    assert sweep.redraws == redraws

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farsm import simulate
+from farsm import precoding, simulate
 from farsm.channel import SeededRng
-from farsm.detection import energy_ratio, med, mld
+from farsm.detection import energy_ratio, mld
 from farsm.errors import ConfigError, NumericalError, SingularChannelError
 from farsm.modulation import bits_to_indices, build_qam
-from farsm.precoding import (NoiseModel, effective_gain_matrix, gain_matrices,
-                             mmse_factor, mmse_precoder, mmse_scales,
-                             zf_precoder, zf_sent_columns)
+from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_factor,
+                             mmse_precoder, mmse_scales, zf_precoder,
+                             zf_sent_columns)
 from farsm.simulate import (PURPOSE_BENCH, STREAM_VERSION, BerPoint,
                             SimConfig, _detect_batch, _draw_trials,
                             _port_model, _precode_batch, _receive_batch,
@@ -21,6 +21,7 @@ from farsm.simulate import (PURPOSE_BENCH, STREAM_VERSION, BerPoint,
                             run_ratio_sweep, run_trial,
                             stream_id, wilson_interval, worker_count,
                             write_ber_csv)
+from conftest import gain_matrices, stage_med
 from test_golden_counts import CONFIGS, GOLDEN
 
 FAST = dict(snr_db=(2.0,), portsel="tmd")
@@ -351,8 +352,8 @@ def test_redraw_exhaustion_names_the_first_failed_trial(portsel, first_failed):
 
 def _detector_batch(precoder, rows, seed=3):
     """Precoded 16-QAM receive vectors at 5 dB over random 4 x 6 channels,
-    with the gain matrices (None for ZF) and their factor (U, d) as the
-    detect stage takes it."""
+    with the factor (U, d) of the gain matrices (None for ZF) as the detect
+    stage takes it."""
     g = np.random.Generator(np.random.Philox(seed))
     h_sel = (g.standard_normal((rows, 4, 6))
              + 1j * g.standard_normal((rows, 4, 6))) / np.sqrt(2.0)
@@ -363,18 +364,17 @@ def _detector_batch(precoder, rows, seed=3):
     s = points[g.integers(0, 16, rows)]
     n0 = 10.0 ** -0.5
     if precoder == "zf":
-        beta, inv, gain, failed = _precode_batch(SimConfig(), h_sel, n0)
+        beta, inv, factor, failed = _precode_batch(SimConfig(), h_sel, n0)
         assert not failed.any()
-        factor = None
         # the sent columns (H P) e_k, as the sweep builds them
         cols = zf_sent_columns(h_sel, inv, beta, k_idx)
     else:
         u, lam = mmse_factor(h_sel)
         d, beta = mmse_scales(lam, 4 * n0)
-        factor, gain = (u, d), gain_matrices(u, d)
-        hp = beta[:, None, None] * gain
+        factor = u, d
+        hp = beta[:, None, None] * gain_matrices(u, d)
         cols = np.take_along_axis(hp, k_idx[:, None, None], axis=2)[:, :, 0]
-    return (_receive_batch(cols, s, wu, n0), beta, gain, factor, points)
+    return (_receive_batch(cols, s, wu, n0), beta, factor, points)
 
 
 @pytest.mark.parametrize("precoder", ["zf", "mmse"])
@@ -386,11 +386,11 @@ def _detector_batch(precoder, rows, seed=3):
 ])
 def test_gated_rttd_equals_both_branches_on_the_whole_batch(
         precoder, rows, gamma, branches):
-    y, beta, gain, factor, points = _detector_batch(precoder, rows)
+    y, beta, factor, points = _detector_batch(precoder, rows)
     cfg = SimConfig(precoder=precoder, detector="rttd", gamma=gamma)
     coarse = energy_ratio(y) < gamma
-    k_med, m_med = med(y, beta, gain, points)
-    k_mld, m_mld = mld(y, beta, gain, points)
+    k_med, m_med = stage_med(y, beta, factor, points)
+    k_mld, m_mld = mld(y, beta, factor, points)
     k_hat, m_hat, mask = _detect_batch("rttd", cfg, y, beta, factor, points)
     assert np.array_equal(mask, coarse)
     assert np.array_equal(k_hat, np.where(coarse, k_med, k_mld))
@@ -460,9 +460,9 @@ def test_mmse_svd_route_matches_scalar_precoder(rows, n_r, n_a, snr_db):
 
 def test_mmse_sweep_factors_each_batch_once(monkeypatch):
     # the golden redraw case: one batch of 400 trials, 6 of them redrawn
-    calls = {"eigh": [], "svd": [], "solve": 0, "gain_rows": 0, "ml_rows": 0}
+    calls = {"eigh": [], "svd": [], "solve": 0, "gains": 0, "ml_rows": 0}
     eigh, svd = np.linalg.eigh, np.linalg.svd
-    gains, ml = simulate.gain_matrices, simulate._mld_batch
+    gains, ml = precoding.effective_gain_matrix, simulate._mld_batch
 
     def counted_eigh(a, *args, **kwargs):
         if a.ndim == 3:  # not the port model's one correlation matrix
@@ -477,21 +477,25 @@ def test_mmse_sweep_factors_each_batch_once(monkeypatch):
         calls["solve"] += 1
         raise AssertionError("the MMSE sweep solves nothing")
 
-    def counted_gains(u, d):
-        calls["gain_rows"] += u.shape[0]
-        return gains(u, d)
+    def counted_gains(*args):
+        calls["gains"] += 1
+        return gains(*args)
 
-    def counted_ml(y, *args):
+    def counted_ml(y, beta, factor, points):
         calls["ml_rows"] += y.shape[0]
-        return ml(y, *args)
+        u, d = factor  # (U, d), not a gain matrix
+        assert u.shape == (y.shape[0], cfg.n_r, cfg.n_r)
+        assert d.shape == y.shape
+        return ml(y, beta, factor, points)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    monkeypatch.setattr(simulate, "gain_matrices", counted_gains)
+    monkeypatch.setattr(precoding, "effective_gain_matrix", counted_gains)
     monkeypatch.setattr(simulate, "_mld_batch", counted_ml)
     cfg = SimConfig(**CONFIGS["mmse-first-redraws-16qam"])
-    sweep = run_ber_sweep_multi(cfg, ("med", "rttd"))["rttd"]
+    multi = run_ber_sweep_multi(cfg, ("mld", "med", "rttd"))
+    sweep = multi["rttd"]
     assert sweep.redraws == 6 and calls["solve"] == 0
     # one factorization of the batch, then one per redraw attempt on its
     # trials only: eigh of every row, and the SVD of the rows above the
@@ -501,9 +505,11 @@ def test_mmse_sweep_factors_each_batch_once(monkeypatch):
     assert len(calls["svd"]) == len(calls["eigh"])
     assert calls["svd"][0] == cfg.trials
     assert sum(calls["svd"][1:]) == sweep.redraws
-    # gain matrices are formed only for the rows the ML search decides
+    # the ML search takes every MLD row and some of RTTD's, each on its
+    # rows of the factor: no gain matrix is formed
     rows = cfg.trials * len(cfg.snr_db)
-    assert 0 < calls["gain_rows"] == calls["ml_rows"] < rows
+    assert rows < calls["ml_rows"] < 2 * rows
+    assert calls["gains"] == 0
 
 
 def test_rttd_reports_energy_detector_rows_per_point():
