@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 scripts/check_selection.py --parent HEAD
     python3 scripts/check_selection.py --parent HEAD --blocks 3 --case w1,nr2
+    python3 scripts/check_selection.py --parent HEAD --portsel tmd,mce-tmd
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as scripts/bench_pair.py does. The working tree draws the channel
@@ -14,14 +15,16 @@ each tree then runs, in its own subprocess, the engine's selection stage
 (``simulate._select_indices``) on those same stacks in batches of 2048. So
 the check compares selections only, even across a change of the random
 streams. Every case below runs every port selector of the tree's
-``simulate._PORTSELS``; exhaustive selection runs under both precoders (MMSE
-selects at 10 dB), the others once, since only exhaustive selection reads
-the precoder. The report gives, per case, precoder and selector, the
-trials, the failed trials (change side), the trials whose selected ports
-differ ("moved") and those whose failure flag differs ("flags"), and then
-the wall seconds of each tree's selection subprocesses, in total. One block of all
-cases took 5.5 to 6.5 minutes per tree on a 2-core VM, 3.5 to 4 of them in
-the nr8 MMSE exhaustive row. The exit status is 1 when any differ.
+``simulate._PORTSELS``, or those that ``--portsel`` names; exhaustive
+selection runs under both precoders (MMSE selects at 10 dB), the others
+once, since only exhaustive selection reads the precoder. The report gives,
+per case, precoder and selector, the trials, the failed trials (change
+side), the trials whose selected ports differ ("moved") and those whose
+failure flag differs ("flags"), and then the wall seconds of each tree's
+selection subprocesses, in total. One block of all cases took 5.5 to 6.5
+minutes per tree on a 2-core VM, 3.5 to 4 of them in the nr8 MMSE
+exhaustive row; a change to TMD alone can skip that row with ``--portsel
+tmd,mce-tmd``. The exit status is 1 when any differ.
 
 The seconds are one wall-clock run per tree and say nothing about a
 selector's speed: unchanged code has moved by up to 40% between two such
@@ -85,15 +88,16 @@ def draw_stacks(cases: str, block: str, out_dir: str) -> None:
                  source=simulate.__file__)
 
 
-def select_all(cases: str, block: str, stacks_dir: str, out_dir: str) -> None:
-    """Write the selections of the ``farsm`` on sys.path on the stacks in
-    ``stacks_dir``, one .npz per case, precoder and selector, into
-    ``out_dir``."""
+def select_all(cases: str, portsels: str, block: str, stacks_dir: str,
+               out_dir: str) -> None:
+    """Write the selections of the ``farsm`` on sys.path by the selectors
+    ``portsels`` on the stacks in ``stacks_dir``, one .npz per case,
+    precoder and selector, into ``out_dir``."""
     from farsm import simulate
 
     for case in cases.split(","):
         hb = np.load(Path(stacks_dir) / f"{case}.npz")["hb"]
-        for portsel in simulate._PORTSELS:
+        for portsel in portsels.split(","):
             precoders = ("zf", "mmse") if portsel == "optimal" else ("zf",)
             for precoder in precoders:
                 cfg = _case_config(case, int(block), precoder=precoder,
@@ -130,6 +134,10 @@ def _imported(data, side: str, tree: Path) -> None:
 
 
 def main(argv=None) -> int:
+    # the working tree's selectors; the workers import their own farsm
+    sys.path.insert(0, str(ROOT / "src"))
+    from farsm.simulate import _PORTSELS as PORTSELS
+
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD",
                     help="git revision to compare against (default HEAD)")
@@ -138,6 +146,9 @@ def main(argv=None) -> int:
     ap.add_argument("--case", action="append",
                     help="run only these cases, a comma-separated list of "
                     f"{', '.join(CASES)} (repeatable; default all)")
+    ap.add_argument("--portsel", default=",".join(PORTSELS),
+                    help="run only these port selectors, a comma-separated "
+                    f"list of {', '.join(PORTSELS)} (default all)")
     args = ap.parse_args(argv)
     if args.blocks < 1:
         ap.error("--blocks must be at least 1")
@@ -147,6 +158,11 @@ def main(argv=None) -> int:
     if unknown:
         ap.error(f"unknown case(s) {', '.join(unknown)}; choose from "
                  f"{', '.join(CASES)}")
+    portsels = list(dict.fromkeys(args.portsel.split(",")))
+    unknown = [p for p in portsels if p not in PORTSELS]
+    if unknown:
+        ap.error(f"unknown port selector(s) {', '.join(unknown)}; choose "
+                 f"from {', '.join(PORTSELS)}")
     parent_rev = git("rev-parse", args.parent)
 
     totals: dict[str, list] = {}
@@ -167,8 +183,9 @@ def main(argv=None) -> int:
                           ROOT)
             for side, tree in trees.items():
                 t0 = time.perf_counter()
-                run_tree(tree, "select_all", ",".join(cases), block,
-                         dirs["stacks"], dirs[side])
+                run_tree(tree, "select_all", ",".join(cases),
+                         ",".join(portsels), block, dirs["stacks"],
+                         dirs[side])
                 seconds[side] += time.perf_counter() - t0
             for path in sorted(dirs["change"].glob("*.npz")):
                 chg = np.load(path)

@@ -11,8 +11,9 @@ Three strategies pick N_a of the N fluid-antenna ports per channel draw:
   removing column h from an active set with inverse Gram A is
   ||A h||^2 / (1 - h^H A h), and the inverse Gram is maintained across
   removals by a rank-one (Sherman-Morrison) downdate instead of refactoring;
-  the growths of the remaining ports follow by rank-one recurrences, so no
-  step rescores the ports.
+  the growths of the remaining ports follow by rank-one recurrences in
+  A h / sqrt(1 - h^H A h). Removed ports score +inf, so a step is a plain
+  argmin, masked only on rows whose winner is not finite or removable.
 * ``mce_tmd_select``: a cheaper two-stage variant. Stage one walks a static,
   geometry-ranked list of port pairs and repeatedly removes the weaker member
   of the most channel-correlated pair within the leading window, until N_b
@@ -653,6 +654,18 @@ def _minor_capacities(hb: np.ndarray, n_a: int, kind: str, n0: float,
 # batch variants for the Monte Carlo engine
 # ---------------------------------------------------------------------------
 
+def _masked_choice(cost, den, act):
+    """_batch_tmd's port choice with the mask, on some of its rows: the
+    first least cost among active ports with den > REMOVAL_EPS. Returns
+    (ports, bad); a bad row has no finite cost and sheds its first active
+    port, so that it still loses exactly one per step."""
+    cost = np.where(act & (den > REMOVAL_EPS), cost, np.inf)
+    j = np.argmin(cost, axis=1)
+    bad = ~np.isfinite(cost[np.arange(len(j)), j])
+    j[bad] = np.argmax(act[bad], axis=1)
+    return j, bad
+
+
 def _batch_tmd(hb: np.ndarray, n_a: int):
     """Greedy trace-minimizing removal on a stack of channels, from all N
     ports down to n_a.
@@ -663,32 +676,41 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
     num_n = ||A h_n||^2 and den_n = 1 - h_n^H A h_n for the inverse Gram A
     of the active ports (tmd_trace_metric); a tie goes to the smallest
     index, and a port with den_n <= REMOVAL_EPS (or NaN) is not removable.
+    A removed port's num is +inf, so a step takes the first argmin of num /
+    max(den, REMOVAL_EPS) with no mask. A finite winner with den >
+    REMOVAL_EPS is active and is the masked rule's winner, ties included:
+    masking only raises costs, and every column before the winner already
+    costs strictly more (none is NaN, or argmin would return it). Only rows
+    whose winner fails that check take the masked rule (_masked_choice).
     The scores are computed once, from V = A H after the screen, and then
     carried across removals by rank-one recurrences instead of being
     rescored. The Gram and those first scores are formed _ROW_BLOCK trials
     at a time, so no (B, N_r, N) temporary is made; each trial's
     arithmetic is the same in any block. Removing port j, with d = den_j,
-    v = A h_j (so ||v||^2 = num_j), u = A v, w_n = (v^H h_n) / d and p_n =
-    u^H h_n:
+    v = A h_j, vn = num_j = ||v||^2, a = v / sqrt(d) and c = 2 A a +
+    (vn / d) a:
 
-        den_n <- den_n - d |w_n|^2
-        num_n <- num_n + 2 Re(conj(p_n) w_n) + |w_n|^2 ||v||^2
-        A     <- A + v v^H / d                        (smw_downdate)
+        den_n <- den_n - |a^H h_n|^2
+        num_n <- num_n + Re(conj(a^H h_n) (c^H h_n))
+        A     <- A + a a^H                            (smw_downdate)
 
-    A step thus costs two batched matvecs (v, u), two vector-matrix
-    products (w = (v / d)^H H and u^H H) and (B, N) elementwise work; the
-    last removal updates nothing. The carried scores equal rescored ones
-    only up to rounding, so where two costs tie within rounding the pick can
-    differ from that of a walk that rescores every port at every step, such
-    as the tests' oracle built on tmd_trace_metric and smw_downdate.
+    the same downdate as with w_n = (v^H h_n) / d and p_n = (A v)^H h_n:
+    den_n -= d |w_n|^2, num_n += 2 Re(conj(p_n) w_n) + |w_n|^2 vn. A step
+    thus costs three batched matvecs, two vector-matrix products (a^H H,
+    c^H H) and six (B, N) elementwise passes; the last removal updates
+    nothing. The carried scores equal rescored ones only up to rounding, so
+    where two costs tie within rounding the pick can differ from that of a
+    walk that rescores every port at every step, such as the tests' oracle
+    built on tmd_trace_metric and smw_downdate.
 
     A row whose Gram fails the screen of _screened_hermitian_inverse is
     failed. A step with no finite cost fails its row too, but on a row that
     passed the screen that takes rounding: with k > N_r active ports the
     leverages h_n^H A h_n sum to tr(A H H^H) = N_r, so the dens sum to
     k - N_r >= 1 and one of them is >= 1/k, far above REMOVAL_EPS. The test
-    stays as a guard against rounding. A failed row sheds its first active
-    port at each step, so every row returns n_a indices.
+    stays as a guard against rounding. A failed row's removals update with
+    d = 1 wherever den_j <= REMOVAL_EPS (or NaN), so no square root of a
+    non-positive number is taken, and every row returns n_a indices.
     """
     b, n_r, n = hb.shape
     hb = np.ascontiguousarray(hb)
@@ -717,48 +739,40 @@ def _batch_tmd(hb: np.ndarray, n_a: int):
     del gram, v, terms
     act = np.ones((b, n), dtype=bool)
     rows = np.arange(b)
-    cost, w2, t = (np.empty((b, n)) for _ in range(3))
-    skip = np.empty((b, n), dtype=bool)
-    v, u = (np.empty((b, n_r, 1), dtype=complex) for _ in range(2))
-    wh, uh = (np.empty((b, 1, n), dtype=complex) for _ in range(2))
-    # float64 views (B, 2N) of w and u^H H, re and im interleaved
-    wf, uf = wh.view(np.float64)[:, 0], uh.view(np.float64)[:, 0]
+    cost, t = np.empty((b, n)), np.empty((b, n))
+    a = np.empty((b, n_r, 1), dtype=complex)
+    ah, ch = (np.empty((b, 1, n), dtype=complex) for _ in range(2))
+    # float64 views (B, 2N) of a^H H and c^H H, re and im interleaved
+    af, cf = ah.view(np.float64)[:, 0], ch.view(np.float64)[:, 0]
     prod = np.empty((b, 2 * n))
     outer = np.empty_like(inv)
     for left in range(n - n_a, 0, -1):
-        # cost = num / den on active ports with den > REMOVAL_EPS (NaN
-        # fails the test too), inf elsewhere
-        np.greater(den, REMOVAL_EPS, out=skip)
-        np.logical_and(skip, act, out=skip)
-        np.logical_not(skip, out=skip)
+        # removed ports cost +inf: no mask unless the winner fails its check
         np.divide(num, np.maximum(den, REMOVAL_EPS, out=cost), out=cost)
-        np.putmask(cost, skip, np.inf)
         j = np.argmin(cost, axis=1)
-        bad = ~np.isfinite(cost[rows, j])
-        failed |= bad
-        # dead rows still must shed exactly one active port to keep counts
-        j[bad] = np.argmax(act[bad], axis=1)
+        redo = np.nonzero(~((den[rows, j] > REMOVAL_EPS)
+                            & np.isfinite(cost[rows, j])))[0]
+        if redo.size:
+            j[redo], bad = _masked_choice(cost[redo], den[redo], act[redo])
+            failed[redo[bad]] = True
         act[rows, j] = False
         if left == 1:
             break
         dj, vn = den[rows, j], num[rows, j]
-        dj[~(np.abs(dj) > REMOVAL_EPS)] = 1.0  # dead rows only
-        np.matmul(inv, hb[rows, :, j, None], out=v)
-        np.matmul(inv, v, out=u)
-        x = v / dj[:, None, None]
-        np.matmul(x.conj().transpose(0, 2, 1), hb, out=wh)
-        np.matmul(u.conj().transpose(0, 2, 1), hb, out=uh)
-        np.multiply(wf, wf, out=prod)
-        np.add(prod[:, 0::2], prod[:, 1::2], out=w2)  # |w_n|^2
-        np.multiply(w2, dj[:, None], out=t)
+        num[rows, j] = np.inf
+        dj[~(dj > REMOVAL_EPS)] = 1.0  # dead rows only
+        np.matmul(inv, hb[rows, :, j, None], out=a)  # v = A h_j
+        a /= np.sqrt(dj)[:, None, None]
+        c = 2.0 * (inv @ a) + (vn / dj)[:, None, None] * a
+        np.matmul(a.conj().transpose(0, 2, 1), hb, out=ah)
+        np.matmul(c.conj().transpose(0, 2, 1), hb, out=ch)
+        np.multiply(af, af, out=prod)
+        np.add(prod[:, 0::2], prod[:, 1::2], out=t)  # |a^H h_n|^2
         den -= t
-        np.multiply(uf, wf, out=prod)
-        np.add(prod[:, 0::2], prod[:, 1::2], out=t)  # Re(conj(p_n) w_n)
-        t *= 2.0
+        np.multiply(cf, af, out=prod)
+        np.add(prod[:, 0::2], prod[:, 1::2], out=t)  # Re(conj(a^H h) c^H h)
         num += t
-        np.multiply(w2, vn[:, None], out=t)
-        num += t
-        np.matmul(x, v.conj().transpose(0, 2, 1), out=outer)
+        np.matmul(a, a.conj().transpose(0, 2, 1), out=outer)
         inv += outer
     idx = np.nonzero(act)[1].reshape(b, n_a)
     return idx, failed

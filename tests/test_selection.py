@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel
+from farsm import selection
 from farsm.channel import (SeededRng, restrict_to_ports,
                            sample_correlated_channel)
 from farsm.correlation import (build_correlation_model, port_coordinates,
                                sorted_pair_correlations)
 from farsm.errors import ConfigError, SingularChannelError
 from farsm.precoding import NoiseModel
-from farsm.selection import (_OPTIMAL_TILE_MINORS, PortSet, _batch_mce_stage1,
-                             _batch_mce_tmd, _batch_optimal, _batch_tmd,
+from farsm.selection import (_OPTIMAL_TILE_MINORS, REMOVAL_EPS, PortSet,
+                             _batch_mce_stage1, _batch_mce_tmd,
+                             _batch_optimal, _batch_tmd,
                              _minor_capacities, _minor_workspace,
                              _principal_minors, _stage1_depth,
                              _subset_capacities, _subset_table,
@@ -399,6 +401,73 @@ def test_batch_tmd_equals_scalar_on_ill_conditioned_draws(ws, rows):
             continue
         assert not failed[b], b
         assert [int(i) + 1 for i in idx[b]] == ref, b
+
+
+def _count_masked_rows(monkeypatch):
+    """Spy on _batch_tmd's masked port choice; the one-element list it
+    returns counts the rows that took it, summed over the steps."""
+    seen = [0]
+    masked = selection._masked_choice
+
+    def spy(cost, den, act):
+        seen[0] += len(cost)
+        return masked(cost, den, act)
+
+    monkeypatch.setattr(selection, "_masked_choice", spy)
+    return seen
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.05])
+def test_batch_tmd_masked_fallback_equals_scalar(eps, monkeypatch):
+    # with REMOVAL_EPS raised, ports with den_n <= eps are not removable,
+    # and on N_r = 8 draws of a 0.1-wavelength aperture some rows' unmasked
+    # winner is such a port, so they take the masked rule; the oracle reads
+    # the same REMOVAL_EPS
+    monkeypatch.setattr(selection, "REMOVAL_EPS", eps)
+    seen = _count_masked_rows(monkeypatch)
+    cfg = SimConfig(n_r=8, n_a=8, w1=0.1, w2=0.1, portsel="tmd",
+                    master_seed=31).validate()
+    hb = _draw_trials(cfg, np.arange(256))[0] @ _port_model(cfg)[0]
+    idx, failed = _batch_tmd(hb, cfg.n_a)
+    assert seen[0] > 0
+    assert not failed.any()
+    for b, h in enumerate(hb):
+        assert [int(i) + 1 for i in idx[b]] == greedy_trace_walk(h, cfg.n_a), b
+
+
+@pytest.mark.parametrize("eps", [REMOVAL_EPS, 0.2], ids=["default", "0.2"])
+def test_batch_tmd_mixed_stack_equals_rows_one_at_a_time(eps, draw_channel,
+                                                          monkeypatch):
+    # healthy draws, draws of a 0.1-wavelength aperture and the degenerate
+    # channels of test_batch_tmd_degenerate_rows in one stack: no row's
+    # ports or failure flag may depend on the rows beside it. Degenerate
+    # rows take the masked rule at every step; at eps = 0.2 some healthy
+    # rows take it too.
+    monkeypatch.setattr(selection, "REMOVAL_EPS", eps)
+    seen = _count_masked_rows(monkeypatch)
+    n_a, n = 4, 16
+    one_port = np.zeros((4, n), dtype=complex)
+    one_port[:, 5] = random_channel(4, 4, 1)[:, 0]
+    zero_row = draw_channel(3).copy()
+    zero_row[2] = 0
+    degenerate = [np.tile(random_channel(1, 4, 1), (1, n)),
+                  random_channel(2, 4, 2) @ random_channel(3, 2, n),
+                  zero_row, np.zeros((4, n), dtype=complex), one_port]
+    cfg = SimConfig(w1=0.1, w2=0.1, master_seed=31).validate()
+    narrow = _draw_trials(cfg, np.arange(96))[0] @ _port_model(cfg)[0]
+    rows = [draw_channel(s + 700) for s in range(64)] + list(narrow)
+    for k, h in enumerate(degenerate):
+        rows.insert(29 * k + 3, h)
+    idx, failed = _batch_tmd(np.stack(rows), n_a)
+    assert failed.sum() == len(degenerate)
+    healthy_masked = 0
+    for b, h in enumerate(rows):
+        before = seen[0]
+        one_idx, one_failed = _batch_tmd(h[None], n_a)
+        assert idx[b].tolist() == one_idx[0].tolist(), b
+        assert failed[b] == one_failed[0], b
+        healthy_masked += seen[0] > before and not one_failed[0]
+    assert (healthy_masked > 0) == (eps > REMOVAL_EPS), healthy_masked
 
 
 @pytest.mark.parametrize("kind,n0", [("zf", 1.0), ("mmse", 0.0316)])
