@@ -13,7 +13,11 @@ side that goes first alternates from pair to pair so that a drift in host speed
 falls on both sides alike. The output JSON holds, per workload and
 end-to-end metric, both sides' values, medians and interquartile ranges and
 the number of pairs the working tree won, plus both revisions and the
-``env`` line of each side's last run.
+``env`` line of each side's last run. Each workload also gets a
+``minor_faults`` row in the same form: the minor page faults of each run's
+child process and of the processes it waited for (the ``RUSAGE_CHILDREN``
+``ru_minflt`` delta around the child), so a change in how the allocator
+maps memory shows in a paired session.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,13 +51,17 @@ def export_rev(rev: str, dest: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run: its result line plus ``env``."""
+    """One ``perfbench/run.py --trace 0`` run: its result line plus ``env``
+    and the run's ``minor_faults``."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True).stdout
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     lines = out.strip().splitlines()
     result = json.loads(lines[-1])
+    result["minor_faults"] = faults
     result["env"] = next(json.loads(line[4:]) for line in lines
                          if line.startswith("env "))
     return result
@@ -61,6 +70,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def summary(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": q2, "iqr": q3 - q1}
+
+
+def compare(par: list[float], chg: list[float], sense: str) -> dict:
+    """Both sides' summaries, their ratio of medians and the pairs the
+    working tree won (``sense`` is "higher" or "lower")."""
+    wins = sum((c > p) if sense == "higher" else (c < p)
+               for p, c in zip(par, chg))
+    par_s, chg_s = summary(par), summary(chg)
+    return {
+        "better": sense,
+        "parent": par_s,
+        "change": chg_s,
+        "change_over_parent": chg_s["median"] / par_s["median"],
+        "change_wins": wins,
+    }
 
 
 def main(argv=None) -> int:
@@ -117,18 +141,12 @@ def main(argv=None) -> int:
     for w in workloads:
         table = {}
         for name, sense in better.items():
-            par = [r["metrics"][name]["value"] for r in runs[w]["parent"]]
-            chg = [r["metrics"][name]["value"] for r in runs[w]["change"]]
-            wins = sum((c > p) if sense == "higher" else (c < p)
-                       for p, c in zip(par, chg))
-            par_s, chg_s = summary(par), summary(chg)
-            table[name] = {
-                "better": sense,
-                "parent": par_s,
-                "change": chg_s,
-                "change_over_parent": chg_s["median"] / par_s["median"],
-                "change_wins": wins,
-            }
+            par, chg = ([r["metrics"][name]["value"] for r in runs[w][side]]
+                        for side in ("parent", "change"))
+            table[name] = compare(par, chg, sense)
+        par, chg = ([r["minor_faults"] for r in runs[w][side]]
+                    for side in ("parent", "change"))
+        table["minor_faults"] = compare(par, chg, "lower")
         report["workloads"][w] = table
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     for w, table in report["workloads"].items():

@@ -28,8 +28,8 @@ through it on the gathered survivor columns. ``TraceState``,
 ``tmd_trace_metric`` and ``smw_downdate`` spell the rule out one port at a
 time and are its oracle. Stage one has two walks: ``mce_tmd_select`` reads
 the whole ranked pair list and is the oracle of ``_batch_mce_stage1``, which
-scores, from one H^H H per trial, only a prefix that ``_stage1_depth`` sizes
-from the pair list alone so that every window ends inside it. The
+forms |h_i^H h_j| only for a prefix that ``_stage1_depth`` sizes from the
+pair list alone so that every window ends inside it. The
 engine's exhaustive search (``_batch_optimal``) gets each candidate's Gram
 polynomials from principal-minor tables of H^H H, a tile of trials per numpy
 call; each table entry is a sum of squared magnitudes |det H[R, J]|^2,
@@ -806,16 +806,28 @@ def _batch_mce_stage1(hb: np.ndarray, pairs: SortedPairArrays,
     maximum among them. Only the prefix that _stage1_depth sizes from the
     pair list is scored; every window ends inside it, whatever the
     channel, so the walk is exact. On the 4x4 grid at n_b = 12 that is 24
-    of the 120 pairs.
+    of the 120 pairs. Their |h_i^H h_j| are formed without the (B, N, N)
+    Gram, adding the receive rows in order, and the port norms come from
+    the channel.
     """
-    b, _, n = hb.shape
+    b, n_r, n = hb.shape
     pf = pairs.first.astype(np.intp) - 1
     ps = pairs.second.astype(np.intp) - 1
     depth = _stage1_depth(pf, ps, n, n_b)
     pf, ps = pf[:depth], ps[:depth]
-    gram = hb.conj().transpose(0, 2, 1) @ hb  # as mce_tmd_select's h^H h
-    inner = np.abs(gram[:, pf, ps])
-    norms2 = gram.diagonal(axis1=1, axis2=2).real
+    # trials last, so each receive row's pair gathers copy whole rows
+    ht = np.ascontiguousarray(hb.transpose(1, 2, 0))
+    acc = ht[0, pf].conj()
+    acc *= ht[0, ps]
+    term = np.empty_like(acc)
+    for r in range(1, n_r):
+        np.conjugate(ht[r, pf], out=term)
+        term *= ht[r, ps]
+        acc += term
+    inner = np.ascontiguousarray(np.abs(acc).T)
+    sq = hb.real ** 2
+    sq += hb.imag ** 2
+    norms2 = sq.sum(axis=1)
     alive = np.ones((b, depth), dtype=bool)
     masks = np.ones((b, n), dtype=bool)
     rows = np.arange(b)

@@ -41,11 +41,17 @@ test sends there and reports, per point, how many rows the energy
 detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
 (default 1); the reduction is a sum of per-batch integer counters, so the
-thread count never changes results.
+thread count never changes results. Batch j runs on worker thread j mod
+``FARSM_THREADS``, and the threads live as long as the process. The first
+sweep of a process fixes glibc's malloc thresholds
+(``_keep_batch_memory``), so a batch's freed working memory stays mapped
+for the next batch.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
 import os
@@ -318,6 +324,57 @@ def worker_count() -> int:
     if n < 1:
         raise ConfigError(f"FARSM_THREADS must be a positive integer, got {raw!r}")
     return n
+
+
+@functools.cache
+def _batch_thread(index: int) -> ThreadPoolExecutor:
+    """Worker thread ``index``, kept for the life of the process.
+
+    A thread keeps its malloc arena for life, so with batch j of every
+    sweep on thread j mod FARSM_THREADS each arena sees the same batches
+    and reuses the memory they left mapped. Threads started afresh per
+    sweep faulted their stacks in again and could draw cold or new arenas.
+    """
+    return ThreadPoolExecutor(max_workers=1)
+
+
+# mallopt(3) parameters and the values _keep_batch_memory sets. glibc
+# returns a freed block above M_MMAP_THRESHOLD to the kernel at once, and
+# trims the heap top above M_TRIM_THRESHOLD; both start at 128 KiB and rise
+# only when a large mmap'd block is freed. A batch's working memory is a
+# few MB, so at the defaults each batch faulted it back in: 4544 minor
+# faults per warm 4096-trial ZF TMD sweep and 844 per 256-trial exhaustive
+# ZF sweep (a fresh process running one config); with the thresholds set,
+# about 0. Setting them also stops the dynamic adjustment.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's cap on 64-bit builds
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD  # the ratio glibc's own adjustment keeps
+
+
+def _libc_mallopt():
+    """libc's ``mallopt``, or None where the C library has none."""
+    try:
+        return ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+@functools.cache
+def _keep_batch_memory() -> None:
+    """Keep freed batch memory mapped for the rest of the process.
+
+    Sets glibc's M_MMAP_THRESHOLD to 32 MiB and M_TRIM_THRESHOLD to 64 MiB
+    once per process. This is a process-wide allocator setting: it also
+    holds for other code in the process. Does nothing where libc has no
+    ``mallopt``.
+    """
+    mallopt = _libc_mallopt()
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +661,7 @@ def _sweep(cfg: SimConfig, detectors: tuple[str, ...],
     ratios[point] is an array of energy ratios (empty unless requested).
     """
     cfg.validate()
+    _keep_batch_memory()
     ports = _port_model(cfg)
     if cfg.dump_channels:
         open(cfg.dump_channels, "w", encoding="ascii").close()  # batches append
@@ -615,8 +673,13 @@ def _sweep(cfg: SimConfig, detectors: tuple[str, ...],
 
     workers = worker_count()
     if workers > 1 and len(jobs) > 1 and not cfg.dump_channels:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(one_batch, jobs))
+        futures = [_batch_thread(i % workers).submit(one_batch, job)
+                   for i, job in enumerate(jobs)]
+        try:
+            results = [f.result() for f in futures]
+        finally:
+            for f in futures:  # after a failed batch, drop those not begun
+                f.cancel()
     else:
         results = [one_batch(j) for j in jobs]
 

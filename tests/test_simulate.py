@@ -1,4 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +251,75 @@ def test_worker_count_rejects_garbage(monkeypatch):
     monkeypatch.setenv("FARSM_THREADS", "-2")
     with pytest.raises(ConfigError):
         worker_count()
+
+
+def test_threaded_sweeps_keep_their_batch_threads(monkeypatch):
+    # batch j runs on thread j mod FARSM_THREADS, the same thread in every
+    # sweep, so it reuses the malloc arena its earlier batches left mapped
+    monkeypatch.setenv("FARSM_THREADS", "2")
+    monkeypatch.setattr(simulate, "_BATCH", 64)
+    run_batch = simulate._run_batch
+    seen = {}
+
+    def spy(cfg, ports, trials, *args):
+        seen[int(trials[0]) // 64] = threading.current_thread()
+        return run_batch(cfg, ports, trials, *args)
+
+    monkeypatch.setattr(simulate, "_run_batch", spy)
+    cfg = SimConfig(trials=256, snr_db=(0.0,), portsel="tmd")
+    run_ber_sweep(cfg)
+    first = dict(seen)
+    run_ber_sweep(cfg)
+    assert all(seen[j] is first[j] for j in range(4))
+    assert first[0] is first[2] and first[1] is first[3]
+    assert first[0] is not first[1]
+
+
+# Minor page faults of warm sweeps, printed as JSON by a fresh interpreter:
+# two warm-up sweeps of each config, then ``runs`` more of each.
+_WARM_FAULTS = """
+import json, resource, sys
+from farsm.simulate import SimConfig, run_ber_sweep
+
+def faults(cfg):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_ber_sweep(cfg)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+configs = {
+    "zf-tmd": SimConfig(trials=4096, portsel="tmd",
+                        snr_db=tuple(2.5 * i for i in range(7))),
+    "mmse-mce-rttd-64": SimConfig(
+        trials=4096, precoder="mmse", portsel="mce-tmd", detector="rttd",
+        mod_order=64, n_b=12, snr_db=tuple(2.5 * i for i in range(13))),
+}
+out = {}
+for name, cfg in configs.items():
+    faults(cfg)
+    faults(cfg)
+    out[name] = [faults(cfg) for _ in range(int(sys.argv[1]))]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.skipif(simulate._libc_mallopt() is None,
+                    reason="libc has no mallopt")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_warm_sweeps_take_no_page_faults(threads):
+    # freed batch memory stays mapped, so a warm sweep touches no new page;
+    # at glibc's default malloc thresholds a ZF TMD sweep here took 4544
+    # faults. Two batch threads hand small blocks between their malloc
+    # arenas, so a warm arena still grows by a 128 KiB block now and then
+    # (97-129 faults in 3 of 50 measured sequences): with two threads the
+    # fewest faults of three sweeps must be under the bound.
+    runs = 1 if threads == "1" else 3
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, FARSM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _WARM_FAULTS, str(runs)],
+                         env=env, check=True, capture_output=True, text=True)
+    for name, faults in json.loads(out.stdout).items():
+        assert min(faults) < 64, (name, faults)
 
 
 @pytest.mark.parametrize("shape", [
