@@ -12,9 +12,11 @@ revisions can be compared:
 
 * one ``run_ber_sweep_multi`` pass scored by MLD, MED and RTTD: per
   detector and SNR point the bit and symbol errors, RTTD's energy-detector
-  rows, and the redraws;
+  rows, and the redraws split by cause (``selection_redraws``,
+  ``screen_redraws``);
 * ``run_ratio_sweep`` on the MMSE cases (the engine defines the ratio
-  histogram for MMSE only): every bin count, and each point's median;
+  histogram for MMSE only): every bin count, each point's median, and the
+  redraws split by cause;
 * ``run_trial`` on the first 16 trials at every SNR point:
   the transmitted and decided bits and the redraws.
 
@@ -26,8 +28,8 @@ screen rejects candidates; TMD under ZF at 0.05 wavelengths, where the
 TMD Grams lie near the screen; the fixed-antenna baseline; N_r = 8 under
 MMSE; ZF with TMD at N_r = 2 and N_r = 8, where the ZF screen inverts 2 x 2
 and 8 x 8 Grams; and the noiseless +inf dB point. The report lists, per case, what differs.
-The exit status is 1 when any count, redraw, histogram bin or
-``run_trial`` bit differs. Medians are reported with their largest
+The exit status is 1 when any count, redraw (of either cause), histogram
+bin or ``run_trial`` bit differs. Medians are reported with their largest
 relative difference but do not set the exit status: a change that moves
 receive vectors in their last digits moves them by as much, and at +inf
 dB, where the ratio is rounding noise of order 1e-30, by far more. The
@@ -86,6 +88,9 @@ CASES = {
 }
 DETECTORS = ("mld", "med", "rttd")
 RUN_TRIALS = 16
+# fingerprint keys compared exactly
+EXACT = ("redraws", "selection_redraws", "screen_redraws", "med_rows",
+         *DETECTORS, "ratio_selection_redraws", "ratio_screen_redraws")
 
 
 def _bits(a) -> str:
@@ -105,13 +110,18 @@ def fingerprint(trials: str, seed: str, out: str) -> None:
         cfg = simulate.SimConfig(**fields).validate()
         multi = simulate.run_ber_sweep_multi(cfg, DETECTORS)
         got = {"redraws": multi["mld"].redraws,
+               "selection_redraws": multi["mld"].selection_redraws,
+               "screen_redraws": multi["mld"].screen_redraws,
                "med_rows": list(multi["rttd"].med_rows)}
         for det, sweep in multi.items():
             got[det] = [[p.bit_errors, p.symbol_errors] for p in sweep.points]
         if cfg.precoder == "mmse":
+            ratio = simulate.run_ratio_sweep(cfg)
             got["histograms"] = [
                 {"counts": h.counts.tolist(), "median": h.median}
-                for h in simulate.run_ratio_sweep(cfg).histograms]
+                for h in ratio.histograms]
+            got["ratio_selection_redraws"] = ratio.selection_redraws
+            got["ratio_screen_redraws"] = ratio.screen_redraws
         got["run_trial"] = [
             [snr, t, _bits(r.tx_bits), _bits(r.rx_bits), r.redraws]
             for snr in cfg.snr_db for t in range(RUN_TRIALS)
@@ -138,8 +148,7 @@ def run_tree(tree: Path, *args) -> dict:
 def compare(par: dict, chg: dict) -> tuple[list[str], float]:
     """What differs between two fingerprints of one case, and the largest
     relative difference of a histogram median."""
-    diffs = [key for key in ("redraws", "med_rows", *DETECTORS)
-             if par[key] != chg[key]]
+    diffs = [key for key in EXACT if par.get(key) != chg.get(key)]
     median_rel = 0.0
     for p, c in zip(par.get("histograms", []), chg.get("histograms", [])):
         if p["counts"] != c["counts"]:
@@ -176,13 +185,16 @@ def main(argv=None) -> int:
           f"{git('rev-parse', 'HEAD')}, {args.trials} trials per case, "
           f"master seed {args.seed}, run_trial on {RUN_TRIALS} "
           f"trials per point")
-    print(f"{'case':20s} {'redraws':>7s} {'median_rel':>10s}  differs")
+    print(f"{'case':20s} {'redraws':>7s} {'sel/scr':>9s} {'median_rel':>10s}"
+          f"  differs")
     differing = 0
     for case in CASES:
-        diffs, median_rel = compare(par[case], chg[case])
+        got = chg[case]
+        diffs, median_rel = compare(par[case], got)
         differing += bool(diffs)
-        print(f"{case:20s} {chg[case]['redraws']:7d} {median_rel:10.2e}  "
-              f"{', '.join(diffs) or '-'}")
+        split = f"{got['selection_redraws']}/{got['screen_redraws']}"
+        print(f"{case:20s} {got['redraws']:7d} {split:>9s} {median_rel:10.2e}"
+              f"  {', '.join(diffs) or '-'}")
     print(f"cases that differ: {differing}")
     return 1 if differing else 0
 

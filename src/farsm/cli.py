@@ -15,11 +15,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 
@@ -270,20 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args: argparse.Namespace, render_csv, payload) -> list[str]:
     """Write the result payload (CSV via render_csv or JSON) to --out/stdout."""
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            if args.json:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-            else:
-                render_csv(fh)
-        return [args.out]
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        render_csv(sys.stdout)
-    return ["-"]
+    with (open(args.out, "w", encoding="ascii") if args.out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        if args.json:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        else:
+            render_csv(fh)
+    return [args.out or "-"]
 
 
 def _write_manifest(args: argparse.Namespace, command: str, cfg_echo: dict,
@@ -298,16 +293,15 @@ def _write_manifest(args: argparse.Namespace, command: str, cfg_echo: dict,
         "outputs": outputs,
     }
     manifest.update(extra)
+    path = None
     if args.out:
         stem = args.out.rsplit(".", 1)[0] if "." in args.out.rsplit("/", 1)[-1] \
             else args.out
         path = stem + ".manifest.json"
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(manifest, sys.stderr, indent=2)
-        sys.stderr.write("\n")
+    with (open(path, "w", encoding="ascii") if path
+          else contextlib.nullcontext(sys.stderr)) as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 def _run_timing(trials: int, elapsed: float) -> dict:
@@ -424,30 +418,39 @@ def _theory_channels(cfg: SimConfig,
     return channels, redraws
 
 
+def _emit_table(args: argparse.Namespace, command: str, cfg: SimConfig,
+                header: tuple, rows: list[tuple], specs: tuple,
+                extra: dict) -> int:
+    """Emit ``rows`` under ``header``, as CSV with column j formatted by
+    ``specs[j]`` or as JSON objects, and the run's manifest."""
+
+    def render(fh):
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(format, row, specs)) + "\n")
+
+    payload = [dict(zip(header, row)) for row in rows]
+    outputs = _emit(args, render, payload)
+    _write_manifest(args, command, _cfg_echo(cfg), outputs, extra)
+    return 0
+
+
 def _cmd_capacity_loss(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     channels, redraws = _theory_channels(cfg, args.draws)
     pair = NestedSetPair(inner=PortSet(range(1, cfg.n_a + 1)),
                          outer=PortSet(range(1, cfg.n_ports + 1)))
+    # the noise-free bound is the same at every point
+    bound = float(np.mean([zf_capacity_loss_bound(h, pair) for h in channels]))
     rows = []
     for snr in cfg.snr_db:
         noise = NoiseModel.from_snr_db(snr)
         value = float(np.mean([zf_capacity_loss(h, pair, noise)
                                for h in channels]))
-        bound = float(np.mean([zf_capacity_loss_bound(h, pair)
-                               for h in channels]))
         rows.append((float(snr), value, bound))
-
-    def render(fh):
-        fh.write("snr_db,value,bound\n")
-        for snr, value, bound in rows:
-            fh.write(f"{snr:.10g},{value:.10g},{bound:.10g}\n")
-
-    payload = [{"snr_db": r[0], "value": r[1], "bound": r[2]} for r in rows]
-    outputs = _emit(args, render, payload)
-    _write_manifest(args, "capacity-loss", _cfg_echo(cfg), outputs,
-                    {"draws": args.draws, "redraws": redraws})
-    return 0
+    return _emit_table(args, "capacity-loss", cfg,
+                       ("snr_db", "value", "bound"), rows, (".10g",) * 3,
+                       {"draws": args.draws, "redraws": redraws})
 
 
 def _cmd_mse(args: argparse.Namespace) -> int:
@@ -459,35 +462,19 @@ def _cmd_mse(args: argparse.Namespace) -> int:
         noise = NoiseModel.from_snr_db(snr)
         value = float(np.mean([mmse_mse(h, ports, noise) for h in channels]))
         rows.append((float(snr), value))
-
-    def render(fh):
-        fh.write("snr_db,value\n")
-        for snr, value in rows:
-            fh.write(f"{snr:.10g},{value:.10g}\n")
-
-    payload = [{"snr_db": r[0], "value": r[1]} for r in rows]
-    outputs = _emit(args, render, payload)
-    _write_manifest(args, "mse", _cfg_echo(cfg), outputs,
-                    {"draws": args.draws, "redraws": redraws})
-    return 0
+    return _emit_table(args, "mse", cfg, ("snr_db", "value"), rows,
+                       (".10g",) * 2,
+                       {"draws": args.draws, "redraws": redraws})
 
 
 def _cmd_portsel_bench(args: argparse.Namespace) -> int:
     cfg = _merge_config(args)
     if args.repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {args.repeats}")
-    rows = portsel_benchmark(cfg, repeats=args.repeats)
-
-    def render(fh):
-        fh.write("algorithm,median_seconds,evaluations\n")
-        for r in rows:
-            fh.write(f"{r.algorithm},{r.median_seconds:.6g},{r.evaluations}\n")
-
-    payload = [asdict(r) for r in rows]
-    outputs = _emit(args, render, payload)
-    _write_manifest(args, "portsel-bench", _cfg_echo(cfg), outputs,
-                    {"repeats": args.repeats})
-    return 0
+    rows = [astuple(r) for r in portsel_benchmark(cfg, repeats=args.repeats)]
+    return _emit_table(args, "portsel-bench", cfg,
+                       ("algorithm", "median_seconds", "evaluations"), rows,
+                       ("", ".6g", ""), {"repeats": args.repeats})
 
 
 def main(argv: list[str] | None = None) -> int:

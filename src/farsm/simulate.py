@@ -40,12 +40,12 @@ rows) and RTTD, which runs the joint ML search only on the rows its ratio
 test sends there and reports, per point, how many rows the energy
 detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
-(default 1); the reduction is a sum of per-batch integer counters, so the
-thread count never changes results. Batch j runs on worker thread j mod
-``FARSM_THREADS``, and the threads live as long as the process. The first
-sweep of a process fixes glibc's malloc thresholds
-(``_keep_batch_memory``), so a batch's freed working memory stays mapped
-for the next batch.
+(default 1). Each batch returns one record of its results (``_Tally``),
+and ``_fold`` combines the records in job order, so the thread count never
+changes results. Batch j runs on worker thread j mod ``FARSM_THREADS``,
+and the threads live as long as the process. The first sweep of a process
+fixes glibc's malloc thresholds (``_keep_batch_memory``), so a batch's
+freed working memory stays mapped for the next batch.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -265,23 +265,28 @@ class BerPoint:
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    """Per-point counts of one detector; ``med_rows`` is RTTD's count of
-    decisions taken by the cheap energy detector at each point (None for
-    the other detectors). ``redraws`` is the sum of ``selection_redraws``
-    (trials redrawn because their port selection degenerated) and
-    ``screen_redraws`` (because their precoder failed the condition
-    screen)."""
+class _Redraws:
+    """The trials a run redrew, by cause: ``selection_redraws`` because
+    their port selection degenerated, ``screen_redraws`` because their
+    precoder failed the condition screen; ``redraws`` is their sum."""
 
-    variant: str
-    points: tuple[BerPoint, ...]
     selection_redraws: int
     screen_redraws: int
-    med_rows: tuple[int, ...] | None = None
 
     @property
     def redraws(self) -> int:
         return self.selection_redraws + self.screen_redraws
+
+
+@dataclass(frozen=True)
+class SweepResult(_Redraws):
+    """Per-point counts of one detector, with the sweep's redraws;
+    ``med_rows`` is RTTD's count of decisions taken by the cheap energy
+    detector at each point (None for the other detectors)."""
+
+    variant: str
+    points: tuple[BerPoint, ...]
+    med_rows: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -589,8 +594,39 @@ def _redraw_failed(cfg: SimConfig, ports, trials: np.ndarray,
                          f"after {_MAX_REDRAWS} redraws")
 
 
+@dataclass(frozen=True)
+class _Tally(_Redraws):
+    """A batch's redraws, counts and, with ``keep``, arrays, or those of a
+    sweep's batches combined by ``_fold``.
+
+    counts[i, p] is the int64 (bit errors, symbol errors, energy-detector
+    rows) of detector i at point p, the last being RTTD's rows decided by
+    its energy detector (0 for the others). Each kept array (None without
+    ``keep``) has one row per trial: the payload bits (B, n_bits), the
+    energy ratios (B, P) and the decided bits (B, P, D, n_bits).
+    """
+
+    counts: np.ndarray
+    bits: np.ndarray | None = None
+    ratios: np.ndarray | None = None
+    rx: np.ndarray | None = None
+
+
+def _fold(tallies: list[_Tally]) -> _Tally:
+    """The batch tallies combined in job order. A field without a default
+    is a sum; a kept array is concatenated over the batches in one call."""
+    merged = {}
+    for f in fields(_Tally):
+        parts = [getattr(t, f.name) for t in tallies]
+        if f.default is MISSING:
+            merged[f.name] = sum(parts)
+        elif parts[0] is not None:
+            merged[f.name] = np.concatenate(parts)
+    return _Tally(**merged)
+
+
 def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
-               detectors: tuple[str, ...], keep: bool = False):
+               detectors: tuple[str, ...], keep: bool = False) -> _Tally:
     """Run one batch of trials through every stage of the link.
 
     The trials are drawn and screened at the tightest noise level of
@@ -599,14 +635,9 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
     point, built once per batch (and per redraw) without H P itself.
     MMSE builds, per point, only d = lambda / (lambda + N_r n0) and beta
     from the batch's factor, and sends beta g_k with g_k = U (d * conj(U[k,
-    :])), the row of U gathered once per batch. Returns (counts, redraws,
-    kept): counts[i, p] is the int64 (bit errors, symbol errors,
-    energy-detector rows) of ``detectors[i]`` at point p, the last being
-    RTTD's rows decided by its energy detector (0 for the others); redraws
-    is the (selection, screen) pair of ``_redraw_failed``. With ``keep``,
-    kept holds the payload bits, each point's energy ratios and each point's
-    and detector's decided bits; otherwise it is None and no array of a
-    point outlives the point.
+    :])), the row of U gathered once per batch. Returns the batch's
+    :class:`_Tally`, its redraws those of ``_redraw_failed``. Without
+    ``keep`` no array of a point outlives the point.
     """
     points = build_qam(cfg.mod_order).points
     n0s = [10.0 ** (-s / 10.0) for s in cfg.snr_db]
@@ -627,7 +658,9 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
     else:
         (beta, col), gain = built, None
     counts = np.zeros((len(detectors), len(n0s), 3), dtype=np.int64)
-    ratios, rx = [], []
+    shape = (len(bits), len(n0s), len(detectors), cfg.bits_per_use)
+    kept = dict(bits=bits, ratios=np.empty(shape[:2]),
+                rx=np.empty(shape, dtype=np.uint8)) if keep else {}
     for p, n0 in enumerate(n0s):
         if cfg.precoder == "mmse":
             d, beta = mmse_scales(lam, cfg.n_r * n0)
@@ -635,8 +668,7 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
             gain = u, d
         y = _receive_batch(col, s, wu, n0)
         if keep:
-            ratios.append(energy_ratio(y))
-            rx.append([])
+            kept["ratios"][:, p] = energy_ratio(y)
         for i, det in enumerate(detectors):
             k_hat, m_hat, coarse = _detect_batch(det, cfg, y, beta, gain,
                                                  points)
@@ -645,21 +677,16 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
             counts[i, p] = (bit_errors, np.count_nonzero(diff),
                             0 if coarse is None else np.count_nonzero(coarse))
             if keep:
-                rx[p].append(indices_to_bits(k_hat, m_hat, cfg.spatial_bits,
-                                             mb))
-    return counts, redraws, (bits, ratios, rx) if keep else None
+                kept["rx"][:, p, i] = indices_to_bits(k_hat, m_hat,
+                                                      cfg.spatial_bits, mb)
+    return _Tally(*redraws, counts, **kept)
 
 
 def _sweep(cfg: SimConfig, detectors: tuple[str, ...],
-           collect_ratios: bool = False):
-    """Core sweep: per-detector, per-point error counts over all trials.
-
-    Returns (counts, redraws, ratios) where counts[det][point] is
-    [bit_errors, symbol_errors, med_rows], med_rows counting the RTTD
-    decisions taken by the energy detector (0 for other detectors),
-    redraws is the (selection, screen) pair of redraw counts, and
-    ratios[point] is an array of energy ratios (empty unless requested).
-    """
+           keep: bool = False) -> _Tally:
+    """Core sweep: every batch of the trials through ``_run_batch``, the
+    tallies folded in job order, so no result depends on the thread
+    count."""
     cfg.validate()
     _keep_batch_memory()
     ports = _port_model(cfg)
@@ -669,35 +696,26 @@ def _sweep(cfg: SimConfig, detectors: tuple[str, ...],
     jobs = [np.arange(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
     def one_batch(trials):
-        return _run_batch(cfg, ports, trials, detectors, collect_ratios)
+        return _run_batch(cfg, ports, trials, detectors, keep)
 
     workers = worker_count()
     if workers > 1 and len(jobs) > 1 and not cfg.dump_channels:
         futures = [_batch_thread(i % workers).submit(one_batch, job)
                    for i, job in enumerate(jobs)]
         try:
-            results = [f.result() for f in futures]
+            return _fold([f.result() for f in futures])
         finally:
             for f in futures:  # after a failed batch, drop those not begun
                 f.cancel()
-    else:
-        results = [one_batch(j) for j in jobs]
-
-    counts = np.sum([r[0] for r in results], axis=0)
-    ratios = ([np.concatenate(a) for a in zip(*(r[2][1] for r in results))]
-              if collect_ratios else [np.empty(0) for _ in cfg.snr_db])
-    redraws = tuple(int(sum(c)) for c in zip(*(r[1] for r in results)))
-    return ({d: counts[i].tolist() for i, d in enumerate(detectors)},
-            redraws, ratios)
+    return _fold([one_batch(j) for j in jobs])
 
 
 def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
                  collect_ratios: bool = False):
-    """``_sweep`` with the redraws summed over their causes: (counts,
-    redraws, ratios), the form an RTTD test and the benchmark's self-test
-    read."""
-    counts, redraws, ratios = _sweep(cfg, detectors, collect_ratios)
-    return counts, sum(redraws), ratios
+    """``_sweep`` as the (counts, redraws, ratios[point]) triple that the
+    benchmark's self-test reads."""
+    t = _sweep(cfg, detectors, collect_ratios)
+    return t.counts, t.redraws, None if t.ratios is None else t.ratios.T
 
 
 def run_ber_sweep(cfg: SimConfig) -> SweepResult:
@@ -719,22 +737,23 @@ def run_ber_sweep_multi(cfg: SimConfig,
             raise ConfigError(f"detector must be one of {_DETECTORS}")
         if d in detectors[:i]:
             raise ConfigError(f"detector {d!r} is listed more than once")
-    totals, (selection, screen), _ = _sweep(cfg, tuple(detectors))
+    tally = _sweep(cfg, tuple(detectors))
+    bits_per_point = cfg.trials * cfg.bits_per_use
     out = {}
-    for d in detectors:
+    for d, rows in zip(detectors, tally.counts.tolist()):
         pts = []
-        bits_per_point = cfg.trials * cfg.bits_per_use
-        for p, snr in enumerate(cfg.snr_db):
-            be, se, _ = totals[d][p]
+        for snr, (be, se, _) in zip(cfg.snr_db, rows):
             lo, hi = wilson_interval(be, bits_per_point)
             pts.append(BerPoint(snr_db=float(snr), trials=cfg.trials,
                                 bits=bits_per_point, bit_errors=be,
                                 symbol_errors=se, ber=be / bits_per_point,
                                 ci_low=lo, ci_high=hi))
-        med_rows = tuple(t[2] for t in totals[d]) if d == "rttd" else None
+        med_rows = tuple(r[2] for r in rows) if d == "rttd" else None
         out[d] = SweepResult(variant=replace(cfg, detector=d).variant,
-                             points=tuple(pts), selection_redraws=selection,
-                             screen_redraws=screen, med_rows=med_rows)
+                             points=tuple(pts),
+                             selection_redraws=tally.selection_redraws,
+                             screen_redraws=tally.screen_redraws,
+                             med_rows=med_rows)
     return out
 
 
@@ -757,26 +776,17 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     its grid and this function at its own.
     """
     cfg = replace(cfg, snr_db=(float(snr_db),), dump_channels=None).validate()
-    _, redraws, (bits, _, rx) = _run_batch(
-        cfg, _port_model(cfg), np.array([trial_index]), (cfg.detector,),
-        keep=True)
-    # rx[point][detector] holds the decided bits of the batch's rows
-    return TrialResult(tx_bits=bits[0], rx_bits=rx[0][0][0],
-                       redraws=sum(redraws))
+    tally = _run_batch(cfg, _port_model(cfg), np.array([trial_index]),
+                       (cfg.detector,), keep=True)
+    return TrialResult(tx_bits=tally.bits[0], rx_bits=tally.rx[0, 0, 0],
+                       redraws=tally.redraws)
 
 
 @dataclass(frozen=True)
-class RatioSweep:
-    """The energy-ratio histogram of every SNR point, with the sweep's
-    redraws split by cause as in :class:`SweepResult`."""
+class RatioSweep(_Redraws):
+    """Every SNR point's energy-ratio histogram, with the sweep's redraws."""
 
     histograms: tuple[RatioHistogram, ...]
-    selection_redraws: int
-    screen_redraws: int
-
-    @property
-    def redraws(self) -> int:
-        return self.selection_redraws + self.screen_redraws
 
 
 def run_ratio_sweep(cfg: SimConfig) -> RatioSweep:
@@ -789,15 +799,16 @@ def run_ratio_sweep(cfg: SimConfig) -> RatioSweep:
     cfg.validate()
     if cfg.precoder != "mmse":
         raise ConfigError("the energy-ratio histogram requires the MMSE precoder")
-    _, (selection, screen), ratios = _sweep(cfg, (), collect_ratios=True)
+    tally = _sweep(cfg, (), keep=True)
     out = []
-    for snr, arr in zip(cfg.snr_db, ratios):
+    for snr, arr in zip(cfg.snr_db, tally.ratios.T):
         counts, edges = np.histogram(arr, bins=cfg.bins, range=(0.0, 1.0))
         out.append(RatioHistogram(snr_db=float(snr), bin_edges=edges,
                                   counts=counts, total=int(arr.size),
                                   median=float(np.median(arr))))
-    return RatioSweep(histograms=tuple(out), selection_redraws=selection,
-                      screen_redraws=screen)
+    return RatioSweep(histograms=tuple(out),
+                      selection_redraws=tally.selection_redraws,
+                      screen_redraws=tally.screen_redraws)
 
 
 # ---------------------------------------------------------------------------

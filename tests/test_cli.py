@@ -373,6 +373,22 @@ def test_capacity_loss_csv(tmp_path, capsys):
     assert vals[0][2] == vals[1][2] == vals[2][2]
 
 
+def test_capacity_loss_bound_runs_once_per_draw(monkeypatch, capsys):
+    # the noise-free bound does not depend on the SNR point
+    bound = cli.zf_capacity_loss_bound
+    calls = []
+
+    def spy(h, pair):
+        calls.append(h)
+        return bound(h, pair)
+
+    monkeypatch.setattr(cli, "zf_capacity_loss_bound", spy)
+    code, _, _ = run_cli(
+        ["capacity-loss", "--snr", "0:10:20", "--draws", "5"], capsys)
+    assert code == 0
+    assert len(calls) == 5
+
+
 def test_capacity_loss_compact_aperture(capsys):
     # on a quarter-wavelength aperture the outer Gram is ill conditioned;
     # the closed form must still agree with the direct route to 1e-9 bits

@@ -223,6 +223,48 @@ def test_mce_stage1_norm_tie_removes_larger_index(default_model):
     assert not masks[0][1]  # port 2 (larger index of the tie) is pruned
 
 
+def _near_tie_channels(model, pairs, n_b, n_a, count, gap=1e-12):
+    """Channels whose two best pairs of the first stage-one window score
+    within ``gap`` (relative) of each other, the later-ranked pair ahead,
+    and where taking the earlier pair instead changes the selection.
+
+    A port of the later pair that is not in the earlier one has its column
+    rescaled to set the gap. The engine's kernel and the oracle agree far
+    inside it in float64; in float32 each score is off by about 1e-7
+    relative, so the order of the two pairs is a coin toss.
+    """
+    pf, ps = pairs.first[:n_b] - 1, pairs.second[:n_b] - 1
+    out = []
+    for seed in itertools.count(9000):
+        if len(out) == count:
+            return np.stack(out)
+        h = sample_correlated_channel(model, 4, SeededRng(seed))
+        s = np.abs((h.conj().T @ h)[pf, ps])
+        i, j = sorted(np.argsort(-s)[:2])
+        q = next(p for p in (pf[j], ps[j]) if p not in (pf[i], ps[i]))
+        ahead, behind = h.copy(), h.copy()
+        ahead[:, q] *= s[i] / s[j] * (1.0 + gap)
+        behind[:, q] *= s[i] / s[j] * (1.0 - gap)
+        t = np.abs((ahead.conj().T @ ahead)[pf, ps])
+        if (np.argmax(t) == j and 0 < t[j] / t[i] - 1 < 2 * gap
+                and mce_tmd_select(ahead, pairs, n_b, n_a)
+                != mce_tmd_select(behind, pairs, n_b, n_a)):
+            out.append(ahead)
+
+
+def test_mce_stage1_orders_near_tied_pairs_in_double_precision(
+        default_model):
+    # the first removal's two leading pairs score 1e-12 apart and their
+    # order decides the selection, so stage one must score in float64
+    pairs = sorted_pair_correlations(default_model)
+    hb = _near_tie_channels(default_model, pairs, 12, 4, 8)
+    idx, failed = _batch_mce_tmd(hb, pairs, 12, 4)
+    assert not failed.any()
+    for b in range(len(hb)):
+        ref = mce_tmd_select(hb[b], pairs, 12, 4)
+        assert [int(i) + 1 for i in idx[b]] == list(ref), b
+
+
 def _hub_channels(pairs, n, n_b, count):
     """Channels whose stage-one removals favour hub ports.
 

@@ -22,7 +22,7 @@ from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_factor,
 from farsm.simulate import (PURPOSE_BENCH, STREAM_VERSION, BerPoint,
                             SimConfig, _detect_batch, _draw_trials,
                             _port_model, _precode_batch, _receive_batch,
-                            _run_batches, _select_indices, portsel_benchmark,
+                            _select_indices, portsel_benchmark,
                             run_ber_sweep, run_ber_sweep_multi,
                             run_ratio_sweep, run_trial,
                             stream_id, wilson_interval, worker_count,
@@ -205,20 +205,29 @@ INVARIANCE_CASES = {
 @pytest.mark.parametrize("name", sorted(INVARIANCE_CASES))
 def test_batch_size_and_threads_do_not_change_results(name, monkeypatch):
     # 600 trials is no multiple of any batch size here, so every run ends
-    # on a partial batch; 257 and 64 cut batches across blocks of trials
+    # on a partial batch; 257 and 64 cut batches across blocks of trials.
+    # Under MMSE the ratio histograms, built from every batch's energy
+    # ratios, must not move either
     shape, detectors = INVARIANCE_CASES[name]
     cfg = SimConfig(trials=600, **shape)
-    runs = {}
+    runs, ratio_runs = {}, {}
     for batch in (2048, 257, 64):
         for threads in ("1", "2"):
             monkeypatch.setattr(simulate, "_BATCH", batch)
             monkeypatch.setenv("FARSM_THREADS", threads)
             runs[batch, threads] = run_ber_sweep_multi(cfg, detectors)
+            if cfg.precoder == "mmse":
+                ratio = run_ratio_sweep(cfg)
+                ratio_runs[batch, threads] = (
+                    ratio.selection_redraws, ratio.screen_redraws,
+                    [(h.counts.tolist(), h.median) for h in ratio.histograms])
     want = runs[2048, "1"]
     if name == "first-redraws":
         assert want["mld"].redraws > 0
     for key, got in runs.items():
         assert got == want, key
+    for key, got in ratio_runs.items():
+        assert got == ratio_runs[2048, "1"], key
 
 
 @pytest.mark.parametrize("redraw", [0, 3])
@@ -591,11 +600,27 @@ def test_rttd_reports_energy_detector_rows_per_point():
     cfg = SimConfig(trials=2500, snr_db=(0.0, 10.0, 20.0), precoder="mmse",
                     portsel="tmd", mod_order=16, master_seed=4)
     multi = run_ber_sweep_multi(cfg, ("mld", "med", "rttd"))
-    _, _, ratios = _run_batches(cfg, (), collect_ratios=True)
+    ratios = simulate._sweep(cfg, (), keep=True).ratios.T
     want = tuple(int(np.count_nonzero(r < cfg.gamma)) for r in ratios)
     assert multi["rttd"].med_rows == want
     assert 0 < want[0] < want[-1] <= cfg.trials
     assert multi["mld"].med_rows is None and multi["med"].med_rows is None
+
+
+def test_fold_keeps_the_trials_in_job_order(monkeypatch):
+    # histograms and counts do not see the order of the batches; the kept
+    # rows must still follow the trials, whichever thread ran each batch
+    monkeypatch.setattr(simulate, "_BATCH", 64)
+    monkeypatch.setenv("FARSM_THREADS", "2")
+    cfg = SimConfig(trials=300, snr_db=(0.0, 10.0), portsel="tmd")
+    tally = simulate._sweep(cfg, ("mld", "med"), keep=True)
+    assert tally.redraws == 0
+    assert np.array_equal(tally.bits, _draw_trials(cfg, np.arange(300))[1])
+    assert tally.ratios.shape == (300, 2)
+    assert tally.rx.shape == (300, 2, 2, cfg.bits_per_use)
+    for t in (0, 77, 299):
+        assert np.array_equal(tally.rx[t, 0, 0],
+                              run_trial(cfg, 0.0, t).rx_bits), t
 
 
 def test_run_trial_is_reproducible():
