@@ -1,15 +1,17 @@
 """Closed-form capacity-loss and MSE curves vs SNR, averaged over channel
-draws. Writes results/theory_curves.csv with one labeled row per point."""
+draws. Writes results/theory_curves.csv with one labeled row per point.
+
+The draws are the engine's (``simulate.draw_channels``), so the
+``capacity_loss`` and ``mse`` rows equal ``farsm capacity-loss`` and
+``farsm mse`` at the same seed, draws and grid."""
 
 from pathlib import Path
 
 import numpy as np
 
-from farsm.channel import SeededRng, sample_correlated_channel
-from farsm.correlation import build_correlation_model, port_coordinates
 from farsm.precoding import NoiseModel
 from farsm.selection import PortSet
-from farsm.simulate import PURPOSE_THEORY, stream_id
+from farsm.simulate import SimConfig, draw_channels
 from farsm.theory import (NestedSetPair, mmse_mse, mmse_mse_difference,
                           zf_capacity_loss, zf_capacity_loss_bound)
 
@@ -17,13 +19,10 @@ DRAWS = 200
 SNR = np.arange(-10.0, 41.0, 2.0)
 SEED = 2024
 
-model = build_correlation_model(port_coordinates(1.0, 1.0, 4, 4))
-pair = NestedSetPair(inner=PortSet(range(1, 5)), outer=PortSet(range(1, 17)))
-channels = [
-    sample_correlated_channel(
-        model, 4, SeededRng(SEED, stream_id(i, purpose=PURPOSE_THEORY)))
-    for i in range(DRAWS)
-]
+cfg = SimConfig(snr_db=tuple(SNR.tolist()), master_seed=SEED)
+pair = NestedSetPair(inner=PortSet(range(1, cfg.n_a + 1)),
+                     outer=PortSet(range(1, cfg.n_ports + 1)))
+channels = draw_channels(cfg, DRAWS).channels
 
 out = Path("results")
 out.mkdir(exist_ok=True)

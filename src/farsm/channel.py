@@ -32,8 +32,8 @@ class SeededRng:
     """Handle for one reproducible random stream.
 
     ``master_seed`` identifies the experiment, ``stream_id`` the consumer
-    (a trial, a redraw of a failed trial, a theory draw, ...). Both must fit
-    in 64 bits; together they form the 128-bit Philox key.
+    (a block of trials, or a redraw of a failed trial). Both must fit in 64
+    bits; together they form the 128-bit Philox key.
     """
 
     master_seed: int

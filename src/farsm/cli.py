@@ -20,21 +20,19 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
 from farsm import __version__
-from farsm.channel import (SeededRng, restrict_to_ports,
-                           sample_correlated_channel)
 from farsm.correlation import (build_correlation_model, dump_correlation_csv,
                                port_coordinates)
-from farsm.errors import ConfigError, NumericalError, SingularChannelError
-from farsm.precoding import NoiseModel, zf_precoder
+from farsm.errors import ConfigError, NumericalError
+from farsm.precoding import NoiseModel
 from farsm.selection import PortSet
-from farsm.simulate import (_MAX_REDRAWS, PURPOSE_THEORY, STREAM_VERSION,
-                            SimConfig, portsel_benchmark, run_ber_sweep,
-                            run_ratio_sweep, stream_id, write_ber_csv)
+from farsm.simulate import (STREAM_VERSION, SimConfig, draw_channels,
+                            portsel_benchmark, run_ber_sweep, run_ratio_sweep,
+                            write_ber_csv)
 from farsm.theory import (NestedSetPair, mmse_mse, zf_capacity_loss,
                           zf_capacity_loss_bound)
 
@@ -233,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "capacity-loss", help="ZF capacity loss of dropping ports (theory)",
         description="Average capacity loss and its noise-free upper bound "
                     "when restricting all N ports to the first N_a, over "
-                    "random channel draws.")
+                    "the channels that 'ber --portsel first' draws.")
     _add_grid_args(p)
     _add_link_args(p, selection=False)
     _add_common_args(p)
@@ -244,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "mse", help="MMSE precoding mean-square error (theory)",
         description="Average MMSE mean-square error of the first-N_a port "
-                    "set over random channel draws.")
+                    "set over the channels that 'ber --portsel first' "
+                    "draws.")
     _add_grid_args(p)
     _add_link_args(p, selection=False)
     _add_common_args(p)
@@ -379,45 +378,6 @@ def _cmd_ratio_hist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _theory_channels(cfg: SimConfig,
-                     draws: int) -> tuple[list[np.ndarray], int]:
-    """Channel draws for the theory commands, plus the redraws they took.
-
-    Draw d reads stream_id(d, purpose=PURPOSE_THEORY). A draw whose ZF Gram
-    on the first N_a ports or on all N ports fails the engine's ZF screen
-    (``zf_precoder``, the one-channel view of the engine's precoder) is
-    redrawn from stream_id(d, attempt, PURPOSE_THEORY), at most
-    ``_MAX_REDRAWS`` times. The screen does not depend on the noise, so it
-    runs once per draw, before any SNR point, and a draw that passes is
-    never replaced. The draws span the port grid whatever ``baseline``
-    says, so ``cfg`` is validated as a port-grid configuration.
-    """
-    replace(cfg, baseline=False).validate()
-    if draws < 1:
-        raise ConfigError(f"draws must be >= 1, got {draws}")
-    model = build_correlation_model(
-        port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
-    port_sets = (PortSet(range(1, cfg.n_a + 1)),
-                 PortSet(range(1, cfg.n_ports + 1)))
-    channels, redraws = [], 0
-    for d in range(draws):
-        for attempt in range(_MAX_REDRAWS + 1):
-            h = sample_correlated_channel(model, cfg.n_r, SeededRng(
-                cfg.master_seed, stream_id(d, attempt, PURPOSE_THEORY)))
-            try:
-                for ports in port_sets:
-                    zf_precoder(restrict_to_ports(h, ports))
-                break
-            except SingularChannelError:
-                redraws += 1
-        else:
-            raise NumericalError(
-                f"theory draw {d} still ill conditioned after "
-                f"{_MAX_REDRAWS} redraws")
-        channels.append(h)
-    return channels, redraws
-
-
 def _emit_table(args: argparse.Namespace, command: str, cfg: SimConfig,
                 header: tuple, rows: list[tuple], specs: tuple,
                 extra: dict) -> int:
@@ -435,36 +395,46 @@ def _emit_table(args: argparse.Namespace, command: str, cfg: SimConfig,
     return 0
 
 
+def _theory_manifest(args: argparse.Namespace, drawn) -> dict:
+    """Manifest fields of a theory command: how its channels were drawn."""
+    return {"draws": args.draws, "stream_version": STREAM_VERSION,
+            **_redraws(drawn)}
+
+
 def _cmd_capacity_loss(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    channels, redraws = _theory_channels(cfg, args.draws)
-    pair = NestedSetPair(inner=PortSet(range(1, cfg.n_a + 1)),
-                         outer=PortSet(range(1, cfg.n_ports + 1)))
+    cfg = _merge_config(args, {"portsel": "first"})
+    drawn = draw_channels(cfg, args.draws)
+    try:
+        pair = NestedSetPair(inner=PortSet(range(1, cfg.n_a + 1)),
+                             outer=PortSet(range(1, cfg.n_ports + 1)))
+    except ValueError as e:  # N_a = N leaves no port to drop
+        raise ConfigError(str(e)) from None
     # the noise-free bound is the same at every point
-    bound = float(np.mean([zf_capacity_loss_bound(h, pair) for h in channels]))
+    bound = float(np.mean([zf_capacity_loss_bound(h, pair)
+                           for h in drawn.channels]))
     rows = []
     for snr in cfg.snr_db:
         noise = NoiseModel.from_snr_db(snr)
         value = float(np.mean([zf_capacity_loss(h, pair, noise)
-                               for h in channels]))
+                               for h in drawn.channels]))
         rows.append((float(snr), value, bound))
     return _emit_table(args, "capacity-loss", cfg,
                        ("snr_db", "value", "bound"), rows, (".10g",) * 3,
-                       {"draws": args.draws, "redraws": redraws})
+                       _theory_manifest(args, drawn))
 
 
 def _cmd_mse(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args)
-    channels, redraws = _theory_channels(cfg, args.draws)
+    cfg = _merge_config(args, {"portsel": "first"})
+    drawn = draw_channels(cfg, args.draws)
     ports = PortSet(range(1, cfg.n_a + 1))
     rows = []
     for snr in cfg.snr_db:
         noise = NoiseModel.from_snr_db(snr)
-        value = float(np.mean([mmse_mse(h, ports, noise) for h in channels]))
+        value = float(np.mean([mmse_mse(h, ports, noise)
+                               for h in drawn.channels]))
         rows.append((float(snr), value))
     return _emit_table(args, "mse", cfg, ("snr_db", "value"), rows,
-                       (".10g",) * 2,
-                       {"draws": args.draws, "redraws": redraws})
+                       (".10g",) * 2, _theory_manifest(args, drawn))
 
 
 def _cmd_portsel_bench(args: argparse.Namespace) -> int:

@@ -12,8 +12,10 @@ but curve shapes and curve-to-curve gaps are far less noisy.
 The public entry points accept a :class:`SimConfig`; trials are processed in
 fixed-size batches through vectorized selection / precoding / detection
 kernels. The detectors and the bit mapping are the stacked kernels of
-:mod:`farsm.detection` and :mod:`farsm.modulation`, and :func:`run_trial`
-runs a batch of one through the same stages as the sweep.
+:mod:`farsm.detection` and :mod:`farsm.modulation`, :func:`run_trial`
+runs a batch of one through the same stages as the sweep, and
+:func:`draw_channels` keeps the screened channels of a ``first``-port ZF
+sweep, which the theory metrics and the selection benchmark average over.
 Streams are keyed per block of 256 consecutive trials (stream version 2):
 a block draws all its channels, then all its payloads, then all its noise
 with one vectorized call each, and a batch draws every block it touches
@@ -61,8 +63,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from farsm.channel import (SeededRng, dump_channels_csv,
-                           sample_correlated_channel)
+from farsm.channel import SeededRng, dump_channels_csv
 from farsm.correlation import (SortedPairArrays, build_correlation_model,
                                port_coordinates, sorted_pair_correlations)
 from farsm.errors import ConfigError, NumericalError
@@ -90,11 +91,6 @@ _DETECTORS = ("mld", "med", "rttd")
 # a change that moves any seeded number bumps it.
 STREAM_VERSION = 2
 
-# stream-id layout: bits 0..39 trial, 40..47 redraw attempt, 48..55 purpose
-PURPOSE_TRIAL = 0
-PURPOSE_THEORY = 1
-PURPOSE_BENCH = 2
-
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -116,13 +112,14 @@ _FIELD_TYPES = {
 }
 
 
-def stream_id(trial: int, redraw: int = 0, purpose: int = PURPOSE_TRIAL) -> int:
-    """Pack a (trial, redraw, purpose) triple into a 64-bit stream id."""
+def stream_id(trial: int, redraw: int = 0) -> int:
+    """Pack a (trial, redraw) pair into a 64-bit stream id: bits 0..39
+    hold the trial (or block) index, bits 40..47 the redraw attempt."""
     if not 0 <= trial < (1 << 40):
         raise ValueError(f"trial index {trial} out of range")
     if not 0 <= redraw < (1 << 8):
         raise ValueError(f"redraw count {redraw} out of range")
-    return trial | (redraw << 40) | (purpose << 48)
+    return trial | (redraw << 40)
 
 
 @dataclass(frozen=True)
@@ -596,20 +593,22 @@ def _redraw_failed(cfg: SimConfig, ports, trials: np.ndarray,
 
 @dataclass(frozen=True)
 class _Tally(_Redraws):
-    """A batch's redraws, counts and, with ``keep``, arrays, or those of a
-    sweep's batches combined by ``_fold``.
+    """A batch's redraws, counts and the arrays its caller named in
+    ``keep``, or those of a sweep's batches combined by ``_fold``.
 
     counts[i, p] is the int64 (bit errors, symbol errors, energy-detector
     rows) of detector i at point p, the last being RTTD's rows decided by
-    its energy detector (0 for the others). Each kept array (None without
-    ``keep``) has one row per trial: the payload bits (B, n_bits), the
-    energy ratios (B, P) and the decided bits (B, P, D, n_bits).
+    its energy detector (0 for the others). Each kept array (None unless
+    named) has one row per trial: the payload bits (B, n_bits), the
+    energy ratios (B, P), the decided bits (B, P, D, n_bits) and the drawn
+    channels (B, N_r, N) that passed the screen, coloured, after redraws.
     """
 
     counts: np.ndarray
     bits: np.ndarray | None = None
     ratios: np.ndarray | None = None
     rx: np.ndarray | None = None
+    channels: np.ndarray | None = None
 
 
 def _fold(tallies: list[_Tally]) -> _Tally:
@@ -626,7 +625,8 @@ def _fold(tallies: list[_Tally]) -> _Tally:
 
 
 def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
-               detectors: tuple[str, ...], keep: bool = False) -> _Tally:
+               detectors: tuple[str, ...],
+               keep: tuple[str, ...] = ()) -> _Tally:
     """Run one batch of trials through every stage of the link.
 
     The trials are drawn and screened at the tightest noise level of
@@ -636,8 +636,10 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
     MMSE builds, per point, only d = lambda / (lambda + N_r n0) and beta
     from the batch's factor, and sends beta g_k with g_k = U (d * conj(U[k,
     :])), the row of U gathered once per batch. Returns the batch's
-    :class:`_Tally`, its redraws those of ``_redraw_failed``. Without
-    ``keep`` no array of a point outlives the point.
+    :class:`_Tally`, its redraws those of ``_redraw_failed``, and the
+    ``_Tally`` arrays named in ``keep``; no array is made or filled for a
+    name ``keep`` lacks, so without one no array of a point outlives the
+    point.
     """
     points = build_qam(cfg.mod_order).points
     n0s = [10.0 ** (-s / 10.0) for s in cfg.snr_db]
@@ -659,15 +661,17 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
         (beta, col), gain = built, None
     counts = np.zeros((len(detectors), len(n0s), 3), dtype=np.int64)
     shape = (len(bits), len(n0s), len(detectors), cfg.bits_per_use)
-    kept = dict(bits=bits, ratios=np.empty(shape[:2]),
-                rx=np.empty(shape, dtype=np.uint8)) if keep else {}
+    make = {"bits": lambda: bits, "channels": lambda: hb,
+            "ratios": lambda: np.empty(shape[:2]),
+            "rx": lambda: np.empty(shape, dtype=np.uint8)}
+    kept = {name: make[name]() for name in keep}
     for p, n0 in enumerate(n0s):
         if cfg.precoder == "mmse":
             d, beta = mmse_scales(lam, cfg.n_r * n0)
             col = beta[:, None] * np.einsum("brj,bj->br", u, d * u_k)
             gain = u, d
         y = _receive_batch(col, s, wu, n0)
-        if keep:
+        if "ratios" in kept:
             kept["ratios"][:, p] = energy_ratio(y)
         for i, det in enumerate(detectors):
             k_hat, m_hat, coarse = _detect_batch(det, cfg, y, beta, gain,
@@ -676,17 +680,17 @@ def _run_batch(cfg: SimConfig, ports, trials: np.ndarray,
             bit_errors = np.count_nonzero(np.unpackbits(diff.view(np.uint8)))
             counts[i, p] = (bit_errors, np.count_nonzero(diff),
                             0 if coarse is None else np.count_nonzero(coarse))
-            if keep:
+            if "rx" in kept:
                 kept["rx"][:, p, i] = indices_to_bits(k_hat, m_hat,
                                                       cfg.spatial_bits, mb)
     return _Tally(*redraws, counts, **kept)
 
 
 def _sweep(cfg: SimConfig, detectors: tuple[str, ...],
-           keep: bool = False) -> _Tally:
-    """Core sweep: every batch of the trials through ``_run_batch``, the
-    tallies folded in job order, so no result depends on the thread
-    count."""
+           keep: tuple[str, ...] = ()) -> _Tally:
+    """Core sweep: every batch of the trials through ``_run_batch``, each
+    keeping the arrays named in ``keep``, the tallies folded in job order,
+    so no result depends on the thread count."""
     cfg.validate()
     _keep_batch_memory()
     ports = _port_model(cfg)
@@ -714,8 +718,23 @@ def _run_batches(cfg: SimConfig, detectors: tuple[str, ...],
                  collect_ratios: bool = False):
     """``_sweep`` as the (counts, redraws, ratios[point]) triple that the
     benchmark's self-test reads."""
-    t = _sweep(cfg, detectors, collect_ratios)
+    t = _sweep(cfg, detectors, ("ratios",) if collect_ratios else ())
     return t.counts, t.redraws, None if t.ratios is None else t.ratios.T
+
+
+def draw_channels(cfg: SimConfig, draws: int) -> _Tally:
+    """The channels of trials 0 .. draws - 1 of a ``first``-port ZF sweep.
+
+    They are drawn, coloured, ZF-screened on the first N_a ports and
+    redrawn exactly as ``ber --portsel first`` draws them at ``cfg``'s seed
+    and grid, whatever ``cfg``'s baseline, selection and precoder. The
+    tally keeps them as ``channels`` (draws, N_r, N), with their redraws.
+    """
+    if draws < 1:
+        raise ConfigError(f"draws must be >= 1, got {draws}")
+    return _sweep(replace(cfg, baseline=False, portsel="first", precoder="zf",
+                          trials=draws, dump_channels=None),
+                  (), keep=("channels",))
 
 
 def run_ber_sweep(cfg: SimConfig) -> SweepResult:
@@ -777,7 +796,7 @@ def run_trial(cfg: SimConfig, snr_db: float, trial_index: int) -> TrialResult:
     """
     cfg = replace(cfg, snr_db=(float(snr_db),), dump_channels=None).validate()
     tally = _run_batch(cfg, _port_model(cfg), np.array([trial_index]),
-                       (cfg.detector,), keep=True)
+                       (cfg.detector,), keep=("bits", "rx"))
     return TrialResult(tx_bits=tally.bits[0], rx_bits=tally.rx[0, 0, 0],
                        redraws=tally.redraws)
 
@@ -799,7 +818,7 @@ def run_ratio_sweep(cfg: SimConfig) -> RatioSweep:
     cfg.validate()
     if cfg.precoder != "mmse":
         raise ConfigError("the energy-ratio histogram requires the MMSE precoder")
-    tally = _sweep(cfg, (), keep=True)
+    tally = _sweep(cfg, (), keep=("ratios",))
     out = []
     for snr, arr in zip(cfg.snr_db, tally.ratios.T):
         counts, edges = np.histogram(arr, bins=cfg.bins, range=(0.0, 1.0))
@@ -826,7 +845,8 @@ def portsel_benchmark(cfg: SimConfig, repeats: int = 25) -> list[BenchmarkRow]:
     """Median wall-clock per selection call for the three strategies.
 
     ``evaluations`` counts candidate evaluations (exhaustive) or removal
-    steps (greedy variants). The strategies are timed round-robin per
+    steps (greedy variants). They run on the channels of
+    ``draw_channels(cfg, repeats)``. The strategies are timed round-robin per
     channel, best-of-3 each, so scheduler noise and clock-frequency drift
     hit all three alike instead of whichever ran last. At the reference
     sizes N=16, N_b=12, N_a=4 the cost ordering exhaustive > tmd > mce-tmd
@@ -841,10 +861,7 @@ def portsel_benchmark(cfg: SimConfig, repeats: int = 25) -> list[BenchmarkRow]:
     pairs = sorted_pair_correlations(model)
     n = cfg.n_ports
     noise = NoiseModel(1.0)
-    channels = [sample_correlated_channel(
-                    model, cfg.n_r,
-                    SeededRng(cfg.master_seed, stream_id(i, purpose=PURPOSE_BENCH)))
-                for i in range(repeats)]
+    channels = draw_channels(cfg, repeats).channels
 
     strategies = [
         ("optimal", lambda h: optimal_select(h, cfg.n_a, "zf", noise),

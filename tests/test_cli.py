@@ -8,12 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import farsm.cli as cli
-from farsm.channel import SeededRng, sample_correlated_channel
 from farsm.correlation import build_correlation_model, port_coordinates
 from farsm.errors import ConfigError, NumericalError
 from farsm.precoding import NoiseModel
 from farsm.selection import PortSet
-from farsm.simulate import PURPOSE_THEORY, SimConfig, stream_id
+from farsm.simulate import SimConfig, _draw_trials
 from farsm.theory import NestedSetPair, zf_capacity_loss
 
 DATA = Path(__file__).parent / "data"
@@ -403,15 +402,19 @@ def test_capacity_loss_compact_aperture(capsys):
 
 @pytest.mark.parametrize("command", ["capacity-loss", "mse"])
 def test_theory_redraws_ill_conditioned_draws(command, tmp_path, capsys):
-    # at w = 0.05 theory draw 44 has a 4-port Gram of condition 1.3e12,
-    # which capacity-loss cannot precode; it is redrawn before any point
+    # at w = 0.05 the engine's first draws of two of the first 50 trials
+    # have first-4-port ZF Grams that fail the screen; both are redrawn
+    # before any point, as ber --portsel first redraws them
     out = tmp_path / "theory.csv"
     code, _, err = run_cli(
         [command, "--w1", "0.05", "--w2", "0.05", "--snr", "0:10:40",
          "--draws", "50", "--out", str(out)], capsys)
     assert code == 0, err
     manifest = json.loads((tmp_path / "theory.manifest.json").read_text())
-    assert manifest["redraws"] == 1
+    assert manifest["redraws"] == 2
+    assert manifest["screen_redraws"] == 2
+    assert manifest["selection_redraws"] == 0
+    assert manifest["stream_version"] == 2
     assert len(out.read_text().strip().split("\n")) == 6
 
 
@@ -422,18 +425,73 @@ def test_theory_draws_that_pass_the_screen_are_kept(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "cl.manifest.json").read_text())
     assert manifest["redraws"] == 0
-    cfg = SimConfig()
+    cfg = SimConfig(master_seed=3)
     model = build_correlation_model(
         port_coordinates(cfg.w1, cfg.w2, cfg.n1, cfg.n2))
     pair = NestedSetPair(inner=PortSet(range(1, 5)),
                          outer=PortSet(range(1, 17)))
-    hs = [sample_correlated_channel(model, cfg.n_r, SeededRng(
-              3, stream_id(d, purpose=PURPOSE_THEORY))) for d in range(5)]
+    # no redraw: the channels are the engine's first draws, coloured
+    hs = _draw_trials(cfg, np.arange(5))[0] @ model.root
     rows = [l.split(",") for l in out.read_text().strip().split("\n")[1:]]
     for (snr, value, _), snr_db in zip(rows, (0.0, 10.0, 20.0)):
         noise = NoiseModel.from_snr_db(snr_db)
         want = np.mean([zf_capacity_loss(h, pair, noise) for h in hs])
         assert float(value) == pytest.approx(want, rel=1e-9)
+
+
+def test_capacity_loss_averages_the_channels_of_ber_first(
+        monkeypatch, tmp_path, capsys):
+    # one draw path: capacity-loss averages, in trial order and bit for bit,
+    # the channels ber --portsel first draws; at w = 0.05 two are redrawn
+    grid = ["--w1", "0.05", "--w2", "0.05", "--seed", "0"]
+    dump = tmp_path / "h.csv"
+    code, _, err = run_cli(
+        ["ber", *grid, "--portsel", "first", "--trials", "50", "--snr", "10",
+         "--dump-channels", str(dump), "--out", str(tmp_path / "ber.csv")],
+        capsys)
+    assert code == 0, err
+    ber_manifest = json.loads((tmp_path / "ber.manifest.json").read_text())
+    rows = np.loadtxt(dump, delimiter=",")
+    want = (rows[:, 3] + 1j * rows[:, 4]).reshape(50, 4, 16)
+    assert np.array_equal(rows[::64, 0], np.arange(50))
+
+    bound = cli.zf_capacity_loss_bound
+    seen = []
+
+    def spy(h, pair):
+        seen.append(h.copy())
+        return bound(h, pair)
+
+    monkeypatch.setattr(cli, "zf_capacity_loss_bound", spy)
+    code, _, err = run_cli(
+        ["capacity-loss", *grid, "--snr", "0:10:20", "--draws", "50",
+         "--out", str(tmp_path / "cl.csv")], capsys)
+    assert code == 0, err
+    manifest = json.loads((tmp_path / "cl.manifest.json").read_text())
+    assert manifest["redraws"] == ber_manifest["redraws"] == 2
+    assert np.array_equal(np.stack(seen), want)
+
+
+def test_capacity_loss_needs_a_port_to_drop(capsys):
+    # N_a = N passes validate(), but leaves no nested pair to compare
+    code, _, err = run_cli(["capacity-loss", "--na", "16", "--snr", "0",
+                            "--draws", "5"], capsys)
+    assert code == 2
+    assert "error: inner set" in err and "must be a proper subset" in err
+    code, out, err = run_cli(["mse", "--na", "16", "--snr", "0",
+                              "--draws", "5"], capsys)
+    assert code == 0, err
+    assert len(out.strip().split("\n")) == 2
+
+
+@pytest.mark.parametrize("command", ["capacity-loss", "mse"])
+def test_theory_commands_ignore_the_exhaustive_limits(command, capsys):
+    # the theory draws select the first ports, so exhaustive selection's
+    # port-count limit does not apply to a 5 x 5 grid
+    code, out, err = run_cli([command, "--n1", "5", "--n2", "5", "--snr", "0",
+                              "--draws", "5"], capsys)
+    assert code == 0, err
+    assert len(out.strip().split("\n")) == 2
 
 
 def test_mse_csv(capsys):

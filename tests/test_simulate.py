@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from farsm import precoding, simulate
 from farsm.channel import SeededRng
+from farsm.correlation import build_correlation_model, port_coordinates
 from farsm.detection import energy_ratio, mld
 from farsm.errors import ConfigError, NumericalError, SingularChannelError
 from farsm.modulation import bits_to_indices, build_qam
 from farsm.precoding import (NoiseModel, effective_gain_matrix, mmse_factor,
                              mmse_precoder, mmse_scales, zf_precoder,
-                             zf_sent_columns)
-from farsm.simulate import (PURPOSE_BENCH, STREAM_VERSION, BerPoint,
+                             zf_precoders, zf_sent_columns)
+from farsm.simulate import (STREAM_VERSION, BerPoint,
                             SimConfig, _detect_batch, _draw_trials,
                             _port_model, _precode_batch, _receive_batch,
                             _select_indices, portsel_benchmark,
@@ -54,7 +55,6 @@ def test_wilson_brackets_the_estimate(errors, extra):
 def test_stream_id_layout():
     assert stream_id(0) == 0
     assert stream_id(5, redraw=1) == 5 + (1 << 40)
-    assert stream_id(5, redraw=0, purpose=PURPOSE_BENCH) == 5 + (2 << 48)
     with pytest.raises(ValueError):
         stream_id(1 << 40)
     with pytest.raises(ValueError):
@@ -600,7 +600,7 @@ def test_rttd_reports_energy_detector_rows_per_point():
     cfg = SimConfig(trials=2500, snr_db=(0.0, 10.0, 20.0), precoder="mmse",
                     portsel="tmd", mod_order=16, master_seed=4)
     multi = run_ber_sweep_multi(cfg, ("mld", "med", "rttd"))
-    ratios = simulate._sweep(cfg, (), keep=True).ratios.T
+    ratios = simulate._sweep(cfg, (), keep=("ratios",)).ratios.T
     want = tuple(int(np.count_nonzero(r < cfg.gamma)) for r in ratios)
     assert multi["rttd"].med_rows == want
     assert 0 < want[0] < want[-1] <= cfg.trials
@@ -613,7 +613,8 @@ def test_fold_keeps_the_trials_in_job_order(monkeypatch):
     monkeypatch.setattr(simulate, "_BATCH", 64)
     monkeypatch.setenv("FARSM_THREADS", "2")
     cfg = SimConfig(trials=300, snr_db=(0.0, 10.0), portsel="tmd")
-    tally = simulate._sweep(cfg, ("mld", "med"), keep=True)
+    tally = simulate._sweep(cfg, ("mld", "med"),
+                            keep=("bits", "ratios", "rx"))
     assert tally.redraws == 0
     assert np.array_equal(tally.bits, _draw_trials(cfg, np.arange(300))[1])
     assert tally.ratios.shape == (300, 2)
@@ -621,6 +622,58 @@ def test_fold_keeps_the_trials_in_job_order(monkeypatch):
     for t in (0, 77, 299):
         assert np.array_equal(tally.rx[t, 0, 0],
                               run_trial(cfg, 0.0, t).rx_bits), t
+
+
+def test_sweeps_keep_only_the_arrays_they_name(monkeypatch):
+    # the ratio sweep holds no payload or decided bits, run_trial no
+    # ratios, and a BER sweep no array at all
+    tallies = {}
+    sweep, run_batch = simulate._sweep, simulate._run_batch
+
+    def spy_sweep(cfg, detectors, keep=()):
+        tallies["sweep", keep] = tally = sweep(cfg, detectors, keep)
+        return tally
+
+    def spy_batch(cfg, ports, trials, detectors, keep=()):
+        tallies["batch", keep] = tally = run_batch(cfg, ports, trials,
+                                                   detectors, keep)
+        return tally
+
+    monkeypatch.setattr(simulate, "_sweep", spy_sweep)
+    monkeypatch.setattr(simulate, "_run_batch", spy_batch)
+    cfg = SimConfig(trials=40, snr_db=(0.0, 10.0), portsel="tmd")
+    run_ratio_sweep(replace(cfg, precoder="mmse"))
+    run_trial(cfg, 0.0, 3)
+    run_ber_sweep(cfg)
+    ratio = tallies["sweep", ("ratios",)]
+    assert ratio.bits is None and ratio.rx is None
+    assert ratio.channels is None and ratio.ratios.shape == (40, 2)
+    trial = tallies["batch", ("bits", "rx")]
+    assert trial.ratios is None and trial.channels is None
+    ber = tallies["sweep", ()]
+    assert all(getattr(ber, name) is None
+               for name in ("bits", "ratios", "rx", "channels"))
+
+
+def test_draw_channels_are_the_screened_first_port_draws():
+    # draw_channels keeps the coloured draws a first-port ZF sweep keeps,
+    # redrawn trials included, whatever selection and precoder cfg names
+    cfg = SimConfig(w1=0.05, w2=0.05, trials=7, portsel="tmd",
+                    precoder="mmse", baseline=True)
+    drawn = simulate.draw_channels(cfg, 50)
+    assert drawn.channels.shape == (50, 4, 16)
+    assert drawn.screen_redraws == 2 and drawn.selection_redraws == 0
+    first = replace(cfg, baseline=False, portsel="first", precoder="zf",
+                    trials=50)
+    model = build_correlation_model(port_coordinates(0.05, 0.05, 4, 4))
+    hs = _draw_trials(first, np.arange(50))[0] @ model.root
+    _, _, failed = zf_precoders(hs[:, :, :4])
+    assert np.count_nonzero(failed) == 2
+    assert np.allclose(drawn.channels[~failed], hs[~failed], rtol=0,
+                       atol=1e-12)
+    assert not np.allclose(drawn.channels[failed], hs[failed])
+    with pytest.raises(ConfigError, match="draws must be >= 1"):
+        simulate.draw_channels(cfg, 0)
 
 
 def test_run_trial_is_reproducible():
