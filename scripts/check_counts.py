@@ -18,7 +18,11 @@ revisions can be compared:
   histogram for MMSE only): every bin count, each point's median, and the
   redraws split by cause;
 * ``run_trial`` on the first 16 trials at every SNR point:
-  the transmitted and decided bits and the redraws.
+  the transmitted and decided bits and the redraws;
+* ``farsm capacity-loss`` and ``farsm mse``, through ``farsm.cli.main``
+  alone, on 200 draws of the one-wavelength default, of a 0.05-wavelength
+  aperture, where draws are redrawn, and of a 0.25-wavelength one: the CSV
+  text each prints, and the redraws its manifest records.
 
 The cases cover ZF and MMSE; exhaustive, TMD, MCE-TMD and ``first``
 selection, the last at a 0.05-wavelength aperture where trials are
@@ -29,7 +33,8 @@ TMD Grams lie near the screen; the fixed-antenna baseline; N_r = 8 under
 MMSE; ZF with TMD at N_r = 2 and N_r = 8, where the ZF screen inverts 2 x 2
 and 8 x 8 Grams; and the noiseless +inf dB point. The report lists, per case, what differs.
 The exit status is 1 when any count, redraw (of either cause), histogram
-bin or ``run_trial`` bit differs. Medians are reported with their largest
+bin, ``run_trial`` bit or theory CSV character differs; ``--trials``
+does not apply to the theory cases. Medians are reported with their largest
 relative difference but do not set the exit status: a change that moves
 receive vectors in their last digits moves them by as much, and at +inf
 dB, where the ratio is rounding noise of order 1e-30, by far more. The
@@ -39,10 +44,12 @@ default run took about 15 s on a 2-core VM.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from bench_pair import export_rev, git
@@ -86,11 +93,21 @@ CASES = {
     "mmse-noiseless": dict(precoder="mmse", portsel="tmd", mod_order=64,
                            snr_db=(20.0, float("inf"))),
 }
+# capacity-loss and mse flags of each theory case, on top of the 4x4
+# one-wavelength default
+THEORY_CASES = {
+    "theory-w1": (),
+    # some first-4-port ZF Grams fail the screen: their draws are redrawn
+    "theory-w0.05": ("--w1", "0.05", "--w2", "0.05"),
+    "theory-w0.25": ("--w1", "0.25", "--w2", "0.25"),
+}
+THEORY_DRAWS = 200
 DETECTORS = ("mld", "med", "rttd")
 RUN_TRIALS = 16
+REDRAW_KEYS = ("redraws", "selection_redraws", "screen_redraws")
 # fingerprint keys compared exactly
-EXACT = ("redraws", "selection_redraws", "screen_redraws", "med_rows",
-         *DETECTORS, "ratio_selection_redraws", "ratio_screen_redraws")
+EXACT = (*REDRAW_KEYS, "med_rows", *DETECTORS, "ratio_selection_redraws",
+         "ratio_screen_redraws", "theory_csv")
 
 
 def _bits(a) -> str:
@@ -127,7 +144,30 @@ def fingerprint(trials: str, seed: str, out: str) -> None:
             for snr in cfg.snr_db for t in range(RUN_TRIALS)
             for r in (simulate.run_trial(cfg, snr, t),)]
         result["cases"][case] = got
+    for case, flags in THEORY_CASES.items():
+        result["cases"][case] = _theory(flags, seed)
     Path(out).write_text(json.dumps(result))
+
+
+def _theory(flags: tuple, seed: str) -> dict:
+    """The CSV text (or exit status and error) of ``farsm capacity-loss``
+    and ``farsm mse`` with ``flags``, run through ``cli.main``, and the
+    redraws their manifests record."""
+    from farsm import cli
+
+    got = {"theory_csv": {}}
+    for command in ("capacity-loss", "mse"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([command, *flags, "--seed", seed,
+                             "--draws", str(THEORY_DRAWS)])
+        if code:
+            got["theory_csv"][command] = f"exit {code}: {err.getvalue()}"
+            continue
+        got["theory_csv"][command] = out.getvalue()
+        manifest = json.loads(err.getvalue())
+        got.update({key: manifest[key] for key in REDRAW_KEYS})
+    return got
 
 
 def run_tree(tree: Path, *args) -> dict:
@@ -158,8 +198,9 @@ def compare(par: dict, chg: dict) -> tuple[list[str], float]:
                              / abs(p["median"]))
     if len(par.get("histograms", [])) != len(chg.get("histograms", [])):
         diffs.append("histograms")
-    moved = sum(p != c for p, c in zip(par["run_trial"], chg["run_trial"]))
-    if moved or len(par["run_trial"]) != len(chg["run_trial"]):
+    par_trials, chg_trials = par.get("run_trial", []), chg.get("run_trial", [])
+    moved = sum(p != c for p, c in zip(par_trials, chg_trials))
+    if moved or len(par_trials) != len(chg_trials):
         diffs.append(f"run_trial ({moved} trials)")
     return sorted(set(diffs)), median_rel
 
@@ -188,13 +229,13 @@ def main(argv=None) -> int:
     print(f"{'case':20s} {'redraws':>7s} {'sel/scr':>9s} {'median_rel':>10s}"
           f"  differs")
     differing = 0
-    for case in CASES:
+    for case in (*CASES, *THEORY_CASES):
         got = chg[case]
         diffs, median_rel = compare(par[case], got)
         differing += bool(diffs)
-        split = f"{got['selection_redraws']}/{got['screen_redraws']}"
-        print(f"{case:20s} {got['redraws']:7d} {split:>9s} {median_rel:10.2e}"
-              f"  {', '.join(diffs) or '-'}")
+        redraws, sel, scr = (got.get(key, "-") for key in REDRAW_KEYS)
+        print(f"{case:20s} {redraws:>7} {f'{sel}/{scr}':>9s} "
+              f"{median_rel:10.2e}  {', '.join(diffs) or '-'}")
     print(f"cases that differ: {differing}")
     return 1 if differing else 0
 

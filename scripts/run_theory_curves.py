@@ -30,12 +30,12 @@ with open(out / "theory_curves.csv", "w") as fh:
     fh.write("metric,snr_db,value\n")
     for snr in SNR:
         noise = NoiseModel.from_snr_db(snr)
-        loss = np.mean([zf_capacity_loss(h, pair, noise) for h in channels])
-        mse = np.mean([mmse_mse(h, pair.inner, noise) for h in channels])
-        diff = np.mean([mmse_mse_difference(h, pair, noise) for h in channels])
+        loss = np.mean(zf_capacity_loss(channels, pair, noise))
+        mse = np.mean(mmse_mse(channels, pair.inner, noise))
+        diff = np.mean(mmse_mse_difference(channels, pair, noise))
         fh.write(f"capacity_loss,{snr:g},{loss:.10g}\n")
         fh.write(f"mse,{snr:g},{mse:.10g}\n")
         fh.write(f"mse_difference,{snr:g},{diff:.10g}\n")
-    bound = np.mean([zf_capacity_loss_bound(h, pair) for h in channels])
+    bound = np.mean(zf_capacity_loss_bound(channels, pair))
     fh.write(f"capacity_loss_bound,,{bound:.10g}\n")
 print(f"wrote {out / 'theory_curves.csv'}")

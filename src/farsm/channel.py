@@ -79,15 +79,15 @@ def sample_correlated_channel(model: CorrelationModel, n_r: int,
 
 
 def restrict_to_ports(h: np.ndarray, ports) -> np.ndarray:
-    """Keep only the columns of ``h`` for the given 1-based port indices.
+    """Keep only the columns of ``h`` (..., N) for the 1-based port indices.
 
     ``ports`` is any iterable of distinct indices in 1..N (a PortSet works);
     column order follows the sorted port order.
     """
     idx = np.asarray([p - 1 for p in ports], dtype=int)
-    if idx.size and (idx.min() < 0 or idx.max() >= h.shape[1]):
-        raise ValueError(f"port indices out of range 1..{h.shape[1]}")
-    return h[:, idx]
+    if idx.size and (idx.min() < 0 or idx.max() >= h.shape[-1]):
+        raise ValueError(f"port indices out of range 1..{h.shape[-1]}")
+    return h[..., idx]
 
 
 def dump_channels_csv(path: str, channels) -> None:

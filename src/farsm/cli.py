@@ -395,46 +395,45 @@ def _emit_table(args: argparse.Namespace, command: str, cfg: SimConfig,
     return 0
 
 
-def _theory_manifest(args: argparse.Namespace, drawn) -> dict:
-    """Manifest fields of a theory command: how its channels were drawn."""
-    return {"draws": args.draws, "stream_version": STREAM_VERSION,
-            **_redraws(drawn)}
+def _theory_draws(args: argparse.Namespace):
+    """A theory command's config, the channels it averages over, and the
+    manifest fields that say how they were drawn."""
+    cfg = _merge_config(args, {"portsel": "first"})
+    for snr in cfg.snr_db:
+        if not math.isfinite(snr):  # the closed forms need noise
+            raise ConfigError(f"SNR point {snr} dB is not finite; the theory "
+                              f"commands need a positive noise power")
+    drawn = draw_channels(cfg, args.draws)
+    return cfg, drawn.channels, {"draws": args.draws,
+                                 "stream_version": STREAM_VERSION,
+                                 **_redraws(drawn)}
 
 
 def _cmd_capacity_loss(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, {"portsel": "first"})
-    drawn = draw_channels(cfg, args.draws)
+    cfg, channels, manifest = _theory_draws(args)
     try:
         pair = NestedSetPair(inner=PortSet(range(1, cfg.n_a + 1)),
                              outer=PortSet(range(1, cfg.n_ports + 1)))
     except ValueError as e:  # N_a = N leaves no port to drop
         raise ConfigError(str(e)) from None
     # the noise-free bound is the same at every point
-    bound = float(np.mean([zf_capacity_loss_bound(h, pair)
-                           for h in drawn.channels]))
-    rows = []
-    for snr in cfg.snr_db:
-        noise = NoiseModel.from_snr_db(snr)
-        value = float(np.mean([zf_capacity_loss(h, pair, noise)
-                               for h in drawn.channels]))
-        rows.append((float(snr), value, bound))
+    bound = float(np.mean(zf_capacity_loss_bound(channels, pair)))
+    rows = [(float(snr), float(np.mean(zf_capacity_loss(
+        channels, pair, NoiseModel.from_snr_db(snr)))), bound)
+        for snr in cfg.snr_db]
     return _emit_table(args, "capacity-loss", cfg,
                        ("snr_db", "value", "bound"), rows, (".10g",) * 3,
-                       _theory_manifest(args, drawn))
+                       manifest)
 
 
 def _cmd_mse(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, {"portsel": "first"})
-    drawn = draw_channels(cfg, args.draws)
+    cfg, channels, manifest = _theory_draws(args)
     ports = PortSet(range(1, cfg.n_a + 1))
-    rows = []
-    for snr in cfg.snr_db:
-        noise = NoiseModel.from_snr_db(snr)
-        value = float(np.mean([mmse_mse(h, ports, noise)
-                               for h in drawn.channels]))
-        rows.append((float(snr), value))
+    rows = [(float(snr), float(np.mean(mmse_mse(
+        channels, ports, NoiseModel.from_snr_db(snr)))))
+        for snr in cfg.snr_db]
     return _emit_table(args, "mse", cfg, ("snr_db", "value"), rows,
-                       (".10g",) * 2, _theory_manifest(args, drawn))
+                       (".10g",) * 2, manifest)
 
 
 def _cmd_portsel_bench(args: argparse.Namespace) -> int:

@@ -26,7 +26,7 @@ takes the small eigenvalues that set G at high SNR, which the SVD keeps
 ``mmse_screen`` are that route on a stack of channels. The engine factors
 a batch once and forms, at each SNR point, only the parts of G its
 receiver reads, never G; ``mmse_precoder`` and ``effective_gain_matrix``
-(the one place G is formed) are its views on a stack of one, as
+(the one place G is formed) are its views that form P and G, as
 ``zf_precoder`` is of ``zf_precoders``. Under ZF the engine keeps the
 screened inverse Gram and forms only the sent columns (H P) e_k
 (``zf_sent_columns``). Every route decides precodability
@@ -76,11 +76,11 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Precoder:
-    """Precoding matrix plus the scalar gain the receiver relies on.
+    """Precoding matrices plus the gains the receiver relies on.
 
     Attributes:
-        matrix: (N_a, N_r) complex precoder P, power-normalized.
-        beta: positive normalization gain.
+        matrix: (..., N_a, N_r) complex precoders P, power-normalized.
+        beta: (...) positive normalization gains.
     """
 
     matrix: np.ndarray
@@ -262,7 +262,7 @@ def zf_precoders(h: np.ndarray):
     A (B, N_r, N_r), failed (B,)) with A the screened inverse Gram (H
     H^H)^(-1), so that P = beta (A H)^H. failed flags the screen of
     _screened_hermitian_inverse and a beta that is not finite. P itself is
-    not formed: ``zf_precoder`` builds it for one channel, and
+    not formed: ``zf_precoder`` builds it, and
     ``zf_sent_columns`` builds only the columns H P e_k a receiver sees."""
     n_r = h.shape[1]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -287,56 +287,54 @@ def zf_sent_columns(h: np.ndarray, inv: np.ndarray, beta: np.ndarray,
         return (h @ pk.transpose(0, 2, 1))[:, :, 0]
 
 
-def _screened(u: np.ndarray, lam: np.ndarray, c: float):
-    """(u, lam) of a stack of one, or SingularChannelError if it fails
-    mmse_screen at c."""
-    if mmse_screen(u, lam, c)[0]:
-        raise SingularChannelError(
-            "channel Gram matrix is singular or ill conditioned")
-    return u, lam
+def _stack(h: np.ndarray):
+    """A stack h (..., N_r, N) as (B, N_r, N), and its leading shape."""
+    return h.reshape(-1, *h.shape[-2:]), h.shape[:-2]
 
 
-def _screened_factor(h_active: np.ndarray, c: float):
-    """(U, lambda, V^H) of one channel H = U diag(sqrt(lambda)) V^H as stacks
-    of one, from its SVD through mmse_screen at c, for the theory routes
-    that need V^H; a failing channel raises SingularChannelError. lambda
-    holds all N_r eigenvalues of H H^H (``_padded_svd``)."""
-    u, sigma, vh = _padded_svd(h_active[None])
-    return (*_screened(u, sigma ** 2, c), vh)
+def _raise_failed(failed: np.ndarray, what: str = "channel Gram matrix"):
+    """SingularChannelError naming the first draw ``failed`` (B,) flags."""
+    if failed.any():
+        raise SingularChannelError(f"{what} of draw {np.argmax(failed)} is "
+                                   f"singular or ill conditioned")
 
 
 def zf_precoder(h_active: np.ndarray) -> Precoder:
-    """Zero-forcing precoder for the active-port channel, the one-channel
-    view of zf_precoders; a failing channel raises SingularChannelError."""
-    beta, inv, failed = zf_precoders(h_active[None])
-    if failed[0]:
-        raise SingularChannelError(
-            "channel Gram matrix is singular or ill conditioned")
-    return Precoder(matrix=beta[0] * (inv[0] @ h_active).conj().T,
-                    beta=float(beta[0]))
+    """Zero-forcing precoders P (..., N_a, N_r) of a stack h (..., N_r, N_a),
+    from zf_precoders; a failing channel raises SingularChannelError."""
+    h, lead = _stack(h_active)
+    beta, inv, failed = zf_precoders(h)
+    _raise_failed(failed)
+    p = beta[:, None, None] * (inv @ h).conj().transpose(0, 2, 1)
+    return Precoder(matrix=p.reshape(*lead, *p.shape[1:]),
+                    beta=beta.reshape(lead))
 
 
 def mmse_precoder(h_active: np.ndarray, noise: NoiseModel) -> Precoder:
-    """MMSE (regularized) precoder; degenerates to ZF as the noise vanishes.
-
-    P = beta H^H U diag(1 / (lambda + N_r N_0)) U^H, from mmse_factor on a
-    stack of one; a channel that fails mmse_screen raises
-    SingularChannelError.
-    """
-    c = h_active.shape[0] * noise.n0
-    u, lam = _screened(*mmse_factor(h_active[None]), c)
-    beta = float(mmse_scales(lam, c)[1][0])
-    inv = (u[0] / (lam[0] + c)) @ u[0].conj().T
-    return Precoder(matrix=beta * (h_active.conj().T @ inv), beta=beta)
+    """MMSE (regularized) precoders of a stack h (..., N_r, N_a), which
+    degenerate to ZF as the noise vanishes: P = beta H^H U diag(1 / (lambda
+    + N_r N_0)) U^H, from mmse_factor; a channel that fails mmse_screen
+    raises SingularChannelError."""
+    h, lead = _stack(h_active)
+    c = h.shape[1] * noise.n0
+    u, lam = mmse_factor(h)
+    _raise_failed(mmse_screen(u, lam, c))
+    beta = mmse_scales(lam, c)[1]
+    inv = (u / (lam + c)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    p = beta[:, None, None] * (h.conj().transpose(0, 2, 1) @ inv)
+    return Precoder(matrix=p.reshape(*lead, *p.shape[1:]),
+                    beta=beta.reshape(lead))
 
 
 def effective_gain_matrix(h_active: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Hermitian G = H H^H (H H^H + N_r N_0 I)^(-1) = U diag(d) U^H.
-
-    The MMSE effective channel is beta * G. The engine's detectors read G
-    through its factor (U, d); the tests check that route against this.
-    """
-    c = h_active.shape[0] * noise.n0
-    u, lam = _screened(*mmse_factor(h_active[None]), c)
+    """Hermitian G = H H^H (H H^H + N_r N_0 I)^(-1) = U diag(d) U^H of each
+    channel of a stack h (..., N_r, N_a). The MMSE effective channel is beta
+    * G. The engine's detectors read G through its factor (U, d); the tests
+    check that route against this."""
+    h, lead = _stack(h_active)
+    c = h.shape[1] * noise.n0
+    u, lam = mmse_factor(h)
+    _raise_failed(mmse_screen(u, lam, c))
     d = mmse_scales(lam, c)[0]
-    return ((u * d[:, None, :]) @ u.conj().transpose(0, 2, 1))[0]
+    g = (u * d[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    return g.reshape(*lead, *g.shape[1:])

@@ -55,7 +55,7 @@ import numpy as np
 from farsm.channel import restrict_to_ports
 from farsm.correlation import SortedPairArrays
 from farsm.errors import ConfigError, NumericalError, SingularChannelError
-from farsm.precoding import (MAX_CONDITION, NoiseModel,
+from farsm.precoding import (MAX_CONDITION, NoiseModel, _raise_failed,
                              _screened_hermitian_inverse, mmse_precoder,
                              zf_precoder)
 
@@ -114,8 +114,9 @@ class PortSet:
 
 
 def capacity_of_set(h: np.ndarray, ports: PortSet, precoder_kind: str,
-                    noise: NoiseModel) -> float:
-    """Capacity (bits per channel use) of the precoded restricted channel.
+                    noise: NoiseModel) -> np.ndarray:
+    """Capacities (bits per channel use) of the precoded restricted channels
+    of a stack h (..., N_r, N), of its leading shape.
 
     C = log2 det(I + (1 / (N_r N_0)) (H P)(H P)^H) with P the requested
     precoder built on the restricted channel.
@@ -123,7 +124,7 @@ def capacity_of_set(h: np.ndarray, ports: PortSet, precoder_kind: str,
     if noise.n0 <= 0:
         raise ValueError("capacity evaluation needs a positive noise power")
     h_sel = restrict_to_ports(h, ports)
-    n_r = h_sel.shape[0]
+    n_r = h_sel.shape[-2]
     if precoder_kind == "zf":
         prec = zf_precoder(h_sel)
     elif precoder_kind == "mmse":
@@ -131,11 +132,11 @@ def capacity_of_set(h: np.ndarray, ports: PortSet, precoder_kind: str,
     else:
         raise ValueError(f"unknown precoder kind {precoder_kind!r}")
     hp = h_sel @ prec.matrix
-    m = np.eye(n_r) + (hp @ hp.conj().T) / (n_r * noise.n0)
+    m = np.eye(n_r) + (hp @ hp.conj().swapaxes(-1, -2)) / (n_r * noise.n0)
     sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0:
+    if (sign <= 0).any():
         raise NumericalError("capacity determinant not positive")
-    return float(logdet / math.log(2.0))
+    return logdet / math.log(2.0)
 
 
 @lru_cache(maxsize=8)
@@ -229,9 +230,7 @@ def initial_trace_state(h: np.ndarray, ports: PortSet | None = None) -> TraceSta
     h_act = restrict_to_ports(h, active)[None]
     inv, failed = _screened_hermitian_inverse(
         h_act @ h_act.conj().transpose(0, 2, 1))
-    if failed[0]:
-        raise SingularChannelError(
-            "active-port Gram matrix is singular or ill conditioned")
+    _raise_failed(failed, "active-port Gram matrix")
     return TraceState(inverse=inv[0], active=active)
 
 
@@ -291,9 +290,7 @@ def _tmd_ports(h: np.ndarray, cols: np.ndarray, n_a: int) -> PortSet:
     PortSet; raises SingularChannelError when the row fails."""
     idx, failed = _batch_tmd(h[None, :, cols].astype(complex, copy=False),
                              n_a)
-    if failed[0]:
-        raise SingularChannelError(
-            "active-port Gram matrix is singular or ill conditioned")
+    _raise_failed(failed, "active-port Gram matrix")
     return PortSet(tuple(int(p) + 1 for p in cols[idx[0]]))
 
 

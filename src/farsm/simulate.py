@@ -571,7 +571,7 @@ def _redraw_failed(cfg: SimConfig, ports, trials: np.ndarray,
     the redraws consumed as (selection, screen), each redraw counted under
     the cause its trial failed by in the attempt before. A trial still
     failed after ``_MAX_REDRAWS`` attempts raises, naming the first such
-    trial.
+    trial and the cause of its last attempt.
     """
     pending = np.flatnonzero(degenerate | ill)
     cause = degenerate[pending]
@@ -587,8 +587,9 @@ def _redraw_failed(cfg: SimConfig, ports, trials: np.ndarray,
         pending, cause = pending[bad], deg[bad]
         if not pending.size:
             return selection, screen
-    raise NumericalError(f"trial {trials[pending[0]]} still degenerate "
-                         f"after {_MAX_REDRAWS} redraws")
+    last = "a degenerate port selection" if cause[0] else "the precoder screen"
+    raise NumericalError(f"trial {trials[pending[0]]} still failed after "
+                         f"{_MAX_REDRAWS} redraws, the last by {last}")
 
 
 @dataclass(frozen=True)

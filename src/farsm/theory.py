@@ -21,19 +21,21 @@ and the MSE penalty for shrinking the set has the same expanded structure
 with B replaced by its regularized counterpart. Each routine evaluates both
 the direct difference and the expanded form and insists they agree to 1e-9;
 a disagreement means the inputs are too ill conditioned to trust.
+
+Each routine takes a stack h (..., N_r, N), a 2-D h being a stack of one,
+and returns an array of its leading shape from one factoring of the stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from farsm.channel import restrict_to_ports
-from farsm.errors import NumericalError, SingularChannelError
-from farsm.precoding import (NoiseModel, _screened_factor,
-                             _screened_hermitian_inverse)
+from farsm.errors import NumericalError
+from farsm.precoding import (NoiseModel, _padded_svd, _raise_failed,
+                             _screened_hermitian_inverse, _stack, mmse_screen)
 from farsm.selection import PortSet, capacity_of_set
 
 _AGREEMENT_ATOL = 1e-9
@@ -58,10 +60,19 @@ class NestedSetPair:
         return tuple(sorted(set(self.outer) - set(self.inner)))
 
 
-def _removal_update(h: np.ndarray, pair: NestedSetPair,
-                    shift: float) -> tuple[float, float]:
+def _agreed(what: str, closed: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """``closed``, if it is within 1e-9 of ``direct`` on every channel; else
+    NumericalError naming the first channel where it is not."""
+    bad = np.flatnonzero(np.abs(closed - direct) > _AGREEMENT_ATOL)
+    if bad.size:
+        raise NumericalError(f"{what} routes disagree on draw {bad[0]}: "
+                             f"{closed.flat[bad[0]]} vs {direct.flat[bad[0]]}")
+    return closed
+
+
+def _removal_update(h: np.ndarray, pair: NestedSetPair, shift: float):
     """tr(B) and tr(D) for the outer inverse Gram (optionally regularized by
-    ``shift`` * I) and the removed columns.
+    ``shift`` * I) and the removed columns, each of h's leading shape.
 
     Both come from one SVD H_out = U diag(s) V^H, without forming the Gram:
     B = U diag(1/d) U^H with d = s^2 + shift, and with V_r the columns of
@@ -71,76 +82,70 @@ def _removal_update(h: np.ndarray, pair: NestedSetPair,
     of fewer than N_r ports fails; the core is inverted through
     _screened_hermitian_inverse.
     """
-    _, lam, vh = _screened_factor(restrict_to_ports(h, pair.outer), shift)
-    lam, vh = lam[0], vh[0]
+    h_out, lead = _stack(restrict_to_ports(h, pair.outer))
+    u, sigma, vh = _padded_svd(h_out)
+    lam = sigma ** 2
+    _raise_failed(mmse_screen(u, lam, shift))
     d = lam + shift
-    removed = set(pair.removed)
-    vr = vh[:, [i for i, p in enumerate(pair.outer) if p in removed]]
-    w = (lam / d)[:, None]
-    core = np.eye(vr.shape[1]) - vr.conj().T @ (w * vr)
-    core_inv, failed = _screened_hermitian_inverse(core[None])
-    if failed[0]:
-        raise SingularChannelError(
-            "removal update core is singular or ill conditioned")
+    vr = vh[:, :, [i for i, p in enumerate(pair.outer) if p not in pair.inner]]
+    vr_h = vr.conj().transpose(0, 2, 1)
+    w = (lam / d)[:, :, None]
+    core_inv, failed = _screened_hermitian_inverse(
+        np.eye(vr.shape[2]) - vr_h @ (w * vr))
+    _raise_failed(failed, "removal update core")
     # tr(D) = tr(core^-1 (B H_rem)^H (B H_rem))
-    bh_gram = vr.conj().T @ ((w / d[:, None]) * vr)
-    return float(np.sum(1.0 / d)), float(np.trace(core_inv[0] @ bh_gram).real)
+    bh_gram = vr_h @ ((w / d[:, :, None]) * vr)
+    tr_d = np.trace(core_inv @ bh_gram, axis1=1, axis2=2).real
+    return np.sum(1.0 / d, axis=1).reshape(lead), tr_d.reshape(lead)
 
 
 def zf_capacity_loss(h: np.ndarray, pair: NestedSetPair,
-                     noise: NoiseModel) -> float:
+                     noise: NoiseModel) -> np.ndarray:
     """ZF capacity lost by shrinking the outer port set to the inner one.
 
-    Returns the closed form; raises if it disagrees with the directly
-    computed capacity difference (full precoder + determinant route) by more
-    than 1e-9 bits.
+    Returns the closed form; raises if on any channel it disagrees with the
+    directly computed capacity difference (full precoder + determinant
+    route) by more than 1e-9 bits.
     """
     if noise.n0 <= 0:
         raise ValueError("capacity loss needs a positive noise power")
-    n_r = h.shape[0]
     tr_b, tr_d = _removal_update(h, pair, 0.0)
-    closed = n_r * math.log2(
+    closed = h.shape[-2] * np.log2(
         1.0 + tr_d / (tr_b * (tr_b + tr_d) * noise.n0 + tr_b))
     direct = (capacity_of_set(h, pair.outer, "zf", noise)
               - capacity_of_set(h, pair.inner, "zf", noise))
-    if abs(closed - direct) > _AGREEMENT_ATOL:
-        raise NumericalError(
-            f"capacity-loss routes disagree: {closed!r} vs {direct!r}")
-    return closed
+    return _agreed("capacity-loss", closed, direct)
 
 
-def zf_capacity_loss_bound(h: np.ndarray, pair: NestedSetPair) -> float:
+def zf_capacity_loss_bound(h: np.ndarray, pair: NestedSetPair) -> np.ndarray:
     """Noise-free ceiling of the ZF capacity loss: N_r log2(1 + trD / trB)."""
-    n_r = h.shape[0]
     tr_b, tr_d = _removal_update(h, pair, 0.0)
-    return n_r * math.log2(1.0 + tr_d / tr_b)
+    return h.shape[-2] * np.log2(1.0 + tr_d / tr_b)
 
 
-def mmse_mse(h: np.ndarray, ports: PortSet, noise: NoiseModel) -> float:
+def mmse_mse(h: np.ndarray, ports: PortSet, noise: NoiseModel) -> np.ndarray:
     """Symbol MSE of the MMSE design over the given port set: c sum 1 /
     (lambda + c), c = N_r N_0, from the screened factor of the precoder."""
     if noise.n0 <= 0:
         raise ValueError("MSE needs a positive noise power")
-    c = h.shape[0] * noise.n0
-    lam = _screened_factor(restrict_to_ports(h, ports), c)[1]
-    return float(c * np.sum(1.0 / (lam + c)))
+    h_sel, lead = _stack(restrict_to_ports(h, ports))
+    c = h_sel.shape[1] * noise.n0
+    u, sigma = _padded_svd(h_sel)[:2]
+    _raise_failed(mmse_screen(u, sigma ** 2, c))
+    return (c * np.sum(1.0 / (sigma ** 2 + c), axis=1)).reshape(lead)
 
 
 def mmse_mse_difference(h: np.ndarray, pair: NestedSetPair,
-                        noise: NoiseModel) -> float:
+                        noise: NoiseModel) -> np.ndarray:
     """MSE penalty for shrinking the outer port set to the inner one.
 
     Positive for any strict shrink. Computed both as the direct difference
-    and through the removal update; the two must agree to 1e-9.
+    and through the removal update; the two must agree to 1e-9 on every
+    channel.
     """
     if noise.n0 <= 0:
         raise ValueError("MSE needs a positive noise power")
-    n_r = h.shape[0]
-    c = n_r * noise.n0
-    _, tr_d = _removal_update(h, pair, c)
-    closed = c * tr_d
+    c = h.shape[-2] * noise.n0
+    closed = c * _removal_update(h, pair, c)[1]
     direct = mmse_mse(h, pair.inner, noise) - mmse_mse(h, pair.outer, noise)
-    if abs(closed - direct) > _AGREEMENT_ATOL:
-        raise NumericalError(
-            f"MSE-difference routes disagree: {closed!r} vs {direct!r}")
-    return closed
+    return _agreed("MSE-difference", closed, direct)

@@ -12,7 +12,7 @@ from farsm.correlation import build_correlation_model, port_coordinates
 from farsm.errors import ConfigError, NumericalError
 from farsm.precoding import NoiseModel
 from farsm.selection import PortSet
-from farsm.simulate import SimConfig, _draw_trials
+from farsm.simulate import SimConfig, _draw_trials, draw_channels
 from farsm.theory import NestedSetPair, zf_capacity_loss
 
 DATA = Path(__file__).parent / "data"
@@ -325,7 +325,13 @@ def test_redraw_exhaustion_exits_3(capsys):
                             "--portsel", "first", "--trials", "50",
                             "--snr", "10"], capsys)
     assert code == 3
-    assert "trial 0 still degenerate after 8 redraws" in err
+    assert ("trial 0 still failed after 8 redraws, the last by the precoder "
+            "screen") in err
+    # the theory draws fail the same ZF screen at 0.02 wavelengths
+    code, _, err = run_cli(["capacity-loss", "--w1", "0.02", "--w2", "0.02",
+                            "--snr", "10"], capsys)
+    assert code == 3
+    assert "after 8 redraws, the last by the precoder screen" in err
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -372,8 +378,9 @@ def test_capacity_loss_csv(tmp_path, capsys):
     assert vals[0][2] == vals[1][2] == vals[2][2]
 
 
-def test_capacity_loss_bound_runs_once_per_draw(monkeypatch, capsys):
-    # the noise-free bound does not depend on the SNR point
+def test_capacity_loss_bound_runs_once_per_run(monkeypatch, capsys):
+    # the noise-free bound does not depend on the SNR point: one call on
+    # the stack of all draws
     bound = cli.zf_capacity_loss_bound
     calls = []
 
@@ -385,7 +392,8 @@ def test_capacity_loss_bound_runs_once_per_draw(monkeypatch, capsys):
     code, _, _ = run_cli(
         ["capacity-loss", "--snr", "0:10:20", "--draws", "5"], capsys)
     assert code == 0
-    assert len(calls) == 5
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], draw_channels(SimConfig(), 5).channels)
 
 
 def test_capacity_loss_compact_aperture(capsys):
@@ -469,7 +477,9 @@ def test_capacity_loss_averages_the_channels_of_ber_first(
     assert code == 0, err
     manifest = json.loads((tmp_path / "cl.manifest.json").read_text())
     assert manifest["redraws"] == ber_manifest["redraws"] == 2
-    assert np.array_equal(np.stack(seen), want)
+    # one call, on the (draws, N_r, N) stack
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], want)
 
 
 def test_capacity_loss_needs_a_port_to_drop(capsys):
@@ -482,6 +492,15 @@ def test_capacity_loss_needs_a_port_to_drop(capsys):
                               "--draws", "5"], capsys)
     assert code == 0, err
     assert len(out.strip().split("\n")) == 2
+
+
+@pytest.mark.parametrize("command", ["capacity-loss", "mse"])
+def test_theory_commands_reject_a_noiseless_point(command, capsys):
+    # validate() accepts +inf dB, where the closed forms have no noise power
+    code, _, err = run_cli([command, "--snr", "inf", "--draws", "5"], capsys)
+    assert code == 2
+    assert "error: SNR point inf dB is not finite" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["capacity-loss", "mse"])

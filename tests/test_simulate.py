@@ -425,12 +425,16 @@ def test_redraws_are_split_by_cause(name, monkeypatch):
 @pytest.mark.parametrize("portsel,first_failed", [("tmd", 1), ("first", 0)])
 def test_redraw_exhaustion_names_the_first_failed_trial(portsel, first_failed):
     # at a thousandth of a wavelength every channel is near rank one; under
-    # TMD trial 0 finds a precodable draw within its redraws, trial 1 does not
+    # TMD trial 0 finds a precodable draw within its redraws, trial 1 does
+    # not, its last draw failing the selection; the first ports of trial 0
+    # fail the precoder screen on every draw
     cfg = SimConfig(w1=0.001, w2=0.001, portsel=portsel, trials=50,
                     snr_db=(10.0,))
+    cause = {"tmd": "a degenerate port selection",
+             "first": "the precoder screen"}[portsel]
     with pytest.raises(NumericalError,
-                       match=f"^trial {first_failed} still degenerate "
-                             f"after 8 redraws$"):
+                       match=f"^trial {first_failed} still failed after 8 "
+                             f"redraws, the last by {cause}$"):
         run_ber_sweep(cfg)
 
 

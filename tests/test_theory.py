@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_channel
+from farsm import theory
+from farsm.errors import NumericalError, SingularChannelError
 from farsm.precoding import NoiseModel
 from farsm.selection import PortSet, capacity_of_set
+from farsm.simulate import SimConfig, draw_channels
 from farsm.theory import (NestedSetPair, mmse_mse, mmse_mse_difference,
                           zf_capacity_loss, zf_capacity_loss_bound)
 
@@ -110,3 +113,56 @@ def test_mse_difference_vanishes_with_noise():
             for n0 in np.logspace(-1, -8, 15)]
     assert (np.diff(vals) < 0).all()
     assert vals[-1] < 1e-6
+
+
+FIRST = NestedSetPair(inner=PortSet(range(1, 5)), outer=PortSet(range(1, 17)))
+
+
+@pytest.mark.parametrize("w", [0.25, 1.0])
+def test_stack_equals_single(w):
+    # each routine returns, entry by entry, what it returns on each draw
+    # alone: the stack is factored at once, not draw by draw
+    hs = draw_channels(SimConfig(w1=w, w2=w), 12).channels
+    assert hs.shape == (12, 4, 16)
+    routines = [lambda h: zf_capacity_loss_bound(h, FIRST)]
+    for snr_db in (0.0, 20.0, 40.0):
+        noise = NoiseModel.from_snr_db(snr_db)
+        routines += [
+            lambda h, n=noise: zf_capacity_loss(h, FIRST, n),
+            lambda h, n=noise: mmse_mse(h, FIRST.inner, n),
+            lambda h, n=noise: mmse_mse_difference(h, FIRST, n),
+            lambda h, n=noise: capacity_of_set(h, FIRST.inner, "zf", n),
+            lambda h, n=noise: capacity_of_set(h, FIRST.outer, "mmse", n)]
+    for routine in routines:
+        stacked = routine(hs)
+        assert stacked.shape == (12,)
+        assert np.array_equal(stacked, [routine(h) for h in hs])
+
+
+def test_stack_with_a_rank_deficient_draw_raises():
+    hs = draw_channels(SimConfig(), 6).channels.copy()
+    hs[3] = np.outer(hs[3, :, 0], np.ones(16))  # rank one
+    with pytest.raises(SingularChannelError, match="draw 3 "):
+        zf_capacity_loss(hs, FIRST, NoiseModel.from_snr_db(10.0))
+    with pytest.raises(SingularChannelError, match="draw 3 "):
+        zf_capacity_loss_bound(hs, FIRST)
+
+
+@pytest.mark.parametrize("routine, direct", [
+    (zf_capacity_loss, "capacity_of_set"),
+    (mmse_mse_difference, "mmse_mse")])
+def test_disagreement_names_the_draw(routine, direct, monkeypatch):
+    # a direct route off by 1e-6 on draw 4 of the inner set alone fails the
+    # 1e-9 check there
+    hs = draw_channels(SimConfig(), 6).channels
+    exact = getattr(theory, direct)
+
+    def skewed(h, ports, *args):
+        value = exact(h, ports, *args).copy()
+        if ports is FIRST.inner:
+            value[4] += 1e-6
+        return value
+
+    monkeypatch.setattr(theory, direct, skewed)
+    with pytest.raises(NumericalError, match="routes disagree on draw 4: "):
+        routine(hs, FIRST, NoiseModel.from_snr_db(10.0))
