@@ -8,8 +8,8 @@ Run from the repository root:
 
 The parent revision is exported with ``git archive`` into a temporary
 directory, as scripts/bench_pair.py does. The working tree draws the channel
-stacks once, through the engine's draw stage (``simulate._draw_trials``,
-coloured by the root of ``simulate._port_model``): block i holds trials
+stacks once, through the engine's draw stage (``simulate._draw_trials``
+with the colouring root of ``simulate._port_model``): block i holds trials
 0..20479 of master seed 100 + i. It saves each stack to an .npz file, and
 each tree then runs, in its own subprocess, the engine's selection stage
 (``simulate._select_indices``) on those same stacks in batches of 2048. So
@@ -83,8 +83,8 @@ def draw_stacks(cases: str, block: str, out_dir: str) -> None:
     for case in cases.split(","):
         cfg = _case_config(case, int(block))
         root = simulate._port_model(cfg)[0]
-        hw = simulate._draw_trials(cfg, np.arange(BLOCK))[0]
-        np.savez(Path(out_dir) / f"{case}.npz", hb=hw @ root,
+        hb = simulate._draw_trials(cfg, np.arange(BLOCK), 0, root)[0]
+        np.savez(Path(out_dir) / f"{case}.npz", hb=hb,
                  source=simulate.__file__)
 
 

@@ -1,13 +1,16 @@
 """Seeded random streams and channel sampling.
 
 Monte Carlo trials must be reproducible and order-independent, so every draw
-comes from a counter-based Philox stream keyed by a 64-bit master seed plus a
-64-bit stream id. Two streams with the same key always produce the same
-values, no matter how many other streams were consumed in between; distinct
-ids give statistically independent streams. That makes streams safe to
-evaluate in any order or in parallel. The Monte Carlo engine's stream per
-block of trials (``farsm.simulate._draw_trials``) is a ``SeededRng`` too,
-so every stream has the one 128-bit key layout.
+comes from a stream that is a pure function of a 64-bit master seed and a
+64-bit stream id: an SFC64 generator seeded by numpy's ``SeedSequence`` with
+the master seed as entropy and the stream id as spawn key, which is exactly
+the stream_id-th child that ``SeedSequence(master_seed).spawn`` hands out.
+Two streams with the same pair always produce the same values, no matter
+how many other streams were consumed in between; distinct pairs give
+statistically independent streams. That makes streams safe to evaluate in
+any order or in parallel. The Monte Carlo engine's stream per block of
+trials (``farsm.simulate._draw_trials``) is a ``SeededRng`` too, so every
+stream is keyed the one way.
 
 Channel conventions: entries are CN(0, 1) (circularly symmetric complex
 Gaussian, unit variance split evenly between real and imaginary parts). A
@@ -33,7 +36,8 @@ class SeededRng:
 
     ``master_seed`` identifies the experiment, ``stream_id`` the consumer
     (a block of trials, or a redraw of a failed trial). Both must fit in 64
-    bits; together they form the 128-bit Philox key.
+    bits; the stream is SFC64 seeded by ``SeedSequence(master_seed,
+    spawn_key=(stream_id,))``.
     """
 
     master_seed: int
@@ -47,8 +51,9 @@ class SeededRng:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
-        key = (self.master_seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(self.master_seed,
+                                     spawn_key=(self.stream_id,))
+        return np.random.Generator(np.random.SFC64(seq))
 
 
 def _as_generator(rng: SeededRng | np.random.Generator) -> np.random.Generator:

@@ -1,7 +1,8 @@
 """Monte Carlo engine: BER sweeps, ratio histograms, selection benchmarks.
 
-Trials draw from counter-based random streams keyed by the master seed and
-a stream id, so results are bit-identical for a given seed no matter how
+Trials draw from random streams that are pure functions of the master
+seed and a stream id (``channel.SeededRng``: SFC64 through ``SeedSequence``
+spawn keys), so results are bit-identical for a given seed no matter how
 trials are batched or parallelized, and a failed trial can be re-drawn from
 a derived sub-stream without disturbing its neighbours. One trial draws a
 channel, its payload bits, and a unit noise vector that is scaled per SNR
@@ -16,31 +17,30 @@ kernels. The detectors and the bit mapping are the stacked kernels of
 runs a batch of one through the same stages as the sweep, and
 :func:`draw_channels` keeps the screened channels of a ``first``-port ZF
 sweep, which the theory metrics and the selection benchmark average over.
-Streams are keyed per block of 256 consecutive trials (stream version 2):
-a block draws all its channels, then all its payloads, then all its noise
-with one vectorized call each, and a batch draws every block it touches
-whole, so no value depends on the batch bounds; a redraw is a block of one
-trial on its own sub-stream. Drawing, colouring, selecting and screening
-the precoder is one step. A batch takes it once for its trials and then
-once per redraw attempt for the trials still failed, as one batch, writing
-the trials that pass back into the batch in place, and redraws are
-counted by cause (a degenerate selection or a failed screen). The draw is
-coloured in place, a row block at a time. The ZF precoder does not depend
-on the noise level, so the screen's serves every SNR point, and the step
-keeps only beta and each trial's sent column (H P) e_k = H (P e_k), built
-from row k of the inverse Gram (``precoding.zf_sent_columns``); neither P
-nor H P is formed. MMSE factors the selected channels once in that step,
-H H^H = U diag(lambda) U^H by eigh of the formed Gram, or by the SVD of H
-on the rows too ill conditioned for that (``precoding.mmse_factor``); the
-screen reads the same factor (a redraw factors only its own trials), and
-each SNR point forms from U and the rescaled eigenvalues d only what its
-receiver reads: the sent column g_k of G, the diagonal entries G[k, k] of
-the energy detector's rows, and the projections g_k^H y and ||g_k||^2 of
-the rows that reach the joint ML search (``detection.mld``); G is never
-formed. One detect stage serves MLD (no energy-detector rows), MED (all
-rows) and RTTD, which runs the joint ML search only on the rows its ratio
-test sends there and reports, per point, how many rows the energy
-detector decided.
+Streams are keyed per block of 256 consecutive trials (stream version 3): a
+block draws all its channels as real and imaginary planes, then all its
+payloads, then all its noise with one vectorized call each, and colours its
+channels with one real product. A batch draws every block it touches whole,
+so no value depends on the batch bounds, and a redraw is a block of one
+trial on its own sub-stream. Drawing, colouring, selecting and screening the
+precoder is one step. A batch takes it once for its trials and then once per
+redraw attempt for the trials still failed, as one batch, writing the trials
+that pass back into the batch in place, and redraws are counted by cause (a
+degenerate selection or a failed screen). The ZF precoder does not depend on
+the noise level, so the screen's serves every SNR point, and the step keeps
+only beta and each trial's sent column (H P) e_k = H (P e_k), built from row
+k of the inverse Gram (``precoding.zf_sent_columns``); neither P nor H P is
+formed. MMSE factors the selected channels once in that step, H H^H = U
+diag(lambda) U^H by eigh of the formed Gram, or by the SVD of H on the rows
+too ill conditioned for that (``precoding.mmse_factor``); the screen reads
+the same factor (a redraw factors only its own trials), and each SNR point
+forms from U and the rescaled eigenvalues d only what its receiver reads:
+the sent column g_k of G, the diagonal entries G[k, k] of the energy
+detector's rows, and the projections g_k^H y and ||g_k||^2 of the rows that
+reach the joint ML search (``detection.mld``); G is never formed. One detect
+stage serves MLD (no energy-detector rows), MED (all rows) and RTTD, which
+runs the joint ML search only on the rows its ratio test sends there and
+reports, per point, how many rows the energy detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
 (default 1). Each batch returns one record of its results (``_Tally``),
 and ``_fold`` combines the records in job order, so the thread count never
@@ -74,9 +74,8 @@ from farsm.detection import mld as _mld_batch
 from farsm.modulation import bits_to_indices, build_qam, indices_to_bits
 from farsm.precoding import (NoiseModel, mmse_factor, mmse_scales,
                              mmse_screen, zf_precoders, zf_sent_columns)
-from farsm.selection import (_ROW_BLOCK, _batch_mce_tmd, _batch_optimal,
-                             _batch_tmd, mce_tmd_select, optimal_select,
-                             tmd_select)
+from farsm.selection import (_batch_mce_tmd, _batch_optimal, _batch_tmd,
+                             mce_tmd_select, optimal_select, tmd_select)
 
 _BATCH = 2048
 _BLOCK = 256  # trials per first-draw stream; _BATCH is 8 blocks
@@ -89,7 +88,7 @@ _DETECTORS = ("mld", "med", "rttd")
 # Version of the random streams a sweep draws from (the stream-id layout
 # below and the order of the draws in _draw_trials). Manifests record it;
 # a change that moves any seeded number bumps it.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 
 def _is_int(value) -> bool:
@@ -383,42 +382,60 @@ def _keep_batch_memory() -> None:
 # batched trial pipeline
 # ---------------------------------------------------------------------------
 
-def _draw_trials(cfg: SimConfig, trials: np.ndarray, redraw: int = 0):
-    """Channel factor, payload bits and unit noise of the given trials.
+def _draw_trials(cfg: SimConfig, trials: np.ndarray, redraw: int = 0,
+                 root: np.ndarray | None = None):
+    """Channels, payload bits and unit noise of the given trials.
 
     First draws come in blocks of ``_BLOCK`` trials, block b reading the
     stream (master_seed, stream_id(b)); redraw a of trial t is a block of
     one on stream_id(t, a). A block of S trials draws, in order, its channel
-    normals into the float64 view of a complex (S, N_r, N) array, its
-    payloads as ``random_raw`` words and its noise normals into the float64
-    view of a complex (S, N_r) array; both are then scaled by 1/sqrt(2).
-    Every block ``trials`` touch is drawn whole and their rows are returned
-    in order, so no value depends on the batch or the order of ``trials``.
+    normals as a real and an imaginary plane (2, S N_r, N), its payloads as
+    ``random_raw`` words and its noise normals, the real and imaginary part
+    of each entry in turn. The planes are drawn into the memory of the
+    block's own complex rows, coloured and scaled by one real product with
+    root / sqrt(2) into a block-sized scratch (scaled alone where ``root``
+    is None, which leaves the channels white, as the baseline draws them),
+    and interleaved back into the rows. The noise is drawn into the same
+    scratch and scaled by 1 / sqrt(2) on its way out. Every block
+    ``trials`` touch is drawn whole and their rows are returned in order,
+    so no value depends on the batch or the order of ``trials``.
     """
     n_cols = cfg.n_a if cfg.baseline else cfg.n_ports
     words = -(-cfg.bits_per_use // 8)
     size = 1 if redraw else _BLOCK
     blocks = np.array(sorted(set((trials // size).tolist())))
-    hw = np.empty((blocks.size, size, cfg.n_r, n_cols), dtype=complex)
+    hb = np.empty((blocks.size, size, cfg.n_r, n_cols), dtype=complex)
     wu = np.empty((blocks.size, size, cfg.n_r), dtype=complex)
     raw = np.empty((blocks.size, size, words), dtype=np.uint64)
+    scale = 1.0 / math.sqrt(2.0)
+    colour = None if root is None else root * scale
+    scratch = np.empty((2, size * cfg.n_r, n_cols))
+    noise = scratch.reshape(-1)[:2 * size * cfg.n_r]
     for j, b in enumerate(blocks.tolist()):
         g = SeededRng(cfg.master_seed, stream_id(b, redraw)).generator()
-        g.standard_normal(out=hw[j].view(np.float64))
+        planes = hb[j].view(np.float64).reshape(scratch.shape)
+        g.standard_normal(out=planes)
+        if colour is None:
+            np.multiply(planes, scale, out=scratch)
+        else:
+            np.matmul(planes.reshape(-1, n_cols), colour,
+                      out=scratch.reshape(-1, n_cols))
+        hb[j].real = scratch[0].reshape(hb.shape[1:])
+        hb[j].imag = scratch[1].reshape(hb.shape[1:])
         raw[j] = g.bit_generator.random_raw((size, words))
-        g.standard_normal(out=wu[j].view(np.float64))
-    hw *= 1.0 / math.sqrt(2.0)
-    wu *= 1.0 / math.sqrt(2.0)
+        g.standard_normal(out=noise)
+        np.multiply(noise, scale, out=wu[j].view(np.float64).reshape(-1))
     bits = _payload_bits(raw.reshape(-1, words), cfg.bits_per_use)
     rows = np.searchsorted(blocks, trials // size) * size + trials % size
     if np.array_equal(rows, np.arange(rows[0], rows[0] + rows.size)):
         rows = slice(rows[0], rows[0] + rows.size)  # views, no gather
-    return (hw.reshape(-1, cfg.n_r, n_cols)[rows], bits[rows],
+    return (hb.reshape(-1, cfg.n_r, n_cols)[rows], bits[rows],
             wu.reshape(-1, cfg.n_r)[rows])
 
 
 def _payload_bits(raw: np.ndarray, n_bits: int) -> np.ndarray:
-    """(B, n_bits) uint8 bits from (B, ceil(n_bits / 8)) raw Philox words.
+    """(B, n_bits) uint8 bits from (B, ceil(n_bits / 8)) raw 64-bit words of
+    the block streams.
 
     Bit j is the top bit of byte j of the little-endian words, bit
     8 (j % 8) + 7 of word j // 8.
@@ -538,18 +555,10 @@ def _draw_and_screen(cfg: SimConfig, ports, trials: np.ndarray, n0: float,
     payload bits, unit noise and coloured channels, then what the SNR points
     are built from: the ZF beta and sent columns (H P) e_k (B, N_r)
     (``precoding.zf_sent_columns``), or the MMSE factor (U, lambda). The
-    draw is coloured in place, ``_ROW_BLOCK`` trials per product, so no
-    second (B, N_r, N) array is made.
+    draw stage colours the channels (``_draw_trials``).
     """
     root, pairs = ports
-    hb, bits, wu = _draw_trials(cfg, trials, redraw)
-    if not cfg.baseline:
-        buf = np.empty((min(len(hb), _ROW_BLOCK), *hb.shape[1:]),
-                       dtype=complex)
-        for lo in range(0, len(hb), _ROW_BLOCK):
-            blk = hb[lo:lo + _ROW_BLOCK]
-            blk[...] = np.matmul(blk, root, out=buf[:len(blk)])
-        del buf
+    hb, bits, wu = _draw_trials(cfg, trials, redraw, root)
     idx, degenerate = _select_indices(cfg, hb, pairs)
     h_sel = np.take_along_axis(hb, idx[:, None, :], axis=2)
     beta, inv, factor, ill = _precode_batch(cfg, h_sel, n0)

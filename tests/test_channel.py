@@ -13,6 +13,17 @@ def test_seeded_rng_is_reproducible():
     assert np.array_equal(a, b)
 
 
+def test_seeded_rng_is_the_spawned_child_of_the_master_seed():
+    # stream i of a master seed is the i-th child SeedSequence.spawn hands
+    # out, driving SFC64
+    seed = (1 << 64) - 1
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(4)):
+        want = np.random.Generator(np.random.SFC64(child)).standard_normal(8)
+        got = SeededRng(seed, i).generator()
+        assert isinstance(got.bit_generator, np.random.SFC64)
+        assert np.array_equal(got.standard_normal(8), want)
+
+
 def test_seeded_rng_streams_differ():
     a = SeededRng(42, 0).generator().standard_normal(8)
     b = SeededRng(42, 1).generator().standard_normal(8)

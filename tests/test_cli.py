@@ -119,7 +119,7 @@ def test_manifest_records_stream_version(command, tmp_path, capsys):
                           "--portsel", "tmd", "--out", str(out)], capsys)
     assert code == 0
     manifest = json.loads((tmp_path / "run.manifest.json").read_text())
-    assert manifest["stream_version"] == 2
+    assert manifest["stream_version"] == 3
 
 
 @pytest.mark.parametrize("command", ["ber", "ratio-hist"])
@@ -410,19 +410,19 @@ def test_capacity_loss_compact_aperture(capsys):
 
 @pytest.mark.parametrize("command", ["capacity-loss", "mse"])
 def test_theory_redraws_ill_conditioned_draws(command, tmp_path, capsys):
-    # at w = 0.05 the engine's first draws of two of the first 50 trials
+    # at w = 0.05 the engine's first draws of two of the first 100 trials
     # have first-4-port ZF Grams that fail the screen; both are redrawn
     # before any point, as ber --portsel first redraws them
     out = tmp_path / "theory.csv"
     code, _, err = run_cli(
         [command, "--w1", "0.05", "--w2", "0.05", "--snr", "0:10:40",
-         "--draws", "50", "--out", str(out)], capsys)
+         "--draws", "100", "--out", str(out)], capsys)
     assert code == 0, err
     manifest = json.loads((tmp_path / "theory.manifest.json").read_text())
     assert manifest["redraws"] == 2
     assert manifest["screen_redraws"] == 2
     assert manifest["selection_redraws"] == 0
-    assert manifest["stream_version"] == 2
+    assert manifest["stream_version"] == 3
     assert len(out.read_text().strip().split("\n")) == 6
 
 
@@ -439,7 +439,7 @@ def test_theory_draws_that_pass_the_screen_are_kept(tmp_path, capsys):
     pair = NestedSetPair(inner=PortSet(range(1, 5)),
                          outer=PortSet(range(1, 17)))
     # no redraw: the channels are the engine's first draws, coloured
-    hs = _draw_trials(cfg, np.arange(5))[0] @ model.root
+    hs = _draw_trials(cfg, np.arange(5), 0, model.root)[0]
     rows = [l.split(",") for l in out.read_text().strip().split("\n")[1:]]
     for (snr, value, _), snr_db in zip(rows, (0.0, 10.0, 20.0)):
         noise = NoiseModel.from_snr_db(snr_db)
@@ -454,14 +454,14 @@ def test_capacity_loss_averages_the_channels_of_ber_first(
     grid = ["--w1", "0.05", "--w2", "0.05", "--seed", "0"]
     dump = tmp_path / "h.csv"
     code, _, err = run_cli(
-        ["ber", *grid, "--portsel", "first", "--trials", "50", "--snr", "10",
+        ["ber", *grid, "--portsel", "first", "--trials", "100", "--snr", "10",
          "--dump-channels", str(dump), "--out", str(tmp_path / "ber.csv")],
         capsys)
     assert code == 0, err
     ber_manifest = json.loads((tmp_path / "ber.manifest.json").read_text())
     rows = np.loadtxt(dump, delimiter=",")
-    want = (rows[:, 3] + 1j * rows[:, 4]).reshape(50, 4, 16)
-    assert np.array_equal(rows[::64, 0], np.arange(50))
+    want = (rows[:, 3] + 1j * rows[:, 4]).reshape(100, 4, 16)
+    assert np.array_equal(rows[::64, 0], np.arange(100))
 
     bound = cli.zf_capacity_loss_bound
     seen = []
@@ -472,7 +472,7 @@ def test_capacity_loss_averages_the_channels_of_ber_first(
 
     monkeypatch.setattr(cli, "zf_capacity_loss_bound", spy)
     code, _, err = run_cli(
-        ["capacity-loss", *grid, "--snr", "0:10:20", "--draws", "50",
+        ["capacity-loss", *grid, "--snr", "0:10:20", "--draws", "100",
          "--out", str(tmp_path / "cl.csv")], capsys)
     assert code == 0, err
     manifest = json.loads((tmp_path / "cl.manifest.json").read_text())

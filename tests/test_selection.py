@@ -435,8 +435,8 @@ def test_batch_tmd_equals_scalar_on_ill_conditioned_draws(ws, rows):
     stacks = []
     for w in ws:
         cfg = SimConfig(w1=w, w2=w, master_seed=31).validate()
-        stacks.append(_draw_trials(cfg, np.arange(rows // len(ws)))[0]
-                      @ _port_model(cfg)[0])
+        stacks.append(_draw_trials(cfg, np.arange(rows // len(ws)), 0,
+                                   _port_model(cfg)[0])[0])
     hb = np.stack(stacks, axis=1).reshape(rows, cfg.n_r, cfg.n_ports)
     idx, failed = _batch_tmd(hb, cfg.n_a)
     for b, h in enumerate(hb):
@@ -473,7 +473,7 @@ def test_batch_tmd_masked_fallback_equals_scalar(eps, monkeypatch):
     seen = _count_masked_rows(monkeypatch)
     cfg = SimConfig(n_r=8, n_a=8, w1=0.1, w2=0.1, portsel="tmd",
                     master_seed=31).validate()
-    hb = _draw_trials(cfg, np.arange(256))[0] @ _port_model(cfg)[0]
+    hb = _draw_trials(cfg, np.arange(256), 0, _port_model(cfg)[0])[0]
     idx, failed = _batch_tmd(hb, cfg.n_a)
     assert seen[0] > 0
     assert not failed.any()
@@ -500,7 +500,7 @@ def test_batch_tmd_mixed_stack_equals_rows_one_at_a_time(eps, draw_channel,
                   random_channel(2, 4, 2) @ random_channel(3, 2, n),
                   zero_row, np.zeros((4, n), dtype=complex), one_port]
     cfg = SimConfig(w1=0.1, w2=0.1, master_seed=31).validate()
-    narrow = _draw_trials(cfg, np.arange(96))[0] @ _port_model(cfg)[0]
+    narrow = _draw_trials(cfg, np.arange(96), 0, _port_model(cfg)[0])[0]
     rows = [draw_channel(s + 700) for s in range(64)] + list(narrow)
     for k, h in enumerate(degenerate):
         rows.insert(29 * k + 3, h)
