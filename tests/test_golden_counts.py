@@ -20,9 +20,12 @@ condition from the factor instead of a solve of the formed matrix, so a
 channel whose condition lies within rounding of the screen's bound could
 be redrawn where it was not before, or the reverse; on these cases and the
 seeds checked against the solve route no redraw moved. Version 2 draws one
-stream per block of 256 trials. The retired tables still check something:
-every count of the current version must lie within a two-run band of its
-version-1 count, since both are estimates of the same error rate.
+stream per block of 256 trials from Philox. Version 3 keeps the blocks
+and draws them from SFC64, the channel normals as real and imaginary
+planes coloured by one real product. The retired tables still check
+something: every count of each version must lie within a two-run band of
+its count under each earlier version, since all are estimates of the same
+error rate.
 """
 
 import math
@@ -148,6 +151,48 @@ GOLDEN = {
             "rttd": [(1132, 526), (356, 206), (66, 37)],
         }),
     },
+    3: {
+        "zf-tmd-4qam": (0, {
+            "mld": [(2118, 982), (200, 98), (0, 0), (0, 0)],
+            "med": [(2161, 1012), (239, 113), (2, 1), (0, 0)],
+            "rttd": [(2117, 983), (203, 99), (0, 0), (0, 0)],
+        }),
+        "zf-optimal-4qam": (0, {
+            "mld": [(381, 177), (32, 14), (0, 0)],
+            "med": [(369, 175), (31, 14), (0, 0)],
+            "rttd": [(379, 177), (32, 14), (0, 0)],
+        }),
+        "mmse-mce-tmd-64qam": (0, {
+            "mld": [(4892, 2100), (1338, 1049), (16, 13), (0, 0)],
+            "med": [(5299, 2134), (1346, 1048), (15, 12), (0, 0)],
+            "rttd": [(5029, 2122), (1343, 1047), (15, 12), (0, 0)],
+        }),
+        "mmse-optimal-16qam": (0, {
+            "mld": [(156, 101), (19, 12), (2, 1)],
+            "med": [(288, 155), (84, 35), (41, 15)],
+            "rttd": [(209, 129), (41, 22), (5, 4)],
+        }),
+        "mmse-first-redraws-16qam": (4, {
+            "mld": [(646, 230), (21, 13), (0, 0), (0, 0)],
+            "med": [(948, 319), (404, 131), (20, 7), (0, 0)],
+            "rttd": [(828, 276), (172, 57), (3, 1), (0, 0)],
+        }),
+        "zf-baseline-16qam-gamma0": (0, {
+            "mld": [(2649, 1097), (618, 334)],
+            "med": [(2640, 1095), (620, 334)],
+            "rttd": [(2649, 1097), (618, 334)],
+        }),
+        "mmse-baseline-64qam-gamma1": (0, {
+            "mld": [(1110, 772), (97, 80)],
+            "med": [(1298, 835), (102, 79)],
+            "rttd": [(1298, 835), (102, 79)],
+        }),
+        "mmse-tmd-nr8-16qam": (0, {
+            "mld": [(928, 445), (327, 175), (78, 40)],
+            "med": [(1345, 592), (464, 252), (101, 56)],
+            "rttd": [(1032, 515), (368, 217), (91, 51)],
+        }),
+    },
 }
 
 # Band on the difference of two runs' bit-error counts, in standard
@@ -155,6 +200,17 @@ GOLDEN = {
 # reference check
 BAND_Z = 6.0
 BAND_SLACK_TRIALS = 3
+
+
+def two_run_band(k: int, count: int) -> float:
+    """Largest difference to ``count`` that another run of the same config
+    may show in its bit-error count. A trial carries k bits, so the
+    variance of a count is at most k times its mean whatever the
+    correlation of bits within a trial; two runs of one config differ by at
+    most BAND_Z standard deviations of the difference of two such counts,
+    plus the slack."""
+    return (BAND_Z * math.sqrt(2.0 * k * max(count, 1))
+            + BAND_SLACK_TRIALS * k)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -169,19 +225,17 @@ def test_golden_counts(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_counts_agree_across_stream_versions(name):
-    # A trial carries k bits, so the variance of a count is at most k times
-    # its mean whatever the correlation of bits within a trial; two runs of
-    # one config differ by at most BAND_Z standard deviations of the
-    # difference of two such counts, plus the slack
+    # every version's counts within the two-run band of every earlier one's
     k = SimConfig(**CONFIGS[name]).bits_per_use
-    old = GOLDEN[1][name][1]
-    for version in sorted(GOLDEN)[1:]:
-        new = GOLDEN[version][name][1]
-        for det in DETECTORS:
-            for (be_old, _), (be_new, _) in zip(old[det], new[det]):
-                sd = math.sqrt(2.0 * k * max(be_old, 1))
-                assert abs(be_new - be_old) <= (
-                    BAND_Z * sd + BAND_SLACK_TRIALS * k), (version, det)
+    versions = sorted(GOLDEN)
+    for i, older in enumerate(versions):
+        old = GOLDEN[older][name][1]
+        for version in versions[i + 1:]:
+            new = GOLDEN[version][name][1]
+            for det in DETECTORS:
+                for (be_old, _), (be_new, _) in zip(old[det], new[det]):
+                    assert abs(be_new - be_old) <= two_run_band(k, be_old), (
+                        older, version, det)
 
 
 HISTOGRAM_CONFIGS = {
@@ -256,6 +310,36 @@ GOLDEN_HISTOGRAMS = {
             # a 50-digit evaluation of the selected channels, noise and
             # payloads, as in version 1
             (120.0, 0.0003649198578572641, [400]),
+        ]),
+    },
+    3: {
+        "mmse-tmd": (0, [
+            (0.0, 0.3692110886899589, [
+                2, 20, 37, 37, 46, 55, 61, 64, 67, 72, 79, 67, 72, 54, 60, 66,
+                60, 59, 47, 52, 54, 40, 38, 33, 37, 39, 26, 40, 40, 40, 37, 43,
+                25, 21, 38, 32, 20, 27, 27, 16, 25, 25, 28, 24, 25, 27, 23, 26,
+                22, 25]),
+            (5.0, 0.15628630924418535, [
+                23, 95, 114, 188, 151, 169, 146, 133, 103, 107, 81, 83, 52, 58,
+                55, 44, 43, 32, 35, 29, 25, 15, 20, 15, 13, 13, 12, 10, 15, 12,
+                10, 6, 8, 4, 6, 4, 6, 6, 9, 9, 7, 4, 7, 1, 5, 3, 5, 1, 2, 6]),
+            (10.0, 0.05575435025294512, [
+                191, 472, 424, 278, 194, 140, 87, 71, 33, 30, 21, 13, 13, 5, 9,
+                2, 1, 3, 2, 0, 3, 2, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 1]),
+            (15.0, 0.01858490183910401, [1073, 642, 208, 52, 10, 9, 4, 2]),
+        ]),
+        "mmse-first-redraws": (4, [
+            (0.0, 0.5714769607227446, [
+                0, 0, 2, 4, 3, 4, 4, 1, 3, 3, 6, 2, 6, 12, 11, 8, 8, 9, 13, 9,
+                8, 10, 17, 14, 9, 10, 9, 9, 10, 13, 10, 8, 9, 11, 10, 11, 12, 7,
+                12, 10, 8, 12, 5, 3, 9, 18, 7, 8, 7, 6]),
+            (60.0, 0.17672497937603984, [
+                14, 32, 23, 26, 26, 21, 24, 15, 25, 15, 7, 12, 10, 10, 3, 16, 4,
+                4, 6, 9, 2, 5, 9, 5, 4, 3, 2, 4, 6, 1, 1, 2, 2, 3, 5, 4, 2, 3, 4,
+                1, 4, 4, 1, 3, 3, 3, 3, 3, 2, 4]),
+            # a 50-digit evaluation, as in version 1; the engine's median
+            # is 1.9e-12 off it
+            (120.0, 0.0004322569174988328, [400]),
         ]),
     },
 }
