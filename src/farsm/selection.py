@@ -114,29 +114,39 @@ class PortSet:
 
 
 def capacity_of_set(h: np.ndarray, ports: PortSet, precoder_kind: str,
-                    noise: NoiseModel) -> np.ndarray:
+                    noise) -> np.ndarray:
     """Capacities (bits per channel use) of the precoded restricted channels
     of a stack h (..., N_r, N), of its leading shape.
 
     C = log2 det(I + (1 / (N_r N_0)) (H P)(H P)^H) with P the requested
-    precoder built on the restricted channel.
+    precoder built on the restricted channel. ``noise`` is a NoiseModel, or
+    a sequence of them, which appends an axis of one capacity per level
+    (..., P); the ZF precoder and its (H P)(H P)^H do not depend on the
+    level and are formed once.
     """
-    if noise.n0 <= 0:
+    levels = (noise,) if isinstance(noise, NoiseModel) else tuple(noise)
+    if not levels or any(level.n0 <= 0 for level in levels):
         raise ValueError("capacity evaluation needs a positive noise power")
+    if precoder_kind not in ("zf", "mmse"):
+        raise ValueError(f"unknown precoder kind {precoder_kind!r}")
     h_sel = restrict_to_ports(h, ports)
     n_r = h_sel.shape[-2]
-    if precoder_kind == "zf":
-        prec = zf_precoder(h_sel)
-    elif precoder_kind == "mmse":
-        prec = mmse_precoder(h_sel, noise)
-    else:
-        raise ValueError(f"unknown precoder kind {precoder_kind!r}")
-    hp = h_sel @ prec.matrix
-    m = np.eye(n_r) + (hp @ hp.conj().swapaxes(-1, -2)) / (n_r * noise.n0)
-    sign, logdet = np.linalg.slogdet(m)
-    if (sign <= 0).any():
-        raise NumericalError("capacity determinant not positive")
-    return logdet / math.log(2.0)
+
+    def link_gram(level):
+        prec = (zf_precoder(h_sel) if precoder_kind == "zf"
+                else mmse_precoder(h_sel, level))
+        hp = h_sel @ prec.matrix
+        return hp @ hp.conj().swapaxes(-1, -2)
+
+    zf_gram = link_gram(None) if precoder_kind == "zf" else None
+    caps = []
+    for level in levels:
+        gram = link_gram(level) if zf_gram is None else zf_gram
+        sign, logdet = np.linalg.slogdet(np.eye(n_r) + gram / (n_r * level.n0))
+        if (sign <= 0).any():
+            raise NumericalError("capacity determinant not positive")
+        caps.append(logdet / math.log(2.0))
+    return caps[0] if isinstance(noise, NoiseModel) else np.stack(caps, -1)
 
 
 @lru_cache(maxsize=8)

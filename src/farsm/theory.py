@@ -99,28 +99,41 @@ def _removal_update(h: np.ndarray, pair: NestedSetPair, shift: float):
     return np.sum(1.0 / d, axis=1).reshape(lead), tr_d.reshape(lead)
 
 
-def zf_capacity_loss(h: np.ndarray, pair: NestedSetPair,
-                     noise: NoiseModel) -> np.ndarray:
-    """ZF capacity lost by shrinking the outer port set to the inner one.
+def zf_capacity_loss_curve(h: np.ndarray, pair: NestedSetPair,
+                           noises) -> tuple[np.ndarray, np.ndarray]:
+    """ZF capacity lost by shrinking the outer port set to the inner one, at
+    each noise level of ``noises`` (P, ...), and its noise-free ceiling.
 
-    Returns the closed form; raises if on any channel it disagrees with the
-    directly computed capacity difference (full precoder + determinant
-    route) by more than 1e-9 bits.
+    tr(B), tr(D) and both sets' ZF precoders do not depend on the noise
+    level, so the stack is factored once for every level. Returns the
+    closed forms; raises if at any level, on any channel, the closed form
+    disagrees with the directly computed capacity difference (full
+    precoder + determinant route) by more than 1e-9 bits.
     """
-    if noise.n0 <= 0:
+    if any(noise.n0 <= 0 for noise in noises):
         raise ValueError("capacity loss needs a positive noise power")
     tr_b, tr_d = _removal_update(h, pair, 0.0)
-    closed = h.shape[-2] * np.log2(
-        1.0 + tr_d / (tr_b * (tr_b + tr_d) * noise.n0 + tr_b))
-    direct = (capacity_of_set(h, pair.outer, "zf", noise)
-              - capacity_of_set(h, pair.inner, "zf", noise))
-    return _agreed("capacity-loss", closed, direct)
+    n_r = h.shape[-2]
+    losses = np.empty((len(noises), *tr_b.shape))
+    if len(noises):
+        gap = (capacity_of_set(h, pair.outer, "zf", noises)
+               - capacity_of_set(h, pair.inner, "zf", noises))
+        for p, noise in enumerate(noises):
+            closed = n_r * np.log2(
+                1.0 + tr_d / (tr_b * (tr_b + tr_d) * noise.n0 + tr_b))
+            losses[p] = _agreed("capacity-loss", closed, gap[..., p])
+    return losses, n_r * np.log2(1.0 + tr_d / tr_b)
+
+
+def zf_capacity_loss(h: np.ndarray, pair: NestedSetPair,
+                     noise: NoiseModel) -> np.ndarray:
+    """``zf_capacity_loss_curve`` at one noise level."""
+    return zf_capacity_loss_curve(h, pair, (noise,))[0][0]
 
 
 def zf_capacity_loss_bound(h: np.ndarray, pair: NestedSetPair) -> np.ndarray:
     """Noise-free ceiling of the ZF capacity loss: N_r log2(1 + trD / trB)."""
-    tr_b, tr_d = _removal_update(h, pair, 0.0)
-    return h.shape[-2] * np.log2(1.0 + tr_d / tr_b)
+    return zf_capacity_loss_curve(h, pair, ())[1]
 
 
 def mmse_mse(h: np.ndarray, ports: PortSet, noise: NoiseModel) -> np.ndarray:

@@ -12,8 +12,10 @@ from farsm.correlation import build_correlation_model, port_coordinates
 from farsm.errors import ConfigError, NumericalError
 from farsm.precoding import NoiseModel
 from farsm.selection import PortSet
+from farsm import selection, theory
 from farsm.simulate import SimConfig, _draw_trials, draw_channels
-from farsm.theory import NestedSetPair, zf_capacity_loss
+from farsm.theory import (NestedSetPair, zf_capacity_loss,
+                          zf_capacity_loss_bound)
 
 DATA = Path(__file__).parent / "data"
 
@@ -381,19 +383,63 @@ def test_capacity_loss_csv(tmp_path, capsys):
 def test_capacity_loss_bound_runs_once_per_run(monkeypatch, capsys):
     # the noise-free bound does not depend on the SNR point: one call on
     # the stack of all draws
-    bound = cli.zf_capacity_loss_bound
+    curve = cli.zf_capacity_loss_curve
     calls = []
 
-    def spy(h, pair):
+    def spy(h, pair, noises):
         calls.append(h)
-        return bound(h, pair)
+        return curve(h, pair, noises)
 
-    monkeypatch.setattr(cli, "zf_capacity_loss_bound", spy)
+    monkeypatch.setattr(cli, "zf_capacity_loss_curve", spy)
     code, _, _ = run_cli(
         ["capacity-loss", "--snr", "0:10:20", "--draws", "5"], capsys)
     assert code == 0
     assert len(calls) == 1
     assert np.array_equal(calls[0], draw_channels(SimConfig(), 5).channels)
+
+
+def test_capacity_loss_factors_the_draws_once(monkeypatch, capsys):
+    # tr(B), tr(D) and both sets' ZF precoders do not depend on the SNR
+    # point: 21 points and the bound from one removal update and one
+    # precoder per set
+    calls = {"update": [], "precoder": 0}
+    update, precoder = theory._removal_update, selection.zf_precoder
+
+    def spy_update(h, pair, shift):
+        calls["update"].append(shift)
+        return update(h, pair, shift)
+
+    def spy_precoder(h):
+        calls["precoder"] += 1
+        return precoder(h)
+
+    monkeypatch.setattr(theory, "_removal_update", spy_update)
+    monkeypatch.setattr(selection, "zf_precoder", spy_precoder)
+    code, _, err = run_cli(
+        ["capacity-loss", "--snr", "0:2:40", "--draws", "20"], capsys)
+    assert code == 0, err
+    assert calls == {"update": [0.0], "precoder": 2}
+
+
+@pytest.mark.parametrize("w", ["1", "0.05", "0.25"])
+def test_capacity_loss_prints_the_per_point_route(w, capsys):
+    # the factored run prints, byte for byte, what one zf_capacity_loss
+    # call per point and one bound call give on the same draws; at 0.05
+    # wavelengths some draws are redrawn
+    code, out, err = run_cli(
+        ["capacity-loss", "--w1", w, "--w2", w, "--snr", "0:2:40",
+         "--draws", "200"], capsys)
+    assert code == 0, err
+    hs = draw_channels(SimConfig(w1=float(w), w2=float(w)), 200).channels
+    pair = NestedSetPair(inner=PortSet(range(1, 5)),
+                         outer=PortSet(range(1, 17)))
+    bound = float(np.mean(zf_capacity_loss_bound(hs, pair)))
+    want = "snr_db,value,bound\n"
+    for snr in cli.parse_snr_range("0:2:40"):
+        loss = float(np.mean(zf_capacity_loss(
+            hs, pair, NoiseModel.from_snr_db(snr))))
+        want += ",".join(format(v, ".10g") for v in (snr, loss, bound)) + "\n"
+    assert out == want
 
 
 def test_capacity_loss_compact_aperture(capsys):
@@ -463,14 +509,14 @@ def test_capacity_loss_averages_the_channels_of_ber_first(
     want = (rows[:, 3] + 1j * rows[:, 4]).reshape(100, 4, 16)
     assert np.array_equal(rows[::64, 0], np.arange(100))
 
-    bound = cli.zf_capacity_loss_bound
+    curve = cli.zf_capacity_loss_curve
     seen = []
 
-    def spy(h, pair):
+    def spy(h, pair, noises):
         seen.append(h.copy())
-        return bound(h, pair)
+        return curve(h, pair, noises)
 
-    monkeypatch.setattr(cli, "zf_capacity_loss_bound", spy)
+    monkeypatch.setattr(cli, "zf_capacity_loss_curve", spy)
     code, _, err = run_cli(
         ["capacity-loss", *grid, "--snr", "0:10:20", "--draws", "100",
          "--out", str(tmp_path / "cl.csv")], capsys)
