@@ -125,23 +125,22 @@ def capacity_of_set(h: np.ndarray, ports: PortSet, precoder_kind: str,
     level and are formed once.
     """
     levels = (noise,) if isinstance(noise, NoiseModel) else tuple(noise)
-    if not levels or any(level.n0 <= 0 for level in levels):
+    if any(level.n0 <= 0 for level in levels):
         raise ValueError("capacity evaluation needs a positive noise power")
     if precoder_kind not in ("zf", "mmse"):
         raise ValueError(f"unknown precoder kind {precoder_kind!r}")
     h_sel = restrict_to_ports(h, ports)
     n_r = h_sel.shape[-2]
 
-    def link_gram(level):
-        prec = (zf_precoder(h_sel) if precoder_kind == "zf"
-                else mmse_precoder(h_sel, level))
+    def link_gram(prec):
         hp = h_sel @ prec.matrix
         return hp @ hp.conj().swapaxes(-1, -2)
 
-    zf_gram = link_gram(None) if precoder_kind == "zf" else None
+    zf_gram = link_gram(zf_precoder(h_sel)) if precoder_kind == "zf" else None
     caps = []
     for level in levels:
-        gram = link_gram(level) if zf_gram is None else zf_gram
+        gram = (zf_gram if zf_gram is not None
+                else link_gram(mmse_precoder(h_sel, level)))
         sign, logdet = np.linalg.slogdet(np.eye(n_r) + gram / (n_r * level.n0))
         if (sign <= 0).any():
             raise NumericalError("capacity determinant not positive")

@@ -17,30 +17,32 @@ kernels. The detectors and the bit mapping are the stacked kernels of
 runs a batch of one through the same stages as the sweep, and
 :func:`draw_channels` keeps the screened channels of a ``first``-port ZF
 sweep, which the theory metrics and the selection benchmark average over.
-Streams are keyed per block of 256 consecutive trials (stream version 3): a
-block draws all its channels as real and imaginary planes, then all its
+Streams are keyed per block of 256 consecutive trials (stream version 3):
+a block draws all its channels as real and imaginary planes, then all its
 payloads, then all its noise with one vectorized call each, and colours its
 channels with one real product. A batch draws every block it touches whole,
 so no value depends on the batch bounds, and a redraw is a block of one
-trial on its own sub-stream. Drawing, colouring, selecting and screening the
-precoder is one step. A batch takes it once for its trials and then once per
-redraw attempt for the trials still failed, as one batch, writing the trials
-that pass back into the batch in place, and redraws are counted by cause (a
-degenerate selection or a failed screen). The ZF precoder does not depend on
-the noise level, so the screen's serves every SNR point, and the step keeps
-only beta and each trial's sent column (H P) e_k = H (P e_k), built from row
-k of the inverse Gram (``precoding.zf_sent_columns``); neither P nor H P is
-formed. MMSE factors the selected channels once in that step, H H^H = U
-diag(lambda) U^H by eigh of the formed Gram, or by the SVD of H on the rows
-too ill conditioned for that (``precoding.mmse_factor``); the screen reads
-the same factor (a redraw factors only its own trials), and each SNR point
-forms from U and the rescaled eigenvalues d only what its receiver reads:
-the sent column g_k of G, the diagonal entries G[k, k] of the energy
-detector's rows, and the projections g_k^H y and ||g_k||^2 of the rows that
-reach the joint ML search (``detection.mld``); G is never formed. One detect
-stage serves MLD (no energy-detector rows), MED (all rows) and RTTD, which
-runs the joint ML search only on the rows its ratio test sends there and
-reports, per point, how many rows the energy detector decided.
+trial on its own sub-stream. Drawing, colouring, selecting and screening
+the precoder is one step. A batch takes it once for its trials and then
+once per redraw attempt for the trials still failed, as one batch, writing
+the trials that pass back into the batch in place, and redraws are
+counted by cause (a degenerate selection or a failed screen). The ZF
+precoder does not depend on the noise level, so the screen's serves
+every SNR point, and the step
+keeps only beta and each trial's sent column (H P) e_k = H (P e_k), built
+from row k of the inverse Gram (``precoding.zf_sent_columns``); neither P
+nor H P is formed. MMSE factors the selected channels once in that step,
+H H^H = U diag(lambda) U^H by eigh of the formed Gram, or by the SVD of H
+on the rows too ill conditioned for that (``precoding.mmse_factor``); the
+screen reads the same factor (a redraw factors only its own trials), and
+each SNR point forms from U and the rescaled eigenvalues d only what its
+receiver reads: the sent column g_k of G, the diagonal entries G[k, k] of
+the energy detector's rows, and the projections g_k^H y and ||g_k||^2 of
+the rows that reach the joint ML search (``detection.mld``); G is never
+formed. One detect stage serves MLD (no energy-detector rows), MED (all
+rows) and RTTD, which runs the joint ML search only on the rows its ratio
+test sends there and reports, per point, how many rows the energy
+detector decided.
 ``FARSM_THREADS`` caps how many worker threads run batches concurrently
 (default 1). Each batch returns one record of its results (``_Tally``),
 and ``_fold`` combines the records in job order, so the thread count never
