@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import farsm.cli as cli
+from farsm import selection, theory
 from farsm.correlation import build_correlation_model, port_coordinates
 from farsm.errors import ConfigError, NumericalError
 from farsm.precoding import NoiseModel
 from farsm.selection import PortSet
-from farsm import selection, theory
 from farsm.simulate import SimConfig, _draw_trials, draw_channels
 from farsm.theory import (NestedSetPair, zf_capacity_loss,
                           zf_capacity_loss_bound)

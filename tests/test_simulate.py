@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farsm import precoding, simulate
-from farsm.channel import SeededRng
 from farsm.correlation import build_correlation_model, port_coordinates
 from farsm.detection import energy_ratio, mld
 from farsm.errors import ConfigError, NumericalError, SingularChannelError
